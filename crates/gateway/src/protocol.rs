@@ -799,4 +799,17 @@ mod tests {
                 .unwrap_err();
         assert!(err.contains("deadline_ms"), "{err}");
     }
+
+    #[test]
+    fn deeply_nested_lines_are_errors_not_stack_overflows() {
+        // A 100 KB line of nothing but open brackets is far below the
+        // framing cap; parsing it must fail cleanly on both sides of
+        // the wire (the router's shard reader parses gateway replies
+        // with the same parser).
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(100_000);
+            assert!(parse_request(&deep).is_err());
+            assert!(parse_response(&deep).is_err());
+        }
+    }
 }

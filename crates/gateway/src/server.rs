@@ -4,7 +4,7 @@
 //! ```text
 //!            acceptor thread (non-blocking listener)
 //!                 │ spawns one reader per connection
-//!   reader ──try_submit──▶ bounded JobQueue ──▶ worker pool (one
+//!   reader ──key groups──▶ bounded JobQueue ──▶ worker pool (one
 //!     │  shed: {"error":"overloaded"}            DriftAccelerator each,
 //!     │                                          shared schedule cache)
 //!     └─▶ writer thread ◀──reply channel──────────┘
@@ -13,8 +13,10 @@
 //! Three properties the batch runtime does not need become load-bearing
 //! here and are owned by this module:
 //!
-//! * **admission control** — submission uses the queue's non-blocking
-//!   [`JobQueue::try_submit`]; a full queue sheds the request with a
+//! * **admission control** — submission uses the queue's non-blocking,
+//!   all-or-shed [`JobQueue::try_submit_batch`]: every request line, a
+//!   singleton included, enters as its schedule-key groups (a singleton
+//!   is a group of one); a full queue sheds the request with a
 //!   structured `overloaded` response instead of blocking the socket,
 //!   and a deadline budget below the observed service-time estimate is
 //!   shed as `deadline_unmeetable` before it can occupy a slot;
@@ -45,7 +47,7 @@ use drift_serve::cache::ScheduleCache;
 use drift_serve::job::{result_line, JobOutcome, JobResult, JobSpec};
 use drift_serve::persist::{open_and_preload, StoreBinding};
 use drift_serve::queue::{job_queue_with_policy, Deadlined, JobQueue, QueuePolicy, WorkerHandle};
-use drift_serve::worker::{execute_group, execute_job_traced, schedule_key_for};
+use drift_serve::worker::{execute_traced, schedule_key_for};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -229,25 +231,36 @@ impl Reply {
     }
 }
 
-/// One admitted request travelling from a connection reader to a
-/// worker and back (as a rendered response line) to the writer.
-#[derive(Debug, Clone)]
-struct GatewayJob {
-    spec: JobSpec,
-    deadline: Option<Instant>,
-    admitted: Instant,
-    trace: Option<JobTrace>,
+/// One admitted request line — a singleton job or a batch — shared by
+/// every schedule-key group it was split into: the response slots
+/// (indexed by submission position, so assembly order is the client's
+/// order no matter which worker finishes first) and the countdown that
+/// tells the last group to send the single response line.
+#[derive(Debug)]
+struct RequestState {
+    /// The singleton's job id, or the batch id.
+    id: u64,
+    /// A singleton line: the response is its one item's line rather
+    /// than a batch envelope.
+    single: bool,
+    slots: Mutex<Vec<Option<String>>>,
+    remaining: AtomicUsize,
     reply: Sender<Reply>,
+    trace: Option<JobTrace>,
+    admitted: Instant,
+    /// The line-wide deadline: the budget is shared by every item.
+    deadline: Option<Instant>,
 }
 
-impl GatewayJob {
+impl RequestState {
     fn expired(&self, now: Instant) -> bool {
         self.deadline.is_some_and(|d| now >= d)
     }
 
-    /// True when the job cannot be answered in budget: already expired,
-    /// or the remaining slack is smaller than the estimated service
-    /// time (`estimate_us`, 0 = no estimate). Executing such a job can
+    /// True when the request cannot be answered in budget: already
+    /// expired, or the remaining slack is smaller than the estimated
+    /// single-job service time (`estimate_us`, 0 = no estimate), a
+    /// conservative lower bound on a group's. Executing such work can
     /// only produce a late result, so the worker discards it instead —
     /// without this predictive check EDF degrades under overload,
     /// because the earliest-deadline job is by construction the one
@@ -257,58 +270,41 @@ impl GatewayJob {
             d.saturating_duration_since(now).as_micros() <= u128::from(estimate_us)
         })
     }
-}
 
-impl Deadlined for GatewayJob {
-    fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-}
-
-/// State shared by every schedule-key group of one batch request: the
-/// response slots (indexed by submission position, so assembly order is
-/// the client's order no matter which worker finishes first) and the
-/// countdown that tells the last group to assemble and send the single
-/// batch response line.
-#[derive(Debug)]
-struct BatchShared {
-    id: u64,
-    total: usize,
-    slots: Mutex<Vec<Option<String>>>,
-    remaining: AtomicUsize,
-    reply: Sender<Reply>,
-    trace: Option<JobTrace>,
-    admitted: Instant,
-}
-
-impl BatchShared {
     /// Fills one item's rendered payload; the filler of the last empty
-    /// slot assembles and sends the batch response.
-    fn settle_item(&self, shared: &Shared, pos: usize, line: String) {
+    /// slot sends the response. `outcome` (`ok` or
+    /// `deadline_exceeded`) labels a singleton's request span.
+    fn settle_item(&self, shared: &Shared, pos: usize, line: String, outcome: &str) {
         {
-            let mut slots = self.slots.lock().expect("batch slots");
-            debug_assert!(slots[pos].is_none(), "batch slot settled twice");
+            let mut slots = self.slots.lock().expect("request slots");
+            debug_assert!(slots[pos].is_none(), "request slot settled twice");
             slots[pos] = Some(line);
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.finish(shared);
+            self.finish(shared, outcome);
         }
     }
 
-    fn finish(&self, shared: &Shared) {
-        let items: Vec<String> = {
-            let mut slots = self.slots.lock().expect("batch slots");
+    /// Sends the response and settles the request's accounting
+    /// (in-flight gauge, end-to-end latency, the request trace span).
+    fn finish(&self, shared: &Shared, outcome: &str) {
+        let mut items: Vec<String> = {
+            let mut slots = self.slots.lock().expect("request slots");
             slots
                 .iter_mut()
-                .map(|slot| slot.take().expect("all batch slots settled"))
+                .map(|slot| slot.take().expect("all request slots settled"))
                 .collect()
         };
-        let line = protocol::batch_response_line(self.id, &items);
-        shared
-            .recorder
-            .gauge_add("drift_gateway_inflight_requests", &[], -(self.total as i64));
-        if shared.recorder.is_enabled() {
-            shared.recorder.observe(
+        let total = items.len();
+        let line = if self.single {
+            items.remove(0)
+        } else {
+            protocol::batch_response_line(self.id, &items)
+        };
+        let recorder = &shared.recorder;
+        recorder.gauge_add("drift_gateway_inflight_requests", &[], -(total as i64));
+        if recorder.is_enabled() {
+            recorder.observe(
                 "drift_gateway_request_latency_microseconds",
                 &[],
                 drift_obs::contract::LATENCY_US_BUCKETS,
@@ -319,69 +315,44 @@ impl BatchShared {
             );
         }
         if let Some(t) = &self.trace {
-            record_request_span(shared, t, self.id, self.admitted, "ok");
+            let outcome = if self.single { outcome } else { "ok" };
+            record_request_span(shared, t, self.id, self.admitted, outcome);
         }
         let reply = Reply {
             line,
             trace: self.trace.as_ref().map(|t| (t.trace, t.req_span)),
         };
         if self.reply.send(reply).is_err() {
+            // The connection is fully gone (reader and writer exited).
             shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
-            shared
-                .recorder
-                .counter_add("drift_gateway_responses_dropped_total", &[], 1);
+            recorder.counter_add("drift_gateway_responses_dropped_total", &[], 1);
         }
     }
 }
 
-/// The items of one batch that share a schedule key, executed together
-/// on one worker so the key is solved/fetched exactly once
-/// (`drift_serve::worker::execute_group`). `key == None` collects the
-/// Select items, which carry no schedule key and execute per-item.
+/// The unit of work in the gateway queue: the items of one request
+/// line that share a schedule key, executed together on one worker so
+/// the key is solved/fetched exactly once
+/// (`drift_serve::worker::execute_traced`). A singleton line is a
+/// group of one. `key == None` for one-item lines (which skip key
+/// grouping) and for the Select items and invalid shapes of a batch:
+/// their items resolve their own keys as they execute.
+///
+/// A request occupies one queue slot per *distinct schedule key*,
+/// which is what lets admission stay a single capacity check while
+/// same-key floods collapse.
 #[derive(Debug)]
 struct GroupJob {
     key: Option<ScheduleKey>,
-    /// Submission positions within the batch, parallel to `specs`.
+    /// Submission positions within the request, parallel to `specs`.
     positions: Vec<usize>,
     specs: Vec<JobSpec>,
-    /// The batch-wide deadline: the budget is shared by every item, so
-    /// each group carries the same absolute instant.
-    deadline: Option<Instant>,
-    admitted: Instant,
-    batch: Arc<BatchShared>,
+    request: Arc<RequestState>,
 }
 
-impl GroupJob {
-    fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
-    }
-
-    /// Same predictive check as [`GatewayJob::doomed`], using the
-    /// single-job estimate as a conservative lower bound on the group's
-    /// service time.
-    fn doomed(&self, now: Instant, estimate_us: u64) -> bool {
-        self.deadline.is_some_and(|d| {
-            d.saturating_duration_since(now).as_micros() <= u128::from(estimate_us)
-        })
-    }
-}
-
-/// What travels through the gateway queue: a singleton request, or one
-/// schedule-key group of a batch request. A batch occupies one queue
-/// slot per *distinct schedule key*, which is what lets admission stay
-/// a single capacity check while same-key floods collapse.
-#[derive(Debug)]
-enum QueueItem {
-    Single(GatewayJob),
-    Group(GroupJob),
-}
-
-impl Deadlined for QueueItem {
+impl Deadlined for GroupJob {
     fn deadline(&self) -> Option<Instant> {
-        match self {
-            QueueItem::Single(job) => job.deadline,
-            QueueItem::Group(group) => group.deadline,
-        }
+        self.request.deadline
     }
 }
 
@@ -422,7 +393,7 @@ pub struct Gateway {
     /// this `Arc`; after they are joined, dropping the slot here drops
     /// the final strong reference, which closes the queue and lets the
     /// workers drain out.
-    queue: Option<Arc<JobQueue<QueueItem>>>,
+    queue: Option<Arc<JobQueue<GroupJob>>>,
     acceptor: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     workers: Vec<JoinHandle<()>>,
@@ -527,7 +498,7 @@ impl Gateway {
             })
             .transpose()?;
 
-        let (queue, handle) = job_queue_with_policy::<QueueItem>(config.queue, config.queue_depth);
+        let (queue, handle) = job_queue_with_policy::<GroupJob>(config.queue, config.queue_depth);
         let queue = Arc::new(queue);
         let workers = (0..config.workers)
             .map(|i| {
@@ -628,7 +599,7 @@ impl Drop for Gateway {
 fn acceptor_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
-    queue: &Arc<JobQueue<QueueItem>>,
+    queue: &Arc<JobQueue<GroupJob>>,
     conns: &Mutex<Vec<JoinHandle<()>>>,
 ) {
     while !shared.should_stop() {
@@ -655,7 +626,7 @@ fn acceptor_loop(
 
 /// One connection's reader: parses request lines, admits jobs, and
 /// owns the paired writer thread's lifetime.
-fn connection(stream: TcpStream, shared: &Arc<Shared>, queue: &JobQueue<QueueItem>) {
+fn connection(stream: TcpStream, shared: &Arc<Shared>, queue: &JobQueue<GroupJob>) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(READ_TICK)).is_err() {
         return;
@@ -714,13 +685,13 @@ fn connection(stream: TcpStream, shared: &Arc<Shared>, queue: &JobQueue<QueueIte
 fn handle_line(
     line: &str,
     shared: &Shared,
-    queue: &JobQueue<QueueItem>,
+    queue: &JobQueue<GroupJob>,
     reply: &Sender<Reply>,
 ) -> bool {
     if line.trim().is_empty() {
         return true;
     }
-    match protocol::parse_request(line) {
+    let (id, specs, single, deadline_ms, trace) = match protocol::parse_request(line) {
         Err(_) => {
             // Lenient by design: a malformed request is answered and
             // counted, never a reason to abort the stream.
@@ -729,7 +700,7 @@ fn handle_line(
                 .recorder
                 .counter_add("drift_serve_jobs_rejected_total", &[], 1);
             let _ = reply.send(Reply::plain(protocol::error_line(None, ERR_BAD_REQUEST)));
-            true
+            return true;
         }
         Ok(Request::Control(ControlOp::Ping)) => {
             // The ack advertises the queue discipline so router health
@@ -738,7 +709,7 @@ fn handle_line(
                 true,
                 shared.config.queue.as_str(),
             )));
-            true
+            return true;
         }
         Ok(Request::Control(ControlOp::Shutdown)) => {
             let _ = reply.send(Reply::plain(protocol::control_ack_line(
@@ -746,7 +717,7 @@ fn handle_line(
                 true,
             )));
             shared.drain.store(true, Ordering::SeqCst);
-            false
+            return false;
         }
         Ok(Request::Prewarm(entries)) => {
             // Reshard prewarming: the router pushes schedules whose
@@ -763,210 +734,143 @@ fn handle_line(
                 true,
                 inserted as u64,
             )));
-            true
+            return true;
         }
         Ok(Request::Job {
             spec,
             deadline_ms,
             trace,
-        }) => {
-            let admitted = Instant::now();
-            // Resolve head sampling: honor an upstream decision; when
-            // the request carries none, this gateway is the ingress
-            // edge and decides from its arrival sequence.
-            let decision = match trace {
-                TraceDecision::Undecided if shared.tracer.is_enabled() => shared
-                    .tracer
-                    .decide(shared.trace_seq.fetch_add(1, Ordering::Relaxed)),
-                other => other,
-            };
-            let job_trace = match (decision.context(), shared.tracer.is_enabled()) {
-                (Some(ctx), true) => Some(JobTrace {
-                    trace: ctx.trace_id,
-                    parent: ctx.parent_span,
-                    req_span: shared.tracer.new_span_id(),
-                }),
-                _ => None,
-            };
-            let budget = deadline_ms.unwrap_or(shared.config.default_deadline_ms);
-            let deadline = (budget > 0).then(|| admitted + Duration::from_millis(budget));
-            let id = spec.id;
-            // Infeasibility shed: once at least one job has completed,
-            // a budget below the observed service-time estimate cannot
-            // be met even from an empty queue — refuse it immediately
-            // instead of letting it occupy a slot and expire later.
-            let estimate_us = shared.estimator.estimate_us();
-            if deadline.is_some() && estimate_us > 0 && budget.saturating_mul(1000) < estimate_us {
-                shared.tally.unmeetable.fetch_add(1, Ordering::Relaxed);
-                shared.recorder.counter_add(
-                    "drift_gateway_deadline_outcomes_total",
-                    &[("outcome", "unmeetable")],
-                    1,
-                );
-                if let Some(t) = &job_trace {
-                    record_request_span(shared, t, id, admitted, "unmeetable");
-                }
-                let _ = reply.send(Reply::plain(protocol::error_line(Some(id), ERR_UNMEETABLE)));
-                return true;
-            }
-            let job = GatewayJob {
-                spec,
-                deadline,
-                admitted,
-                trace: job_trace,
-                reply: reply.clone(),
-            };
-            match queue.try_submit(QueueItem::Single(job)) {
-                Ok(()) => {
-                    shared.tally.accepted.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .recorder
-                        .counter_add("drift_gateway_requests_accepted_total", &[], 1);
-                    shared
-                        .recorder
-                        .gauge_add("drift_gateway_inflight_requests", &[], 1);
-                }
-                Err(item) => {
-                    shared.tally.shed.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .recorder
-                        .counter_add("drift_gateway_requests_shed_total", &[], 1);
-                    if let QueueItem::Single(job) = item {
-                        if let Some(t) = &job.trace {
-                            record_request_span(shared, t, id, admitted, "overloaded");
-                        }
-                    }
-                    let _ =
-                        reply.send(Reply::plain(protocol::error_line(Some(id), ERR_OVERLOADED)));
-                }
-            }
-            true
-        }
+        }) => (spec.id, vec![spec], true, deadline_ms, trace),
         Ok(Request::Batch {
             id,
             specs,
             deadline_ms,
             trace,
-        }) => {
-            let admitted = Instant::now();
-            let total = specs.len();
-            // One sampling decision and one request span per batch: the
-            // whole line is one request to the trace tier.
-            let decision = match trace {
-                TraceDecision::Undecided if shared.tracer.is_enabled() => shared
-                    .tracer
-                    .decide(shared.trace_seq.fetch_add(1, Ordering::Relaxed)),
-                other => other,
-            };
-            let batch_trace = match (decision.context(), shared.tracer.is_enabled()) {
-                (Some(ctx), true) => Some(JobTrace {
-                    trace: ctx.trace_id,
-                    parent: ctx.parent_span,
-                    req_span: shared.tracer.new_span_id(),
+        }) => (id, specs, false, deadline_ms, trace),
+    };
+    let admitted = Instant::now();
+    let total = specs.len();
+    // Resolve head sampling once per line (the whole line is one request
+    // to the trace tier): honor an upstream decision; when the request
+    // carries none, this gateway is the ingress edge and decides from
+    // its arrival sequence.
+    let decision = match trace {
+        TraceDecision::Undecided if shared.tracer.is_enabled() => shared
+            .tracer
+            .decide(shared.trace_seq.fetch_add(1, Ordering::Relaxed)),
+        other => other,
+    };
+    let job_trace = match (decision.context(), shared.tracer.is_enabled()) {
+        (Some(ctx), true) => Some(JobTrace {
+            trace: ctx.trace_id,
+            parent: ctx.parent_span,
+            req_span: shared.tracer.new_span_id(),
+        }),
+        _ => None,
+    };
+    // The deadline budget is shared: one absolute instant for every
+    // item, decremented once per hop upstream — never once per item.
+    let budget = deadline_ms.unwrap_or(shared.config.default_deadline_ms);
+    let deadline = (budget > 0).then(|| admitted + Duration::from_millis(budget));
+    // Infeasibility shed: once at least one job has completed, a budget
+    // below the observed single-job service-time estimate cannot be met
+    // even from an empty queue — refuse the whole line immediately
+    // instead of letting it occupy slots and expire later.
+    let estimate_us = shared.estimator.estimate_us();
+    if deadline.is_some() && estimate_us > 0 && budget.saturating_mul(1000) < estimate_us {
+        shared
+            .tally
+            .unmeetable
+            .fetch_add(total as u64, Ordering::Relaxed);
+        shared.recorder.counter_add(
+            "drift_gateway_deadline_outcomes_total",
+            &[("outcome", "unmeetable")],
+            total as u64,
+        );
+        if let Some(t) = &job_trace {
+            record_request_span(shared, t, id, admitted, "unmeetable");
+        }
+        let _ = reply.send(Reply::plain(protocol::error_line(Some(id), ERR_UNMEETABLE)));
+        return true;
+    }
+    let request = Arc::new(RequestState {
+        id,
+        single,
+        slots: Mutex::new(vec![None; total]),
+        remaining: AtomicUsize::new(total),
+        reply: reply.clone(),
+        trace: job_trace,
+        admitted,
+        deadline,
+    });
+    let groups = if total == 1 {
+        // Nothing to amortise: the item resolves its own key as it
+        // executes, so admission does no key work.
+        vec![GroupJob {
+            key: None,
+            positions: vec![0],
+            specs,
+            request,
+        }]
+    } else {
+        // Group by schedule key, preserving submission order within
+        // each group. Linear scan: batches carry at most a few distinct
+        // keys by construction (that is the amortization).
+        let fabric = paper_fabric();
+        let mut groups: Vec<GroupJob> = Vec::new();
+        for (pos, spec) in specs.into_iter().enumerate() {
+            let key = schedule_key_for(&spec, fabric);
+            match groups.iter_mut().find(|g| g.key == key) {
+                Some(group) => {
+                    group.positions.push(pos);
+                    group.specs.push(spec);
+                }
+                None => groups.push(GroupJob {
+                    key,
+                    positions: vec![pos],
+                    specs: vec![spec],
+                    request: Arc::clone(&request),
                 }),
-                _ => None,
-            };
-            // The deadline budget is shared: one absolute instant for
-            // every item, decremented once per hop upstream — never
-            // once per item.
-            let budget = deadline_ms.unwrap_or(shared.config.default_deadline_ms);
-            let deadline = (budget > 0).then(|| admitted + Duration::from_millis(budget));
-            // Whole-batch infeasibility shed, using the single-job
-            // estimate as a lower bound on the batch's service time: if
-            // even one job cannot finish in budget, none of the batch's
-            // items can settle in time.
-            let estimate_us = shared.estimator.estimate_us();
-            if deadline.is_some() && estimate_us > 0 && budget.saturating_mul(1000) < estimate_us {
-                shared
-                    .tally
-                    .unmeetable
-                    .fetch_add(total as u64, Ordering::Relaxed);
-                shared.recorder.counter_add(
-                    "drift_gateway_deadline_outcomes_total",
-                    &[("outcome", "unmeetable")],
+            }
+        }
+        groups
+    };
+    match queue.try_submit_batch(groups) {
+        Ok(()) => {
+            shared
+                .tally
+                .accepted
+                .fetch_add(total as u64, Ordering::Relaxed);
+            shared
+                .recorder
+                .counter_add("drift_gateway_requests_accepted_total", &[], total as u64);
+            shared
+                .recorder
+                .gauge_add("drift_gateway_inflight_requests", &[], total as i64);
+            if !single && shared.recorder.is_enabled() {
+                shared.recorder.observe(
+                    "drift_gateway_batch_size",
+                    &[],
+                    drift_obs::contract::BATCH_SIZE_BUCKETS,
                     total as u64,
                 );
-                if let Some(t) = &batch_trace {
-                    record_request_span(shared, t, id, admitted, "unmeetable");
-                }
-                let _ = reply.send(Reply::plain(protocol::error_line(Some(id), ERR_UNMEETABLE)));
-                return true;
             }
-            let batch = Arc::new(BatchShared {
-                id,
-                total,
-                slots: Mutex::new(vec![None; total]),
-                remaining: AtomicUsize::new(total),
-                reply: reply.clone(),
-                trace: batch_trace,
-                admitted,
-            });
-            // Group by schedule key, preserving submission order within
-            // each group. Linear scan: batches carry at most a few
-            // distinct keys by construction (that is the amortization).
-            let fabric = paper_fabric();
-            let mut groups: Vec<GroupJob> = Vec::new();
-            for (pos, spec) in specs.into_iter().enumerate() {
-                let key = schedule_key_for(&spec, fabric);
-                match groups.iter_mut().find(|g| g.key == key) {
-                    Some(group) => {
-                        group.positions.push(pos);
-                        group.specs.push(spec);
-                    }
-                    None => groups.push(GroupJob {
-                        key,
-                        positions: vec![pos],
-                        specs: vec![spec],
-                        deadline,
-                        admitted,
-                        batch: Arc::clone(&batch),
-                    }),
-                }
+        }
+        Err(_groups) => {
+            // All-or-shed: no group was enqueued, so dropping the groups
+            // (and the request state inside) is safe — nothing will
+            // ever settle a slot.
+            shared.tally.shed.fetch_add(total as u64, Ordering::Relaxed);
+            shared
+                .recorder
+                .counter_add("drift_gateway_requests_shed_total", &[], total as u64);
+            if let Some(t) = &job_trace {
+                record_request_span(shared, t, id, admitted, "overloaded");
             }
-            let items = groups.into_iter().map(QueueItem::Group).collect();
-            match queue.try_submit_batch(items) {
-                Ok(()) => {
-                    shared
-                        .tally
-                        .accepted
-                        .fetch_add(total as u64, Ordering::Relaxed);
-                    shared.recorder.counter_add(
-                        "drift_gateway_requests_accepted_total",
-                        &[],
-                        total as u64,
-                    );
-                    shared
-                        .recorder
-                        .gauge_add("drift_gateway_inflight_requests", &[], total as i64);
-                    if shared.recorder.is_enabled() {
-                        shared.recorder.observe(
-                            "drift_gateway_batch_size",
-                            &[],
-                            drift_obs::contract::BATCH_SIZE_BUCKETS,
-                            total as u64,
-                        );
-                    }
-                }
-                Err(_groups) => {
-                    // All-or-shed: no group was enqueued, so dropping
-                    // the groups (and the batch state inside) is safe —
-                    // nothing will ever settle a slot.
-                    shared.tally.shed.fetch_add(total as u64, Ordering::Relaxed);
-                    shared.recorder.counter_add(
-                        "drift_gateway_requests_shed_total",
-                        &[],
-                        total as u64,
-                    );
-                    if let Some(t) = &batch.trace {
-                        record_request_span(shared, t, id, admitted, "overloaded");
-                    }
-                    let _ =
-                        reply.send(Reply::plain(protocol::error_line(Some(id), ERR_OVERLOADED)));
-                }
-            }
-            true
+            let _ = reply.send(Reply::plain(protocol::error_line(Some(id), ERR_OVERLOADED)));
         }
     }
+    true
 }
 
 /// Records the gateway-tier root (`request`) span for a job that
@@ -1035,82 +939,101 @@ fn writer_loop(mut stream: TcpStream, replies: &Receiver<Reply>, shared: &Shared
 
 /// One worker: pulls admitted work until the queue closes, enforcing
 /// the deadline at dequeue and again at response time.
-fn worker_loop(jobs: WorkerHandle<QueueItem>, shared: &Shared) {
+fn worker_loop(jobs: WorkerHandle<GroupJob>, shared: &Shared) {
     let mut accel =
         DriftAccelerator::paper_config().expect("the paper configuration always builds");
     accel.set_recorder(shared.recorder.clone());
-    while let Some(item) = jobs.next_job() {
-        match item {
-            QueueItem::Single(job) => run_single(job, &mut accel, shared),
-            QueueItem::Group(group) => run_group(group, &mut accel, shared),
-        }
+    while let Some(group) = jobs.next_job() {
+        run_group(group, &mut accel, shared);
     }
 }
 
-/// Executes one singleton request end to end.
-fn run_single(job: GatewayJob, accel: &mut DriftAccelerator, shared: &Shared) {
+/// Executes one schedule-key group: a keyed group's key is
+/// solved/fetched once, and each item's rendered payload —
+/// byte-identical to what the same job would produce submitted singly —
+/// settles into its request slot.
+fn run_group(group: GroupJob, accel: &mut DriftAccelerator, shared: &Shared) {
+    let request = &group.request;
+    let dequeued = Instant::now();
+    let n = group.specs.len();
+    let doomed = request.doomed(dequeued, shared.estimator.estimate_us());
+    record_queue_wait(
+        shared,
+        request,
+        dequeued,
+        if doomed { "expired" } else { "ok" },
+    );
+    if doomed {
+        for (pos, spec) in group.positions.iter().zip(&group.specs) {
+            count_expired_item(shared);
+            request.settle_item(
+                shared,
+                *pos,
+                protocol::error_line(Some(spec.id), ERR_DEADLINE),
+                ERR_DEADLINE,
+            );
+        }
+        return;
+    }
+    // The execute span is also the parent of serve-tier spans
+    // (cache_lookup/solve/execute), so its id is minted up front and
+    // handed down through the executor.
+    let exec = request
+        .trace
+        .map(|t| (t, shared.tracer.new_span_id(), Instant::now()));
+    let results = execute_traced(
+        group.key.as_ref(),
+        &group.specs,
+        accel,
+        &shared.cache,
+        &shared.recorder,
+        &shared.tracer,
+        exec.map(|(t, span, _)| (t.trace, span)),
+    );
+    let is_error = |outcome: &JobOutcome| matches!(outcome, JobOutcome::Error { .. });
+    if let Some((t, span, start)) = exec {
+        let failed = results.iter().any(|(outcome, _)| is_error(outcome));
+        shared.tracer.record(&SpanRecord {
+            service: None,
+            trace: t.trace,
+            span,
+            parent: Some(t.req_span),
+            stage: "execute",
+            start,
+            end: Instant::now(),
+            job: Some(request.id),
+            attrs: &[
+                ("kind", group.specs[0].kind.label()),
+                ("outcome", if failed { "error" } else { "ok" }),
+            ],
+        });
+    }
+    // One dequeue-to-done observation per item, so the admission
+    // estimator keeps tracking per-job service time.
+    shared
+        .estimator
+        .observe(dequeued.elapsed() / n.max(1) as u32);
+    let late = request.expired(Instant::now());
+    for ((pos, spec), (outcome, _cache_hit)) in
+        group.positions.iter().zip(&group.specs).zip(results)
     {
-        let dequeued = Instant::now();
-        if job.doomed(dequeued, shared.estimator.estimate_us()) {
-            record_queue_wait(shared, &job, dequeued, "expired");
-            respond_expired(shared, &job);
-            return;
-        }
-        record_queue_wait(shared, &job, dequeued, "ok");
-        // The execute span is also the parent of serve-tier spans
-        // (cache_lookup/solve/execute), so its id is minted up front
-        // and handed down through the executor.
-        let exec = job
-            .trace
-            .map(|t| (t, shared.tracer.new_span_id(), Instant::now()));
-        let (outcome, _cache_hit) = execute_job_traced(
-            &job.spec,
-            accel,
-            &shared.cache,
-            &shared.recorder,
-            &shared.tracer,
-            exec.map(|(t, span, _)| (t.trace, span)),
-        );
-        if let Some((t, span, start)) = exec {
-            shared.tracer.record(&SpanRecord {
-                service: None,
-                trace: t.trace,
-                span,
-                parent: Some(t.req_span),
-                stage: "execute",
-                start,
-                end: Instant::now(),
-                job: Some(job.spec.id),
-                attrs: &[
-                    ("kind", job.spec.kind.label()),
-                    (
-                        "outcome",
-                        if matches!(outcome, JobOutcome::Error { .. }) {
-                            "error"
-                        } else {
-                            "ok"
-                        },
-                    ),
-                ],
-            });
-        }
-        shared.estimator.observe(dequeued.elapsed());
         if shared.recorder.is_enabled() {
-            let is_error = matches!(outcome, JobOutcome::Error { .. });
             shared.recorder.counter_add(
                 "drift_serve_jobs_total",
                 &[
-                    ("kind", job.spec.kind.label()),
-                    ("outcome", if is_error { "error" } else { "ok" }),
+                    ("kind", spec.kind.label()),
+                    ("outcome", if is_error(&outcome) { "error" } else { "ok" }),
                 ],
                 1,
             );
         }
-        if job.expired(Instant::now()) {
-            respond_expired(shared, &job);
-            return;
+        if late {
+            count_expired_item(shared);
+            let line = protocol::error_line(Some(spec.id), ERR_DEADLINE);
+            request.settle_item(shared, *pos, line, ERR_DEADLINE);
+            continue;
         }
-        if job.deadline.is_some() {
+        if request.deadline.is_some() {
             shared.recorder.counter_add(
                 "drift_gateway_deadline_outcomes_total",
                 &[("outcome", "met")],
@@ -1118,76 +1041,10 @@ fn run_single(job: GatewayJob, accel: &mut DriftAccelerator, shared: &Shared) {
             );
         }
         let line = result_line(&JobResult {
-            id: job.spec.id,
+            id: spec.id,
             outcome,
         });
-        respond(shared, &job, line, "ok");
-    }
-}
-
-/// Executes one schedule-key group of a batch: the group's key is
-/// solved/fetched once, every item runs against the resolved schedule,
-/// and each item's rendered payload — byte-identical to what the same
-/// job would produce submitted singly — settles into its batch slot.
-fn run_group(group: GroupJob, accel: &mut DriftAccelerator, shared: &Shared) {
-    let dequeued = Instant::now();
-    let n = group.specs.len();
-    record_group_queue_wait(shared, &group, dequeued);
-    if group.doomed(dequeued, shared.estimator.estimate_us()) {
-        for (pos, spec) in group.positions.iter().zip(&group.specs) {
-            count_expired_item(shared);
-            group.batch.settle_item(
-                shared,
-                *pos,
-                protocol::error_line(Some(spec.id), ERR_DEADLINE),
-            );
-        }
-        return;
-    }
-    let results = execute_group(
-        group.key.as_ref(),
-        &group.specs,
-        accel,
-        &shared.cache,
-        &shared.recorder,
-    );
-    // One dequeue-to-done observation per item, so the admission
-    // estimator keeps tracking per-job service time.
-    shared
-        .estimator
-        .observe(dequeued.elapsed() / n.max(1) as u32);
-    let late = group.expired(Instant::now());
-    for ((pos, spec), (outcome, _cache_hit)) in
-        group.positions.iter().zip(&group.specs).zip(results)
-    {
-        if shared.recorder.is_enabled() {
-            let is_error = matches!(outcome, JobOutcome::Error { .. });
-            shared.recorder.counter_add(
-                "drift_serve_jobs_total",
-                &[
-                    ("kind", spec.kind.label()),
-                    ("outcome", if is_error { "error" } else { "ok" }),
-                ],
-                1,
-            );
-        }
-        let line = if late {
-            count_expired_item(shared);
-            protocol::error_line(Some(spec.id), ERR_DEADLINE)
-        } else {
-            if group.deadline.is_some() {
-                shared.recorder.counter_add(
-                    "drift_gateway_deadline_outcomes_total",
-                    &[("outcome", "met")],
-                    1,
-                );
-            }
-            result_line(&JobResult {
-                id: spec.id,
-                outcome,
-            })
-        };
-        group.batch.settle_item(shared, *pos, line);
+        request.settle_item(shared, *pos, line, "ok");
     }
 }
 
@@ -1205,110 +1062,34 @@ fn count_expired_item(shared: &Shared) {
     );
 }
 
-/// Observes queue wait once per group (the group was one queue entry)
-/// and records one `queue_wait` span under the batch's request span.
-fn record_group_queue_wait(shared: &Shared, group: &GroupJob, dequeued: Instant) {
-    if shared.recorder.is_enabled() {
-        shared.recorder.observe(
-            "drift_gateway_queue_wait_microseconds",
-            &[("outcome", "ok")],
-            drift_obs::contract::LATENCY_US_BUCKETS,
-            dequeued
-                .duration_since(group.admitted)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64,
-        );
-    }
-    if let Some(t) = &group.batch.trace {
-        shared.tracer.record(&SpanRecord {
-            service: None,
-            trace: t.trace,
-            span: shared.tracer.new_span_id(),
-            parent: Some(t.req_span),
-            stage: "queue_wait",
-            start: group.admitted,
-            end: dequeued,
-            job: Some(group.batch.id),
-            attrs: &[("outcome", "ok")],
-        });
-    }
-}
-
-/// Observes how long an admitted job sat in the queue, labelled by what
-/// happened at dequeue (`ok` = handed to a worker, `expired` = its
-/// deadline had already passed).
-fn record_queue_wait(shared: &Shared, job: &GatewayJob, dequeued: Instant, outcome: &str) {
+/// Observes how long a group sat in the queue (once per group: the
+/// group was one queue entry), labelled by what happened at dequeue
+/// (`ok` = handed to a worker, `expired` = discarded as doomed), and
+/// records a matching `queue_wait` span under the request span.
+fn record_queue_wait(shared: &Shared, request: &RequestState, dequeued: Instant, outcome: &str) {
     if shared.recorder.is_enabled() {
         shared.recorder.observe(
             "drift_gateway_queue_wait_microseconds",
             &[("outcome", outcome)],
             drift_obs::contract::LATENCY_US_BUCKETS,
             dequeued
-                .duration_since(job.admitted)
+                .duration_since(request.admitted)
                 .as_micros()
                 .min(u128::from(u64::MAX)) as u64,
         );
     }
-    // `outcome: "expired"` is the dequeue-discard path: the span shows
-    // how long the doomed job sat in the queue before being thrown out.
-    if let Some(t) = &job.trace {
+    if let Some(t) = &request.trace {
         shared.tracer.record(&SpanRecord {
             service: None,
             trace: t.trace,
             span: shared.tracer.new_span_id(),
             parent: Some(t.req_span),
             stage: "queue_wait",
-            start: job.admitted,
+            start: request.admitted,
             end: dequeued,
-            job: Some(job.spec.id),
+            job: Some(request.id),
             attrs: &[("outcome", outcome)],
         });
-    }
-}
-
-fn respond_expired(shared: &Shared, job: &GatewayJob) {
-    shared.tally.expired.fetch_add(1, Ordering::Relaxed);
-    shared
-        .recorder
-        .counter_add("drift_gateway_requests_expired_total", &[], 1);
-    shared.recorder.counter_add(
-        "drift_gateway_deadline_outcomes_total",
-        &[("outcome", "missed")],
-        1,
-    );
-    respond(
-        shared,
-        job,
-        protocol::error_line(Some(job.spec.id), ERR_DEADLINE),
-        "deadline_exceeded",
-    );
-}
-
-/// Enqueues a response on the job's connection writer and settles the
-/// request's accounting (in-flight gauge, end-to-end latency, the
-/// request trace span).
-fn respond(shared: &Shared, job: &GatewayJob, line: String, outcome: &str) {
-    let recorder = &shared.recorder;
-    recorder.gauge_add("drift_gateway_inflight_requests", &[], -1);
-    if recorder.is_enabled() {
-        recorder.observe(
-            "drift_gateway_request_latency_microseconds",
-            &[],
-            drift_obs::contract::LATENCY_US_BUCKETS,
-            job.admitted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-        );
-    }
-    if let Some(t) = &job.trace {
-        record_request_span(shared, t, job.spec.id, job.admitted, outcome);
-    }
-    let reply = Reply {
-        line,
-        trace: job.trace.as_ref().map(|t| (t.trace, t.req_span)),
-    };
-    if job.reply.send(reply).is_err() {
-        // The connection is fully gone (reader and writer exited).
-        shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
-        recorder.counter_add("drift_gateway_responses_dropped_total", &[], 1);
     }
 }
 

@@ -4,7 +4,9 @@
 //! accepted job.
 
 use drift_gateway::client::Client;
-use drift_gateway::protocol::{Response, ERR_DEADLINE, ERR_OVERLOADED};
+use drift_gateway::protocol::{
+    batch_request_line, request_line, Response, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_OVERLOADED,
+};
 use drift_gateway::server::{Gateway, GatewayConfig};
 use drift_obs::Recorder;
 use drift_serve::job::{JobKind, JobSpec};
@@ -108,6 +110,71 @@ fn stale_requests_expire_with_deadline_exceeded() {
 }
 
 #[test]
+fn stale_batches_expire_and_label_their_queue_wait_expired() {
+    let recorder = Recorder::enabled();
+    let mut config = GatewayConfig::with_workers(1);
+    config.queue_depth = 8;
+    let gw = Gateway::start("127.0.0.1:0", config, recorder.clone()).unwrap();
+    let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
+
+    // As above, but a 1 ms batch line queues behind the singleton too.
+    // Its two items share one schedule key, so it is one queue entry.
+    // One write puts every line in a single read: both 1 ms lines are
+    // admitted before a heavy job can finish and feed the service
+    // estimate that would shed them as unmeetable instead.
+    let mut lines: Vec<String> = (0..3)
+        .map(|id| request_line(&heavy_spec(id), None))
+        .collect();
+    lines.push(request_line(&quick_spec(99), Some(1)));
+    lines.push(batch_request_line(
+        7,
+        &[quick_spec(100), quick_spec(101)],
+        Some(1),
+    ));
+    client.send_raw(&lines.join("\n")).unwrap();
+
+    let mut expired = Vec::new();
+    let mut expire = |item: Response| match item {
+        Response::Error { id, error } => {
+            assert_eq!(error, ERR_DEADLINE);
+            expired.push(id);
+        }
+        other => panic!("unexpected response {other:?}"),
+    };
+    for _ in 0..5 {
+        match client.recv().unwrap() {
+            Response::Result(_) => {}
+            Response::Batch { id, items } => {
+                assert_eq!(id, 7);
+                items.into_iter().for_each(&mut expire);
+            }
+            other => expire(other),
+        }
+    }
+    expired.sort();
+    assert_eq!(expired, vec![Some(99), Some(100), Some(101)]);
+    assert_eq!(gw.shutdown().expired, 3);
+
+    // One queue-wait observation per dequeued entry, labelled by what
+    // happened to it: the singleton and the batch were both discarded.
+    let snap = recorder.registry().unwrap().snapshot();
+    let waits = |outcome: &str| -> u64 {
+        snap.histograms
+            .iter()
+            .filter(|h| h.id.name == "drift_gateway_queue_wait_microseconds")
+            .filter(|h| {
+                h.id.labels
+                    .iter()
+                    .any(|(k, v)| k == "outcome" && v == outcome)
+            })
+            .map(|h| h.count())
+            .sum()
+    };
+    assert_eq!(waits("expired"), 2);
+    assert_eq!(waits("ok"), 3);
+}
+
+#[test]
 fn mid_stream_disconnect_does_not_kill_the_server() {
     let gw = Gateway::start(
         "127.0.0.1:0",
@@ -178,4 +245,31 @@ fn graceful_drain_answers_every_accepted_job() {
     assert_eq!(summary.accepted, JOBS);
     assert_eq!(summary.dropped, 0);
     assert_eq!(results, (0..JOBS).collect::<BTreeSet<_>>());
+}
+
+#[test]
+fn deeply_nested_lines_are_rejected_and_the_connection_survives() {
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        GatewayConfig::with_workers(1),
+        Recorder::disabled(),
+    )
+    .unwrap();
+    let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
+    // 100 KB of open brackets: far under the line cap, yet deep enough
+    // to overflow any recursive parser's stack.
+    client.send_raw(&"[".repeat(100_000)).unwrap();
+    match client.recv().unwrap() {
+        Response::Error { id, error } => {
+            assert_eq!(id, None);
+            assert_eq!(error, ERR_BAD_REQUEST);
+        }
+        other => panic!("unexpected response {other:?}"),
+    }
+    // The next job on the same connection is still answered.
+    match client.submit(&quick_spec(5), None).unwrap() {
+        Response::Result(r) => assert_eq!(r.id, 5),
+        other => panic!("unexpected response {other:?}"),
+    }
+    assert_eq!(gw.shutdown().rejected, 1);
 }

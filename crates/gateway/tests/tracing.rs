@@ -46,7 +46,7 @@ fn field(line: &str, name: &str) -> Option<String> {
     Some(line[start..end].to_string())
 }
 
-fn drive(tracer: Tracer) -> (Vec<String>, u64) {
+fn drive(tracer: Tracer, batch: usize) -> (Vec<String>, u64) {
     let mut config = GatewayConfig::with_workers(4);
     config.queue_depth = JOBS; // deep enough that nothing sheds
     let gw = Gateway::start_traced("127.0.0.1:0", config, Recorder::disabled(), tracer).unwrap();
@@ -56,6 +56,7 @@ fn drive(tracer: Tracer) -> (Vec<String>, u64) {
         jobs: JOBS,
         shapes: SHAPES,
         seed: SEED,
+        batch,
         ..LoadGenConfig::default()
     };
     let report = loadgen::run(&addr, &load).unwrap();
@@ -70,7 +71,7 @@ fn drive(tracer: Tracer) -> (Vec<String>, u64) {
 
 #[test]
 fn tracing_does_not_change_gateway_results() {
-    let (plain, _) = drive(Tracer::disabled());
+    let (plain, _) = drive(Tracer::disabled(), 1);
     let sink = SharedBuf::default();
     let tracer = Tracer::to_writer(
         Box::new(sink.clone()),
@@ -79,13 +80,32 @@ fn tracing_does_not_change_gateway_results() {
         TRACE_SEED,
         Recorder::disabled(),
     );
-    let (traced, accepted) = drive(tracer.clone());
+    let (traced, accepted) = drive(tracer.clone(), 1);
     tracer.flush();
     assert_eq!(plain, traced, "tracing changed the result bytes");
 
-    let text = sink.text();
-    // Group spans by trace: (span id, parent, svc.stage) triples.
-    let mut traces: HashMap<String, Vec<(String, Option<String>, String)>> = HashMap::new();
+    let traces = spans_by_trace(&sink.text());
+
+    // Sampling 1 in 1: every accepted request is a distinct trace.
+    assert_eq!(accepted, JOBS as u64);
+    assert_eq!(traces.len(), JOBS, "one trace per accepted request");
+
+    // The sampled id set is the pure function of (seed, arrival seq).
+    let expected: BTreeSet<String> = (0u64..JOBS as u64)
+        .map(|seq| Tracer::trace_id_for(TRACE_SEED, seq).to_string())
+        .collect();
+    let sampled: BTreeSet<String> = traces.keys().cloned().collect();
+    assert_eq!(sampled, expected);
+
+    assert_full_waterfalls(&traces);
+}
+
+/// (span id, parent, svc.stage) triples of one trace.
+type Spans = Vec<(String, Option<String>, String)>;
+
+/// Groups span lines by trace.
+fn spans_by_trace(text: &str) -> HashMap<String, Spans> {
+    let mut traces: HashMap<String, Spans> = HashMap::new();
     for line in text.lines() {
         let trace = field(line, "trace").expect("span missing trace id");
         let hop = format!(
@@ -99,19 +119,11 @@ fn tracing_does_not_change_gateway_results() {
             hop,
         ));
     }
+    traces
+}
 
-    // Sampling 1 in 1: every accepted request is a distinct trace.
-    assert_eq!(accepted, JOBS as u64);
-    assert_eq!(traces.len(), JOBS, "one trace per accepted request");
-
-    // The sampled id set is the pure function of (seed, arrival seq).
-    let expected: BTreeSet<String> = (0u64..JOBS as u64)
-        .map(|seq| Tracer::trace_id_for(TRACE_SEED, seq).to_string())
-        .collect();
-    let sampled: BTreeSet<String> = traces.keys().cloned().collect();
-    assert_eq!(sampled, expected);
-
-    for (trace, spans) in &traces {
+fn assert_full_waterfalls(traces: &HashMap<String, Spans>) {
+    for (trace, spans) in traces {
         // Full waterfall: every gateway hop present, plus at least one
         // serve-tier child recorded under service `serve`.
         let hops: HashSet<&str> = spans.iter().map(|(_, _, hop)| hop.as_str()).collect();
@@ -138,4 +150,28 @@ fn tracing_does_not_change_gateway_results() {
             }
         }
     }
+}
+
+#[test]
+fn batch_traces_carry_the_full_waterfall() {
+    // Each of the 4 clients gets 30 jobs: 5 whole batch lines apiece.
+    const BATCH: usize = 6;
+    let (plain, _) = drive(Tracer::disabled(), BATCH);
+    let sink = SharedBuf::default();
+    let tracer = Tracer::to_writer(
+        Box::new(sink.clone()),
+        "gateway",
+        1,
+        TRACE_SEED,
+        Recorder::disabled(),
+    );
+    let (traced, accepted) = drive(tracer.clone(), BATCH);
+    tracer.flush();
+    assert_eq!(plain, traced, "tracing changed the result bytes");
+    assert_eq!(accepted, JOBS as u64);
+
+    // One trace per batch line, each a full waterfall with no orphans.
+    let traces = spans_by_trace(&sink.text());
+    assert_eq!(traces.len(), JOBS / BATCH, "one trace per batch line");
+    assert_full_waterfalls(&traces);
 }

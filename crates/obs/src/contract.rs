@@ -123,7 +123,7 @@ pub const METRICS: &[MetricSpec] = &[
         kind: MetricKind::Histogram,
         unit: "jobs",
         labels: &[],
-        help: "Jobs per admitted batch request (singleton requests are not observed)",
+        help: "Jobs per admitted batch request (singleton lines are not observed; routed singletons arrive as batches of 1)",
     },
     MetricSpec {
         name: "drift_gateway_connections",

@@ -17,6 +17,7 @@
 //! randomised and version-dependent).
 
 use drift_accel::systolic::ArrayGeometry;
+use drift_core::schedule::ScheduleKey;
 use drift_serve::job::{JobKind, JobSpec};
 use drift_serve::worker::schedule_key_for;
 use std::hash::{Hash, Hasher};
@@ -78,16 +79,22 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// The 64-bit routing key for `spec` on `fabric`.
 ///
 /// Jobs that schedule (Schedule, Simulate) hash their exact
-/// [`ScheduleKey`](drift_core::schedule::ScheduleKey), so two jobs
-/// agree on a routing key exactly when they would share a cache entry.
+/// [`ScheduleKey`], so two jobs agree on a routing key exactly when
+/// they would share a cache entry.
 /// Select jobs have no schedule; they hash their own parameters, which
 /// at least keeps repeats of one selection sweep on one shard. Jobs
 /// with invalid shapes (execution will answer a job-level error) fall
 /// back to hashing the raw shape fields — any deterministic placement
 /// is fine for work that never touches the cache.
 pub fn route_key(spec: &JobSpec, fabric: ArrayGeometry) -> u64 {
+    route_hash(spec, schedule_key_for(spec, fabric).as_ref())
+}
+
+/// [`route_key`] with `spec`'s schedule key already derived, for
+/// callers that also need the key itself.
+pub(crate) fn route_hash(spec: &JobSpec, key: Option<&ScheduleKey>) -> u64 {
     let mut h = FnvHasher::new();
-    if let Some(key) = schedule_key_for(spec, fabric) {
+    if let Some(key) = key {
         h.write_u8(1);
         key.hash(&mut h);
         return mix64(h.finish());

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //!  clients ──▶ acceptor ──▶ conn reader ──route by schedule key──┐
-//!                │                │ rewrite id, forward          │
+//!                │                │ forward as batch lines       │
 //!                │                ▼                              ▼
 //!                │        pending table ◀─────────── shard links (one
 //!                │                │  settle / fail over  persistent,
@@ -17,11 +17,14 @@
 //! the hash of the exact schedule-cache key its execution will look up
 //! — so every distinct cache entry lives on exactly one shard.
 //!
-//! Client job ids are only unique per client connection, so the router
-//! rewrites each forwarded job to a router-unique internal id and maps
-//! the response back. Responses are byte-identical to a direct gateway
-//! because both sides serialise the same [`drift_serve::job::JobResult`]
-//! the same way.
+//! Every request line — a singleton is a batch of one — is split by
+//! owning shard, and each per-shard part is forwarded as one batch line
+//! under a router-unique internal batch id (client ids are only unique
+//! per client connection). Items keep their client ids; the gateway
+//! answers them in submission order, and the router splices each back
+//! into its client slot. Responses are byte-identical to a direct
+//! gateway because both sides serialise the same
+//! [`drift_serve::job::JobResult`] the same way.
 //!
 //! The unhappy paths are first-class:
 //!
@@ -46,7 +49,7 @@
 //! * **graceful drain** — like the gateway: stop accepting, answer
 //!   everything in flight, then tear down.
 
-use crate::ring::{route_key, HashRing};
+use crate::ring::{route_hash, HashRing};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use drift_accel::systolic::ArrayGeometry;
 use drift_core::arch::paper_fabric;
@@ -255,73 +258,71 @@ enum EntryTrace {
     },
 }
 
-/// One admitted job waiting for a backend response.
+/// The client-visible state of one admitted request line — a singleton
+/// job or a batch: response slots indexed by submission position,
+/// filled as per-shard sub-batches settle. The filler of the last slot
+/// sends the single response line, so the client sees its items in
+/// submission order no matter how the line was split or which shard
+/// answered first.
 #[derive(Debug)]
-struct PendingEntry {
-    /// The id the client used (what the response must carry back).
+struct ClientRequest {
+    /// The job or batch id the client used (what the response carries
+    /// back).
     orig_id: u64,
-    /// The spec with its id rewritten to the router-unique internal id.
-    spec: JobSpec,
-    /// Routing key (cached so failover re-walks the same ring chain).
-    key: u64,
-    deadline: Option<Instant>,
-    /// When the job was admitted (root request-span basis).
-    admitted: Instant,
-    /// When the current hop was forwarded (hop latency basis).
-    sent: Instant,
-    /// Dispatch attempts so far.
-    hops: u32,
-    /// Addresses already tried, so failover never revisits a shard.
-    tried: Vec<String>,
-    /// The shard currently executing this job.
-    shard: Option<Arc<ShardLink>>,
-    /// Sampling state decided at admission.
-    trace: EntryTrace,
-    reply: Sender<String>,
-}
-
-/// The client-visible state of one batch request: response slots
-/// indexed by submission position, filled as per-shard sub-batches
-/// settle. The filler of the last slot assembles the single batch
-/// response line, so the client sees its items in submission order no
-/// matter how the batch was split or which shard answered first.
-#[derive(Debug)]
-struct ClientBatch {
-    /// The batch id the client used (what the response carries back).
-    orig_id: u64,
-    total: usize,
+    /// A singleton line: the response is its one item's line rather
+    /// than a batch envelope.
+    single: bool,
     slots: Mutex<Vec<Option<String>>>,
     remaining: AtomicUsize,
-    /// When the batch was admitted (root request-span basis).
+    /// When the request was admitted (root request-span basis).
     admitted: Instant,
-    /// Sampling state decided once at admission for the whole batch.
+    /// The line-wide absolute deadline: the budget is shared, so each
+    /// hop forwards one remainder for a whole sub-batch — never a
+    /// per-item decrement.
+    deadline: Option<Instant>,
+    /// Sampling state decided once at admission for the whole line.
     trace: EntryTrace,
     reply: Sender<String>,
 }
 
-impl ClientBatch {
+impl ClientRequest {
     /// Fills one item's rendered payload; the filler of the last empty
-    /// slot assembles and sends the batch response.
-    fn settle_slot(&self, shared: &Shared, pos: usize, line: String) {
+    /// slot sends the response. `outcome` (`ok`, a wire error name, or
+    /// `unrouted`) labels a singleton's root `request` span.
+    fn settle_slot(&self, shared: &Shared, pos: usize, line: String, outcome: &str) {
         {
-            let mut slots = self.slots.lock().expect("batch slots");
-            debug_assert!(slots[pos].is_none(), "batch slot settled twice");
+            let mut slots = self.slots.lock().expect("request slots");
+            debug_assert!(slots[pos].is_none(), "request slot settled twice");
             slots[pos] = Some(line);
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.finish(shared);
+            self.finish(shared, outcome);
         }
     }
 
-    fn finish(&self, shared: &Shared) {
-        let items: Vec<String> = {
-            let mut slots = self.slots.lock().expect("batch slots");
+    /// Settles every item of `items` with the same wire `error`, each
+    /// in its own slot so the rest of the request is unaffected.
+    fn settle_all(&self, shared: &Shared, items: &Routing, error: &str, outcome: &str) {
+        for (pos, spec) in items.positions.iter().zip(&items.specs) {
+            let line = protocol::error_line(Some(spec.id), error);
+            self.settle_slot(shared, *pos, line, outcome);
+        }
+    }
+
+    fn finish(&self, shared: &Shared, outcome: &str) {
+        let mut items: Vec<String> = {
+            let mut slots = self.slots.lock().expect("request slots");
             slots
                 .iter_mut()
-                .map(|slot| slot.take().expect("all batch slots settled"))
+                .map(|slot| slot.take().expect("all request slots settled"))
                 .collect()
         };
-        let line = protocol::batch_response_line(self.orig_id, &items);
+        let total = items.len();
+        let line = if self.single {
+            items.remove(0)
+        } else {
+            protocol::batch_response_line(self.orig_id, &items)
+        };
         if let EntryTrace::Sampled {
             trace,
             parent,
@@ -338,65 +339,56 @@ impl ClientBatch {
                 start: self.admitted,
                 end: Instant::now(),
                 job: Some(self.orig_id),
-                attrs: &[("outcome", "ok")],
+                attrs: &[("outcome", if self.single { outcome } else { "ok" })],
             });
         }
         shared
             .recorder
-            .gauge_add("drift_router_inflight_requests", &[], -(self.total as i64));
+            .gauge_add("drift_router_inflight_requests", &[], -(total as i64));
         if self.reply.send(line).is_err() {
             shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// One per-shard sub-batch of a client batch, in flight to one
+/// Items of one client request on their way to a shard: submission
+/// positions, routing keys and specs (parallel), plus the walk so far.
+#[derive(Debug)]
+struct Routing {
+    positions: Vec<usize>,
+    /// Each item's routing key, computed once at admission so every
+    /// failover re-walks the same ring chain.
+    keys: Vec<u64>,
+    specs: Vec<JobSpec>,
+    /// Addresses these items have been sent to: failover never
+    /// revisits one, keeping dispatch exactly-once per item per shard.
+    tried: Vec<String>,
+    /// Dispatch attempts so far.
+    hops: u32,
+}
+
+impl Routing {
+    fn push(&mut self, pos: usize, key: u64, spec: JobSpec) {
+        self.positions.push(pos);
+        self.keys.push(key);
+        self.specs.push(spec);
+    }
+}
+
+/// One per-shard sub-batch of a client request, in flight to one
 /// gateway as a single batch request line under a router-unique
-/// internal batch id. Item ids inside are *not* rewritten: the gateway
-/// answers items in submission order, so the positional mapping in
-/// `positions` is authoritative and the item payloads come back
-/// already carrying the client's ids.
+/// internal batch id.
 #[derive(Debug)]
 struct PendingBatch {
-    batch: Arc<ClientBatch>,
-    /// Submission positions within the client batch, parallel to
-    /// `specs`.
-    positions: Vec<usize>,
-    specs: Vec<JobSpec>,
-    /// The batch-wide absolute deadline: the budget is shared, so each
-    /// hop forwards one remainder for the whole sub-batch — never a
-    /// per-item decrement.
-    deadline: Option<Instant>,
+    request: Arc<ClientRequest>,
+    items: Routing,
     /// When the current hop was forwarded (hop latency basis).
     sent: Instant,
-    /// Dispatch attempts of this sub-batch's items so far.
-    hops: u32,
-    /// Addresses this sub-batch's items have been sent to: failover
-    /// never revisits one, keeping dispatch exactly-once per item per
-    /// shard.
-    tried: Vec<String>,
     /// The shard currently executing this sub-batch.
-    shard: Option<Arc<ShardLink>>,
+    shard: Arc<ShardLink>,
     /// Hop-span state (re-minted per dispatch attempt); the parent is
-    /// the batch's root span.
+    /// the request's root span.
     trace: EntryTrace,
-}
-
-/// What an internal id in the pending table maps to: one rewritten
-/// singleton job, or one per-shard sub-batch of a client batch.
-#[derive(Debug)]
-enum Pending {
-    Job(PendingEntry),
-    Batch(PendingBatch),
-}
-
-impl Pending {
-    fn shard(&self) -> Option<&Arc<ShardLink>> {
-        match self {
-            Pending::Job(entry) => entry.shard.as_ref(),
-            Pending::Batch(batch) => batch.shard.as_ref(),
-        }
-    }
 }
 
 /// The routing table: the ring and the index-aligned shard links.
@@ -421,7 +413,7 @@ struct Shared {
     /// Serialises reshard operations across client connections.
     reshard_gate: Mutex<()>,
     table: RwLock<Table>,
-    pending: Mutex<HashMap<u64, Pending>>,
+    pending: Mutex<HashMap<u64, PendingBatch>>,
     next_internal_id: AtomicU64,
     /// Sample of distinct routing keys seen, for moved-key accounting.
     /// Each routing hash carries the exact [`ScheduleKey`] it was
@@ -724,7 +716,7 @@ fn eject(shared: &Shared, link: &ShardLink) {
 /// everything that was in flight on it.
 fn shard_reader(shared: &Arc<Shared>, link: &Arc<ShardLink>, mut reader: ClientReader) {
     while let Ok(response) = reader.recv() {
-        on_backend_response(shared, link, response);
+        on_backend_response(shared, response);
     }
     if !shared.stop.load(Ordering::Relaxed) && !link.retired.load(Ordering::Relaxed) {
         eject(shared, link);
@@ -732,70 +724,52 @@ fn shard_reader(shared: &Arc<Shared>, link: &Arc<ShardLink>, mut reader: ClientR
     }
 }
 
-/// Re-dispatches every pending entry assigned to `link` (which just
+/// Re-dispatches every sub-batch in flight on `link` (which just
 /// died). At-least-once execution is safe — results are pure functions
 /// of the spec — and the pending table still guarantees exactly one
 /// response per accepted id.
 fn orphan_failover(shared: &Arc<Shared>, link: &Arc<ShardLink>) {
-    let orphans: Vec<(u64, Pending)> = {
+    let orphans: Vec<PendingBatch> = {
         let mut pending = shared.pending.lock().expect("pending table");
         let ids: Vec<u64> = pending
             .iter()
-            .filter(|(_, e)| e.shard().is_some_and(|s| Arc::ptr_eq(s, link)))
+            .filter(|(_, e)| Arc::ptr_eq(&e.shard, link))
             .map(|(&id, _)| id)
             .collect();
         ids.into_iter()
-            .filter_map(|id| pending.remove(&id).map(|e| (id, e)))
+            .filter_map(|id| pending.remove(&id))
             .collect()
     };
-    for (internal_id, orphan) in orphans {
-        match orphan {
-            Pending::Job(entry) => {
-                record_hop_span(shared, &entry, "shard_dead");
-                count_failover(shared);
-                dispatch(shared, internal_id, entry);
-            }
-            Pending::Batch(batch) => {
-                record_batch_hop_span(shared, &batch, "shard_dead");
-                count_failover(shared);
-                route_batch(
-                    shared,
-                    &batch.batch,
-                    batch.positions,
-                    batch.specs,
-                    batch.deadline,
-                    batch.tried,
-                    batch.hops,
-                );
-            }
-        }
+    for orphan in orphans {
+        record_hop_span(shared, &orphan, "shard_dead");
+        count_failover(shared);
+        route(shared, &orphan.request, orphan.items);
     }
 }
 
-/// Records the span of `entry`'s current dispatch attempt (started at
-/// `entry.sent`, against the shard in `entry.shard`). A no-op unless
-/// the entry is sampled with the router tracing.
-fn record_hop_span(shared: &Shared, entry: &PendingEntry, outcome: &str) {
+/// Records the span of a sub-batch's current dispatch attempt (started
+/// at `batch.sent`, against `batch.shard`). A no-op unless the request
+/// is sampled with the router tracing.
+fn record_hop_span(shared: &Shared, batch: &PendingBatch, outcome: &str) {
     let EntryTrace::Sampled {
         trace,
         root_span,
         hop_span,
         ..
-    } = entry.trace
+    } = batch.trace
     else {
         return;
     };
-    let addr = entry.shard.as_ref().map_or("", |s| s.addr.as_str());
     shared.tracer.record(&SpanRecord {
         service: None,
         trace,
         span: hop_span,
         parent: Some(root_span),
         stage: "hop",
-        start: entry.sent,
+        start: batch.sent,
         end: Instant::now(),
-        job: Some(entry.orig_id),
-        attrs: &[("outcome", outcome), ("shard", addr)],
+        job: Some(batch.request.orig_id),
+        attrs: &[("outcome", outcome), ("shard", &batch.shard.addr)],
     });
 }
 
@@ -807,162 +781,70 @@ fn count_failover(shared: &Shared) {
 }
 
 /// Handles one response line from a backend.
-fn on_backend_response(shared: &Arc<Shared>, link: &Arc<ShardLink>, response: Response) {
-    match response {
-        Response::Result(mut result) => {
-            let Some(pending) = shared
-                .pending
-                .lock()
-                .expect("pending table")
-                .remove(&result.id)
-            else {
-                // Already settled by a failover copy; identical bytes
-                // either way, so dropping the duplicate is safe.
-                return;
-            };
-            match pending {
-                Pending::Job(entry) => {
-                    observe_hop(shared, entry.sent);
-                    record_hop_span(shared, &entry, "ok");
-                    result.id = entry.orig_id;
-                    settle(shared, &entry, result_line(&result), "ok");
-                }
-                // Protocol violation — a singleton result correlated to
-                // a batch id. Settle the slots so the client's batch
-                // never hangs.
-                Pending::Batch(batch) => {
-                    record_batch_hop_span(shared, &batch, "error");
-                    settle_batch_error(shared, &batch, ERR_BAD_REQUEST);
-                }
-            }
-        }
-        Response::Batch { id, items } => {
-            let Some(pending) = shared.pending.lock().expect("pending table").remove(&id) else {
-                return;
-            };
-            match pending {
-                Pending::Batch(batch) => {
-                    observe_hop(shared, batch.sent);
-                    record_batch_hop_span(shared, &batch, "ok");
-                    // Splice each item back into its client-batch slot.
-                    // Re-rendering the parsed payload goes through the
-                    // same serialisers the gateway used, so the bytes
-                    // match a singleton submission exactly.
-                    for (i, (pos, spec)) in batch.positions.iter().zip(&batch.specs).enumerate() {
-                        let line = match items.get(i) {
-                            Some(Response::Result(result)) => result_line(result),
-                            Some(Response::Error { id, error }) => protocol::error_line(*id, error),
-                            // Short or malformed item list: answer the
-                            // leftovers instead of stranding the batch.
-                            _ => protocol::error_line(Some(spec.id), ERR_BAD_REQUEST),
-                        };
-                        batch.batch.settle_slot(shared, *pos, line);
-                    }
-                }
-                Pending::Job(entry) => {
-                    record_hop_span(shared, &entry, "error");
-                    settle(
-                        shared,
-                        &entry,
-                        protocol::error_line(Some(entry.orig_id), ERR_BAD_REQUEST),
-                        ERR_BAD_REQUEST,
-                    );
-                }
-            }
-        }
-        Response::Error {
-            id: Some(id),
-            error,
-        } => {
-            let Some(pending) = shared.pending.lock().expect("pending table").remove(&id) else {
-                return;
-            };
-            match pending {
-                Pending::Job(entry) => {
-                    observe_hop(shared, entry.sent);
-                    if error == ERR_OVERLOADED {
-                        // The shard shed the job: walk on to the next
-                        // shard.
-                        record_hop_span(shared, &entry, "overloaded");
-                        count_failover(shared);
-                        dispatch(shared, id, entry);
-                    } else {
-                        record_hop_span(shared, &entry, "error");
-                        settle(
-                            shared,
-                            &entry,
-                            protocol::error_line(Some(entry.orig_id), &error),
-                            &error,
-                        );
-                    }
-                }
-                Pending::Batch(batch) => {
-                    observe_hop(shared, batch.sent);
-                    if error == ERR_OVERLOADED {
-                        // The gateway shed the whole sub-batch (batch
-                        // admission is all-or-shed): walk its items on
-                        // to their next untried shards.
-                        record_batch_hop_span(shared, &batch, "overloaded");
-                        count_failover(shared);
-                        route_batch(
-                            shared,
-                            &batch.batch,
-                            batch.positions,
-                            batch.specs,
-                            batch.deadline,
-                            batch.tried,
-                            batch.hops,
-                        );
-                    } else {
-                        record_batch_hop_span(shared, &batch, "error");
-                        settle_batch_error(shared, &batch, &error);
-                    }
-                }
-            }
-        }
+fn on_backend_response(shared: &Arc<Shared>, response: Response) {
+    let id = match &response {
+        Response::Result(result) => result.id,
+        Response::Batch { id, .. } | Response::Error { id: Some(id), .. } => *id,
         // Un-correlatable: a control ack or an id-less error. The
         // router never sends controls on data connections, so there is
         // nothing to settle.
-        _ => {
-            let _ = link;
-        }
-    }
-}
-
-/// Settles every item of a failed sub-batch with the same wire error,
-/// each in its own slot so the rest of the client batch is unaffected.
-fn settle_batch_error(shared: &Shared, batch: &PendingBatch, error: &str) {
-    for (pos, spec) in batch.positions.iter().zip(&batch.specs) {
-        batch
-            .batch
-            .settle_slot(shared, *pos, protocol::error_line(Some(spec.id), error));
-    }
-}
-
-/// Records the span of a sub-batch's current dispatch attempt. A no-op
-/// unless the batch is sampled with the router tracing.
-fn record_batch_hop_span(shared: &Shared, batch: &PendingBatch, outcome: &str) {
-    let EntryTrace::Sampled {
-        trace,
-        root_span,
-        hop_span,
-        ..
-    } = batch.trace
-    else {
+        _ => return,
+    };
+    let Some(batch) = shared.pending.lock().expect("pending table").remove(&id) else {
+        // Already settled by a failover copy; identical bytes either
+        // way, so dropping the duplicate is safe.
         return;
     };
-    let addr = batch.shard.as_ref().map_or("", |s| s.addr.as_str());
-    shared.tracer.record(&SpanRecord {
-        service: None,
-        trace,
-        span: hop_span,
-        parent: Some(root_span),
-        stage: "hop",
-        start: batch.sent,
-        end: Instant::now(),
-        job: Some(batch.batch.orig_id),
-        attrs: &[("outcome", outcome), ("shard", addr)],
-    });
+    match response {
+        Response::Batch { items, .. } => {
+            observe_hop(shared, batch.sent);
+            record_hop_span(shared, &batch, "ok");
+            // Splice each item back into its client slot. Re-rendering
+            // the parsed payload goes through the same serialisers the
+            // gateway used, so the bytes match a direct submission.
+            let sent = batch.items.positions.iter().zip(&batch.items.specs);
+            for (i, (pos, spec)) in sent.enumerate() {
+                let (line, outcome) = match items.get(i) {
+                    Some(Response::Result(result)) => (result_line(result), "ok"),
+                    Some(Response::Error { id, error }) => {
+                        (protocol::error_line(*id, error), error.as_str())
+                    }
+                    // Short or malformed item list: answer the leftovers
+                    // instead of stranding the request.
+                    _ => (
+                        protocol::error_line(Some(spec.id), ERR_BAD_REQUEST),
+                        ERR_BAD_REQUEST,
+                    ),
+                };
+                batch.request.settle_slot(shared, *pos, line, outcome);
+            }
+        }
+        Response::Error { error, .. } if error == ERR_OVERLOADED => {
+            observe_hop(shared, batch.sent);
+            // The gateway shed the whole sub-batch (admission is
+            // all-or-shed): walk its items on to their next untried
+            // shards.
+            record_hop_span(shared, &batch, "overloaded");
+            count_failover(shared);
+            route(shared, &batch.request, batch.items);
+        }
+        Response::Error { error, .. } => {
+            observe_hop(shared, batch.sent);
+            record_hop_span(shared, &batch, "error");
+            batch
+                .request
+                .settle_all(shared, &batch.items, &error, &error);
+        }
+        // Protocol violation — a singleton result correlated to a
+        // sub-batch id. Settle the slots so the request never hangs.
+        _ => {
+            record_hop_span(shared, &batch, "error");
+            let items = &batch.items;
+            batch
+                .request
+                .settle_all(shared, items, ERR_BAD_REQUEST, ERR_BAD_REQUEST);
+        }
+    }
 }
 
 fn observe_hop(shared: &Shared, sent: Instant) {
@@ -973,37 +855,6 @@ fn observe_hop(shared: &Shared, sent: Instant) {
             drift_obs::contract::LATENCY_US_BUCKETS,
             sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
         );
-    }
-}
-
-/// Sends the final response line for `entry` back to its client and
-/// settles the request's accounting. `outcome` labels the root
-/// `request` trace span (`ok`, a wire error name, or `unrouted`).
-fn settle(shared: &Shared, entry: &PendingEntry, line: String, outcome: &str) {
-    if let EntryTrace::Sampled {
-        trace,
-        parent,
-        root_span,
-        ..
-    } = entry.trace
-    {
-        shared.tracer.record(&SpanRecord {
-            service: None,
-            trace,
-            span: root_span,
-            parent,
-            stage: "request",
-            start: entry.admitted,
-            end: Instant::now(),
-            job: Some(entry.orig_id),
-            attrs: &[("outcome", outcome)],
-        });
-    }
-    shared
-        .recorder
-        .gauge_add("drift_router_inflight_requests", &[], -1);
-    if entry.reply.send(line).is_err() {
-        shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1022,204 +873,78 @@ fn remaining_budget_ms(deadline: Instant, now: Instant) -> u64 {
     (nanos.div_ceil(1_000_000).max(1)).min(u128::from(u64::MAX)) as u64
 }
 
-/// Routes and forwards one job (`entry` must not be in the pending
-/// table). Tries ring successors until a healthy untried shard accepts
-/// the write; exhausting the deadline, the hop budget, or the shard set
-/// answers the client directly.
-fn dispatch(shared: &Arc<Shared>, internal_id: u64, mut entry: PendingEntry) {
-    loop {
-        let now = Instant::now();
-        if entry.deadline.is_some_and(|d| now >= d) {
-            shared.tally.expired.fetch_add(1, Ordering::Relaxed);
-            settle(
-                shared,
-                &entry,
-                protocol::error_line(Some(entry.orig_id), ERR_DEADLINE),
-                ERR_DEADLINE,
-            );
-            return;
-        }
-        if entry.hops >= shared.config.max_hops {
-            shared.tally.unrouted.fetch_add(1, Ordering::Relaxed);
-            settle(
-                shared,
-                &entry,
-                protocol::error_line(Some(entry.orig_id), ERR_OVERLOADED),
-                "unrouted",
-            );
-            return;
-        }
-        let choice: Option<Arc<ShardLink>> = {
-            let table = shared.table.read().expect("routing table");
-            table
-                .ring
-                .owners(entry.key)
-                .into_iter()
-                .map(|i| &table.links[i])
-                .find(|l| l.healthy.load(Ordering::SeqCst) && !entry.tried.contains(&l.addr))
-                .cloned()
-        };
-        let Some(link) = choice else {
-            shared.tally.unrouted.fetch_add(1, Ordering::Relaxed);
-            settle(
-                shared,
-                &entry,
-                protocol::error_line(Some(entry.orig_id), ERR_OVERLOADED),
-                "unrouted",
-            );
-            return;
-        };
-        entry.hops += 1;
-        entry.tried.push(link.addr.clone());
-        entry.sent = now;
-        entry.shard = Some(Arc::clone(&link));
-        // Each dispatch attempt is its own hop span; the fresh id is
-        // forwarded so the gateway's request span parents under it.
-        if let EntryTrace::Sampled { hop_span, .. } = &mut entry.trace {
-            *hop_span = shared.tracer.new_span_id();
-        }
-        let decision = match entry.trace {
-            EntryTrace::Off => TraceDecision::Undecided,
-            EntryTrace::Forward(decision) => decision,
-            EntryTrace::Sampled {
-                trace, hop_span, ..
-            } => TraceDecision::Sampled(TraceContext {
-                trace_id: trace,
-                parent_span: Some(hop_span),
-            }),
-        };
-        // Forward only the remaining budget so hops and failover waits
-        // are charged against the client's original deadline.
-        let remaining_ms = entry.deadline.map(|d| remaining_budget_ms(d, now));
-        let line = protocol::request_line_traced(&entry.spec, remaining_ms, &decision);
-        let addr = link.addr.clone();
-        // Insert before sending: the response must never race an
-        // absent entry.
-        shared
-            .pending
-            .lock()
-            .expect("pending table")
-            .insert(internal_id, Pending::Job(entry));
-        let sent = {
-            let mut writer = link.writer.lock().expect("shard writer");
-            match writer.as_mut() {
-                Some(w) => w.send_raw(&line).is_ok(),
-                None => false,
-            }
-        };
-        if sent {
-            shared.tally.routed.fetch_add(1, Ordering::Relaxed);
-            shared.recorder.counter_add(
-                "drift_router_requests_routed_total",
-                &[("shard", &addr)],
-                1,
-            );
-            return;
-        }
-        // The write failed before a complete line reached the shard
-        // (write_all only errors short), so no response is coming:
-        // take the entry back, kill the connection, walk on.
-        let Some(Pending::Job(reclaimed)) = shared
-            .pending
-            .lock()
-            .expect("pending table")
-            .remove(&internal_id)
-        else {
-            return;
-        };
-        entry = reclaimed;
-        record_hop_span(shared, &entry, "write_failed");
-        eject(shared, &link);
-        count_failover(shared);
-    }
-}
-
-/// Routes a set of batch items (all belonging to `batch`): each item
-/// walks its own ring chain to the first healthy shard not in `tried`,
-/// items sharing a target travel together as one sub-batch under one
-/// internal batch id, and items with no reachable shard settle
-/// `overloaded` in their slots. Failover re-enters this function with
-/// the grown `tried` set, so no item is ever dispatched to the same
-/// shard twice — exactly-once per item per shard, exactly as the
-/// singleton walk guarantees.
+/// Routes items of `request`: each item walks its own ring chain to
+/// the first healthy shard not in `tried`, items sharing a target
+/// travel together as one sub-batch under one internal batch id, and
+/// items with no reachable shard settle `overloaded` in their slots;
+/// exhausting the deadline or the hop budget answers the client
+/// directly. Failover re-enters this function with the grown `tried`
+/// set, so no item is ever dispatched to the same shard twice —
+/// exactly-once per item per shard.
 ///
 /// The deadline budget is decremented once per hop for the whole
 /// sub-batch — every sub-batch of a split forwards the same remaining
 /// budget (`batch_remaining_budget_ms`), never a per-item remainder.
-fn route_batch(
-    shared: &Arc<Shared>,
-    batch: &Arc<ClientBatch>,
-    positions: Vec<usize>,
-    specs: Vec<JobSpec>,
-    deadline: Option<Instant>,
-    tried: Vec<String>,
-    hops: u32,
-) {
-    // One routing work unit: (slot positions, specs, shards tried, hops).
-    type BatchWork = (Vec<usize>, Vec<JobSpec>, Vec<String>, u32);
-    let mut work: Vec<BatchWork> = vec![(positions, specs, tried, hops)];
-    while let Some((positions, specs, tried, hops)) = work.pop() {
+fn route(shared: &Arc<Shared>, request: &Arc<ClientRequest>, items: Routing) {
+    let mut work = vec![items];
+    while let Some(items) = work.pop() {
         let now = Instant::now();
-        if deadline.is_some_and(|d| now >= d) {
-            shared
-                .tally
-                .expired
-                .fetch_add(positions.len() as u64, Ordering::Relaxed);
-            for (pos, spec) in positions.iter().zip(&specs) {
-                batch.settle_slot(
-                    shared,
-                    *pos,
-                    protocol::error_line(Some(spec.id), ERR_DEADLINE),
-                );
-            }
+        let n = items.specs.len() as u64;
+        if request.deadline.is_some_and(|d| now >= d) {
+            shared.tally.expired.fetch_add(n, Ordering::Relaxed);
+            request.settle_all(shared, &items, ERR_DEADLINE, ERR_DEADLINE);
             continue;
         }
-        if hops >= shared.config.max_hops {
-            shared
-                .tally
-                .unrouted
-                .fetch_add(positions.len() as u64, Ordering::Relaxed);
-            for (pos, spec) in positions.iter().zip(&specs) {
-                batch.settle_slot(
-                    shared,
-                    *pos,
-                    protocol::error_line(Some(spec.id), ERR_OVERLOADED),
-                );
-            }
+        if items.hops >= shared.config.max_hops {
+            shared.tally.unrouted.fetch_add(n, Ordering::Relaxed);
+            request.settle_all(shared, &items, ERR_OVERLOADED, "unrouted");
             continue;
         }
-        let mut groups: Vec<(Arc<ShardLink>, Vec<usize>, Vec<JobSpec>)> = Vec::new();
-        let mut unroutable: Vec<(usize, JobSpec)> = Vec::new();
+        let Routing {
+            positions,
+            keys,
+            specs,
+            tried,
+            hops,
+        } = items;
+        let mut groups: Vec<(Arc<ShardLink>, Routing)> = Vec::new();
+        let mut unroutable: Vec<(usize, u64)> = Vec::new();
         {
             let table = shared.table.read().expect("routing table");
-            for (pos, spec) in positions.into_iter().zip(specs) {
-                let key = route_key(&spec, shared.fabric);
+            for ((pos, key), spec) in positions.into_iter().zip(keys).zip(specs) {
                 let choice = table
                     .ring
                     .owners(key)
                     .into_iter()
                     .map(|i| &table.links[i])
-                    .find(|l| l.healthy.load(Ordering::SeqCst) && !tried.contains(&l.addr))
-                    .cloned();
-                match choice {
-                    Some(link) => match groups.iter_mut().find(|(g, ..)| Arc::ptr_eq(g, &link)) {
-                        Some((_, ps, ss)) => {
-                            ps.push(pos);
-                            ss.push(spec);
-                        }
-                        None => groups.push((link, vec![pos], vec![spec])),
-                    },
-                    None => unroutable.push((pos, spec)),
-                }
+                    .find(|l| l.healthy.load(Ordering::SeqCst) && !tried.contains(&l.addr));
+                let Some(link) = choice else {
+                    unroutable.push((pos, spec.id));
+                    continue;
+                };
+                let i = match groups.iter().position(|(g, _)| Arc::ptr_eq(g, link)) {
+                    Some(i) => i,
+                    None => {
+                        let mut tried = tried.clone();
+                        tried.push(link.addr.clone());
+                        let sub = Routing {
+                            positions: Vec::new(),
+                            keys: Vec::new(),
+                            specs: Vec::new(),
+                            tried,
+                            hops: hops + 1,
+                        };
+                        groups.push((Arc::clone(link), sub));
+                        groups.len() - 1
+                    }
+                };
+                groups[i].1.push(pos, key, spec);
             }
         }
-        for (pos, spec) in unroutable {
+        for (pos, id) in unroutable {
             shared.tally.unrouted.fetch_add(1, Ordering::Relaxed);
-            batch.settle_slot(
-                shared,
-                pos,
-                protocol::error_line(Some(spec.id), ERR_OVERLOADED),
-            );
+            let line = protocol::error_line(Some(id), ERR_OVERLOADED);
+            request.settle_slot(shared, pos, line, "unrouted");
         }
         if groups.len() > 1 {
             shared
@@ -1228,14 +953,13 @@ fn route_batch(
         }
         // One budget computation for this hop: every sub-batch of the
         // split forwards the same remainder.
-        let remaining_ms = batch_remaining_budget_ms(deadline, now);
-        for (link, positions, specs) in groups {
+        let remaining_ms = batch_remaining_budget_ms(request.deadline, now);
+        for (link, items) in groups {
             let internal_id = shared.next_internal_id.fetch_add(1, Ordering::Relaxed);
-            let mut tried = tried.clone();
-            tried.push(link.addr.clone());
             // Each sub-batch dispatch is its own hop span under the
-            // batch's root span.
-            let mut trace = batch.trace;
+            // request's root span; the fresh id is forwarded so the
+            // gateway's request span parents under it.
+            let mut trace = request.trace;
             if let EntryTrace::Sampled { hop_span, .. } = &mut trace {
                 *hop_span = shared.tracer.new_span_id();
             }
@@ -1249,25 +973,24 @@ fn route_batch(
                     parent_span: Some(hop_span),
                 }),
             };
-            let line =
-                protocol::batch_request_line_traced(internal_id, &specs, remaining_ms, &decision);
-            let addr = link.addr.clone();
-            let entry = PendingBatch {
-                batch: Arc::clone(batch),
-                positions,
-                specs,
-                deadline,
-                sent: now,
-                hops: hops + 1,
-                tried,
-                shard: Some(Arc::clone(&link)),
-                trace,
-            };
-            shared
-                .pending
-                .lock()
-                .expect("pending table")
-                .insert(internal_id, Pending::Batch(entry));
+            let line = protocol::batch_request_line_traced(
+                internal_id,
+                &items.specs,
+                remaining_ms,
+                &decision,
+            );
+            // Insert before sending: the response must never race an
+            // absent entry.
+            shared.pending.lock().expect("pending table").insert(
+                internal_id,
+                PendingBatch {
+                    request: Arc::clone(request),
+                    items,
+                    sent: now,
+                    shard: Arc::clone(&link),
+                    trace,
+                },
+            );
             let sent = {
                 let mut writer = link.writer.lock().expect("shard writer");
                 match writer.as_mut() {
@@ -1279,14 +1002,16 @@ fn route_batch(
                 shared.tally.routed.fetch_add(1, Ordering::Relaxed);
                 shared.recorder.counter_add(
                     "drift_router_requests_routed_total",
-                    &[("shard", &addr)],
+                    &[("shard", &link.addr)],
                     1,
                 );
                 continue;
             }
-            // Write failed: reclaim the sub-batch, kill the connection,
-            // and re-route its items past this shard.
-            let Some(Pending::Batch(reclaimed)) = shared
+            // The write failed before a complete line reached the shard
+            // (write_all only errors short), so no response is coming:
+            // reclaim the sub-batch, kill the connection, and re-route
+            // its items past this shard.
+            let Some(reclaimed) = shared
                 .pending
                 .lock()
                 .expect("pending table")
@@ -1294,15 +1019,10 @@ fn route_batch(
             else {
                 continue;
             };
-            record_batch_hop_span(shared, &reclaimed, "write_failed");
+            record_hop_span(shared, &reclaimed, "write_failed");
             eject(shared, &link);
             count_failover(shared);
-            work.push((
-                reclaimed.positions,
-                reclaimed.specs,
-                reclaimed.tried,
-                reclaimed.hops,
-            ));
+            work.push(reclaimed.items);
         }
     }
 }
@@ -1423,56 +1143,46 @@ fn handle_client_line(line: &str, shared: &Arc<Shared>, reply: &Sender<String>) 
             };
         }
     }
-    match protocol::parse_request(line) {
+    let (id, specs, single, deadline_ms, trace) = match protocol::parse_request(line) {
         Err(_) => {
             shared.tally.rejected.fetch_add(1, Ordering::Relaxed);
             let _ = reply.send(protocol::error_line(None, ERR_BAD_REQUEST));
-            true
+            return true;
         }
         // Controls were handled above; this arm is unreachable but
         // keeps the match total if the protocol grows.
         Ok(Request::Control(op)) => {
             let _ = reply.send(protocol::control_ack_line(op, true));
-            !matches!(op, ControlOp::Shutdown)
+            return !matches!(op, ControlOp::Shutdown);
         }
         // Also intercepted above (prewarm is a control): the router
         // holds no schedule cache — prewarm targets gateways directly.
         Ok(Request::Prewarm(_)) => {
             let _ = reply.send(protocol::prewarm_ack_line(false, 0));
-            true
+            return true;
         }
         Ok(Request::Job {
             spec,
             deadline_ms,
             trace,
-        }) => {
-            // A reshard quiesce holds admissions at the door; jobs
-            // already in flight drain unhindered.
-            while shared.resharding.load(Ordering::SeqCst) {
-                if shared.should_stop() {
-                    return false;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            admit(shared, spec, deadline_ms, trace, reply);
-            true
-        }
+        }) => (spec.id, vec![spec], true, deadline_ms, trace),
         Ok(Request::Batch {
             id,
             specs,
             deadline_ms,
             trace,
-        }) => {
-            while shared.resharding.load(Ordering::SeqCst) {
-                if shared.should_stop() {
-                    return false;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            admit_batch(shared, id, specs, deadline_ms, trace, reply);
-            true
+        }) => (id, specs, false, deadline_ms, trace),
+    };
+    // A reshard quiesce holds admissions at the door; jobs already in
+    // flight drain unhindered.
+    while shared.resharding.load(Ordering::SeqCst) {
+        if shared.should_stop() {
+            return false;
         }
+        std::thread::sleep(Duration::from_millis(1));
     }
+    admit(shared, id, specs, single, deadline_ms, trace, reply);
+    true
 }
 
 /// Resolves the per-request distributed-trace state at admission: the
@@ -1502,62 +1212,15 @@ fn resolve_entry_trace(shared: &Shared, trace_wire: TraceDecision) -> EntryTrace
     }
 }
 
-/// Admits one job: assigns the internal id, computes the routing key,
-/// resolves the trace sampling decision, and dispatches.
+/// Admits one request line — a singleton job or a batch: one trace
+/// decision and one shared deadline for the whole line, each item's
+/// routing key computed once, then the items are split by owning shard
+/// and dispatched as per-shard sub-batches ([`route`]).
 fn admit(
-    shared: &Arc<Shared>,
-    spec: JobSpec,
-    deadline_ms: Option<u64>,
-    trace_wire: TraceDecision,
-    reply: &Sender<String>,
-) {
-    let admitted = Instant::now();
-    let trace = resolve_entry_trace(shared, trace_wire);
-    let deadline = deadline_ms
-        .filter(|&budget| budget > 0)
-        .map(|budget| admitted + Duration::from_millis(budget));
-    let internal_id = shared.next_internal_id.fetch_add(1, Ordering::Relaxed);
-    let orig_id = spec.id;
-    let mut spec = spec;
-    spec.id = internal_id;
-    let key = route_key(&spec, shared.fabric);
-    {
-        let mut seen = shared.seen_keys.lock().expect("seen keys");
-        if seen.len() < SEEN_KEYS_CAP && !seen.contains_key(&key) {
-            // The schedule key re-derives in microseconds and only on
-            // the first sighting of a routing hash; reshard prewarming
-            // needs the real key, not just its hash.
-            seen.insert(key, schedule_key_for(&spec, shared.fabric));
-        }
-    }
-    shared.tally.accepted.fetch_add(1, Ordering::Relaxed);
-    shared
-        .recorder
-        .gauge_add("drift_router_inflight_requests", &[], 1);
-    let entry = PendingEntry {
-        orig_id,
-        spec,
-        key,
-        deadline,
-        admitted,
-        sent: admitted,
-        hops: 0,
-        tried: Vec::new(),
-        shard: None,
-        trace,
-        reply: reply.clone(),
-    };
-    dispatch(shared, internal_id, entry);
-}
-
-/// Admits one batch request: one trace decision and one shared
-/// deadline for the whole line, then the items are split by the shard
-/// that owns each one's routing key and dispatched as per-shard
-/// sub-batches ([`route_batch`]).
-fn admit_batch(
     shared: &Arc<Shared>,
     id: u64,
     specs: Vec<JobSpec>,
+    single: bool,
     deadline_ms: Option<u64>,
     trace_wire: TraceDecision,
     reply: &Sender<String>,
@@ -1568,12 +1231,20 @@ fn admit_batch(
         .filter(|&budget| budget > 0)
         .map(|budget| admitted + Duration::from_millis(budget));
     let total = specs.len();
+    let keyed: Vec<(u64, Option<ScheduleKey>)> = specs
+        .iter()
+        .map(|spec| {
+            let schedule_key = schedule_key_for(spec, shared.fabric);
+            (route_hash(spec, schedule_key.as_ref()), schedule_key)
+        })
+        .collect();
     {
+        // Reshard prewarming needs the real schedule key behind each
+        // routing hash, not just the hash.
         let mut seen = shared.seen_keys.lock().expect("seen keys");
-        for spec in &specs {
-            let key = route_key(spec, shared.fabric);
+        for &(key, schedule_key) in &keyed {
             if seen.len() < SEEN_KEYS_CAP && !seen.contains_key(&key) {
-                seen.insert(key, schedule_key_for(spec, shared.fabric));
+                seen.insert(key, schedule_key);
             }
         }
     }
@@ -1584,17 +1255,24 @@ fn admit_batch(
     shared
         .recorder
         .gauge_add("drift_router_inflight_requests", &[], total as i64);
-    let batch = Arc::new(ClientBatch {
+    let request = Arc::new(ClientRequest {
         orig_id: id,
-        total,
+        single,
         slots: Mutex::new(vec![None; total]),
         remaining: AtomicUsize::new(total),
         admitted,
+        deadline,
         trace,
         reply: reply.clone(),
     });
-    let positions: Vec<usize> = (0..total).collect();
-    route_batch(shared, &batch, positions, specs, deadline, Vec::new(), 0);
+    let items = Routing {
+        positions: (0..total).collect(),
+        keys: keyed.into_iter().map(|(key, _)| key).collect(),
+        specs,
+        tried: Vec::new(),
+        hops: 0,
+    };
+    route(shared, &request, items);
 }
 
 /// Executes a `{"control":"reshard","shards":[...],"vnodes":K}`

@@ -157,7 +157,12 @@ impl ScheduleCache {
     /// Inserts a schedule, evicting the shard's least-recently-used
     /// entry when the shard is full.
     pub fn insert(&self, key: ScheduleKey, schedule: Schedule) {
-        let grew;
+        self.put(key, schedule);
+    }
+
+    /// [`ScheduleCache::insert`], returning whether `key` was absent.
+    fn put(&self, key: ScheduleKey, schedule: Schedule) -> bool {
+        let (grew, added);
         {
             let mut shard = self.shard_for(&key).lock();
             shard.tick += 1;
@@ -178,13 +183,16 @@ impl ScheduleCache {
                 }
             }
             let before = shard.entries.len();
-            shard.entries.insert(
-                key,
-                Entry {
-                    schedule,
-                    last_used: tick,
-                },
-            );
+            added = shard
+                .entries
+                .insert(
+                    key,
+                    Entry {
+                        schedule,
+                        last_used: tick,
+                    },
+                )
+                .is_none();
             grew = shard.entries.len() > before;
         }
         if grew {
@@ -194,6 +202,7 @@ impl ScheduleCache {
             self.recorder
                 .gauge_add("drift_schedule_cache_entries", &[], 1);
         }
+        added
     }
 
     /// Warm-starts the cache from already-solved entries (a store load
@@ -305,7 +314,12 @@ impl ScheduleCache {
                 attrs: &[],
             });
         }
-        self.insert(key, schedule);
+        // Only the solve that added the key spills it: a concurrent
+        // miss on the same key inserts the identical schedule, and a
+        // second spill would write a duplicate store record.
+        if !self.put(key, schedule) {
+            return Ok((schedule, false));
+        }
         if let Some(tx) = self.spill.lock().as_ref() {
             // A disconnected receiver (persistence already shut down)
             // must never fail a solve; the entry is simply not spilled.
@@ -396,5 +410,32 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, 4 * 3 * 8);
         assert!(stats.hits > 0);
         assert_eq!(stats.entries, 8);
+    }
+
+    #[test]
+    fn concurrent_misses_spill_each_key_once() {
+        // Threads released together race to miss the same cold keys;
+        // however many of them solve a key, the store must receive it
+        // exactly once.
+        const THREADS: usize = 4;
+        const KEYS: usize = 16;
+        let cache = ScheduleCache::new(128, 8);
+        let (tx, rx) = crossbeam::channel::unbounded();
+        cache.set_spill(tx);
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for i in 0..KEYS {
+                        cache.get_or_solve(key(32 + i * 8, 64, 8, 8)).unwrap();
+                    }
+                });
+            }
+        });
+        drop(cache.take_spill());
+        let mut spilled: Vec<_> = rx.iter().map(|(k, _)| k.shape.m).collect();
+        spilled.sort_unstable();
+        assert_eq!(spilled, (0..KEYS).map(|i| 32 + i * 8).collect::<Vec<_>>());
     }
 }

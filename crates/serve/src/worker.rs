@@ -18,7 +18,7 @@ use crossbeam::channel::Sender;
 use drift_accel::gemm::{GemmShape, GemmWorkload};
 use drift_accel::systolic::ArrayGeometry;
 use drift_core::accelerator::DriftAccelerator;
-use drift_core::schedule::ScheduleKey;
+use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_core::selector::{record_policy_run, DriftPolicy};
 use drift_nn::datagen::TokenProfile;
 use drift_obs::{span, Recorder, SpanRecord, TraceId, Tracer};
@@ -40,63 +40,19 @@ pub fn execute_job(
     accel: &mut DriftAccelerator,
     cache: &ScheduleCache,
 ) -> (JobOutcome, bool) {
-    execute_job_recorded(spec, accel, cache, &Recorder::disabled())
+    execute_group(
+        None,
+        std::slice::from_ref(spec),
+        accel,
+        cache,
+        &Recorder::disabled(),
+    )
+    .remove(0)
 }
 
-/// [`execute_job`] with selector metrics: a Select job's per-sub-tensor
-/// decisions are folded into `recorder` (the accelerator and cache
-/// carry their own recorders). Outcomes are identical to
-/// [`execute_job`] for any recorder state.
-pub fn execute_job_recorded(
-    spec: &JobSpec,
-    accel: &mut DriftAccelerator,
-    cache: &ScheduleCache,
-    recorder: &Recorder,
-) -> (JobOutcome, bool) {
-    execute_job_traced(spec, accel, cache, recorder, &Tracer::disabled(), None)
-}
-
-/// [`execute_job_recorded`], additionally recording serve-tier trace
-/// spans (`cache_lookup`/`solve` around the schedule cache, `execute`
-/// around the simulator or selector) through `tracer`, parented under
-/// `ctx` = (trace id, parent span id). With a disabled tracer or no
-/// context the outcome and every metric are identical to
-/// [`execute_job_recorded`].
-pub fn execute_job_traced(
-    spec: &JobSpec,
-    accel: &mut DriftAccelerator,
-    cache: &ScheduleCache,
-    recorder: &Recorder,
-    tracer: &Tracer,
-    ctx: Option<(TraceId, u64)>,
-) -> (JobOutcome, bool) {
-    accel.reset();
-    let ctx = if tracer.is_enabled() { ctx } else { None };
-    match run_job(spec, accel, cache, recorder, tracer, ctx) {
-        Ok(pair) => pair,
-        Err(message) => (JobOutcome::Error { message }, false),
-    }
-}
-
-/// Executes a batch group of jobs that all share one schedule key,
-/// resolving that key against `cache` exactly once.
-///
-/// This is the serve-side half of batched submission: the gateway
-/// groups a batch's items by [`schedule_key_for`] and hands each group
-/// here, so `len - 1` redundant cache probes (and their shard-lock
-/// acquisitions) per group collapse into a single
-/// [`ScheduleCache::get_or_solve`]. Outcomes are byte-identical to
-/// executing every spec individually through [`execute_job`]: each job
-/// still gets its own accelerator reset and per-job seeded RNG, and
-/// the shared schedule is the same pure function of the key either
-/// path would resolve.
-///
-/// `key` must be the [`schedule_key_for`] value shared by every spec
-/// in the group (`None` for the keyless group: Select jobs and invalid
-/// shapes, which are executed individually). Returns one
-/// `(outcome, cache_hit)` pair per spec, in order; only the first
-/// keyed job reports the real probe outcome — the rest would have hit
-/// by construction.
+/// [`execute_traced`] without trace spans: executes a group of jobs,
+/// folding a Select job's per-sub-tensor decisions into `recorder`
+/// (the accelerator and cache carry their own recorders).
 pub fn execute_group(
     key: Option<&ScheduleKey>,
     specs: &[JobSpec],
@@ -104,89 +60,115 @@ pub fn execute_group(
     cache: &ScheduleCache,
     recorder: &Recorder,
 ) -> Vec<(JobOutcome, bool)> {
-    let Some(key) = key else {
-        // Keyless jobs share nothing worth amortising.
-        return specs
-            .iter()
-            .map(|spec| execute_job_recorded(spec, accel, cache, recorder))
-            .collect();
-    };
-    debug_assert!(specs
+    execute_traced(
+        key,
+        specs,
+        accel,
+        cache,
+        recorder,
+        &Tracer::disabled(),
+        None,
+    )
+}
+
+/// The one executor: runs a group of jobs on `accel` and returns one
+/// `(outcome, cache_hit)` pair per spec, in order. A singleton is a
+/// group of one.
+///
+/// `key` is the [`schedule_key_for`] value every spec in the group
+/// shares, when the caller grouped by it (the gateway does so for
+/// multi-item batch lines). The key is then resolved against `cache`
+/// once, so `len - 1` redundant cache probes (and their shard-lock
+/// acquisitions) collapse into one lookup; only the first job reports
+/// the real probe outcome — the rest would have hit by construction.
+/// With `key == None` each job resolves its own key from the workload
+/// it builds anyway: Select jobs, invalid shapes, and every one-item
+/// line take this path.
+///
+/// Outcomes are byte-identical either way: each job gets its own
+/// accelerator reset and per-job seeded RNG, and the schedule is the
+/// same pure function of the key. Failures land in
+/// [`JobOutcome::Error`] rather than tearing down the worker.
+///
+/// Serve-tier trace spans (`cache_lookup`/`solve` around the schedule
+/// cache, `execute` around the simulator or selector) are recorded
+/// through `tracer`, parented under `ctx` = (trace id, parent span id).
+/// With a disabled tracer or no context the outcomes and every metric
+/// are unchanged.
+pub fn execute_traced(
+    key: Option<&ScheduleKey>,
+    specs: &[JobSpec],
+    accel: &mut DriftAccelerator,
+    cache: &ScheduleCache,
+    recorder: &Recorder,
+    tracer: &Tracer,
+    ctx: Option<(TraceId, u64)>,
+) -> Vec<(JobOutcome, bool)> {
+    debug_assert!(key.is_none_or(|key| specs
         .iter()
-        .all(|s| schedule_key_for(s, accel.fabric()).as_ref() == Some(key)));
-    let resolved = cache.get_or_solve(*key);
+        .all(|s| schedule_key_for(s, accel.fabric()).as_ref() == Some(key))));
+    let exec = Exec {
+        cache,
+        recorder,
+        tracer,
+        ctx: if tracer.is_enabled() { ctx } else { None },
+    };
+    let mut resolved = key.map(|key| exec.schedule(*key));
     specs
         .iter()
-        .enumerate()
-        .map(|(i, spec)| match &resolved {
-            Ok((schedule, hit)) => {
-                accel.reset();
-                match run_with_schedule(spec, accel, schedule) {
-                    Ok(outcome) => (outcome, if i == 0 { *hit } else { true }),
-                    Err(message) => (JobOutcome::Error { message }, false),
-                }
+        .map(|spec| {
+            accel.reset();
+            let result = match &resolved {
+                // A solve failure reads exactly as it would per job.
+                Some(Err(message)) => Err(message.clone()),
+                Some(Ok(shared)) => run_job(spec, accel, &exec, Some(*shared)),
+                None => run_job(spec, accel, &exec, None),
+            };
+            if let Some(Ok((_, hit))) = &mut resolved {
+                *hit = true;
             }
-            // A solve failure reads exactly as it would per job.
-            Err(e) => (
-                JobOutcome::Error {
-                    message: e.to_string(),
-                },
-                false,
-            ),
+            result.unwrap_or_else(|message| (JobOutcome::Error { message }, false))
         })
         .collect()
 }
 
-/// Runs one keyed job against an already-resolved schedule — the
-/// per-item tail of [`execute_group`], with the cache probe hoisted
-/// out. Must mirror the corresponding [`run_job`] arms byte for byte.
-fn run_with_schedule(
-    spec: &JobSpec,
-    accel: &mut DriftAccelerator,
-    schedule: &drift_core::schedule::Schedule,
-) -> Result<JobOutcome, String> {
-    match &spec.kind {
-        JobKind::Select { .. } => Err("select jobs carry no schedule key".to_string()),
-        JobKind::Schedule { .. } => Ok(JobOutcome::Schedule {
-            makespan: schedule.makespan,
-            latencies: schedule.latencies,
-        }),
-        JobKind::Simulate { m, k, n, fa, fw } => {
-            let shape = GemmShape::new(*m, *k, *n).map_err(|e| e.to_string())?;
-            let (act_high, weight_high) = simulate_precision_maps(spec.seed, *m, *n, *fa, *fw);
-            let workload =
-                GemmWorkload::new(format!("job-{}", spec.id), shape, act_high, weight_high)
-                    .map_err(|e| e.to_string())?;
-            let report = accel
-                .execute_with_schedule(&workload, *schedule)
-                .map_err(|e| e.to_string())?;
-            Ok(JobOutcome::Simulate {
-                cycles: report.cycles,
-                compute_cycles: report.compute_cycles,
-                dram_cycles: report.dram_cycles,
-                energy_pj: report.energy.total_pj(),
-            })
+/// What every job of one executed group shares.
+struct Exec<'a> {
+    cache: &'a ScheduleCache,
+    recorder: &'a Recorder,
+    tracer: &'a Tracer,
+    /// The trace context, `None` unless the tracer is enabled.
+    ctx: Option<(TraceId, u64)>,
+}
+
+impl Exec<'_> {
+    /// Looks `key` up in the cache, solving it on a miss.
+    fn schedule(&self, key: ScheduleKey) -> Result<(Schedule, bool), String> {
+        self.cache
+            .get_or_solve_traced(key, self.tracer, self.ctx)
+            .map_err(|e| e.to_string())
+    }
+
+    /// Records a serve-tier `execute` span covering `start`..now.
+    fn execute_span(&self, start: Option<Instant>, kind: &str) {
+        if let (Some((trace, parent)), Some(start)) = (self.ctx, start) {
+            self.tracer.record(&SpanRecord {
+                service: Some("serve"),
+                trace,
+                span: self.tracer.new_span_id(),
+                parent: Some(parent),
+                stage: "execute",
+                start,
+                end: Instant::now(),
+                job: None,
+                attrs: &[("kind", kind)],
+            });
         }
     }
 }
 
-/// Records a serve-tier `execute` span covering `start`..now.
-fn record_execute_span(tracer: &Tracer, ctx: (TraceId, u64), start: Instant, kind: &str) {
-    tracer.record(&SpanRecord {
-        service: Some("serve"),
-        trace: ctx.0,
-        span: tracer.new_span_id(),
-        parent: Some(ctx.1),
-        stage: "execute",
-        start,
-        end: Instant::now(),
-        job: None,
-        attrs: &[("kind", kind)],
-    });
-}
-
 /// The Bernoulli precision maps a Simulate job draws from its private
-/// ChaCha stream — shared between execution ([`execute_job`]) and
+/// ChaCha stream — shared between execution ([`execute_traced`]) and
 /// routing ([`schedule_key_for`]) so both always agree on the counts.
 fn simulate_precision_maps(
     seed: u64,
@@ -238,13 +220,13 @@ pub fn schedule_key_for(spec: &JobSpec, fabric: ArrayGeometry) -> Option<Schedul
     }
 }
 
+/// Runs one job. `shared` is the group's already-resolved schedule and
+/// its probe outcome; without one the job looks up its own key.
 fn run_job(
     spec: &JobSpec,
     accel: &mut DriftAccelerator,
-    cache: &ScheduleCache,
-    recorder: &Recorder,
-    tracer: &Tracer,
-    ctx: Option<(TraceId, u64)>,
+    exec: &Exec,
+    shared: Option<(Schedule, bool)>,
 ) -> Result<(JobOutcome, bool), String> {
     match &spec.kind {
         JobKind::Select {
@@ -253,7 +235,7 @@ fn run_job(
             delta,
             profile,
         } => {
-            let exec_start = ctx.map(|_| Instant::now());
+            let exec_start = exec.ctx.map(|_| Instant::now());
             let profile = match profile.as_str() {
                 "cnn" => TokenProfile::cnn(),
                 "vit" => TokenProfile::vit(),
@@ -272,10 +254,8 @@ fn run_job(
                 &policy,
             )
             .map_err(|e| e.to_string())?;
-            record_policy_run(recorder, &run);
-            if let (Some(ctx), Some(start)) = (ctx, exec_start) {
-                record_execute_span(tracer, ctx, start, "select");
-            }
+            record_policy_run(exec.recorder, &run);
+            exec.execute_span(exec_start, "select");
             Ok((
                 JobOutcome::Select {
                     low_subtensors: run.low_subtensors(),
@@ -287,14 +267,16 @@ fn run_job(
         }
         JobKind::Schedule { m, k, n, .. } => {
             GemmShape::new(*m, *k, *n).map_err(|e| e.to_string())?;
-            // Same truncation as `drift schedule`: fractions become
-            // prefix counts (built inside `schedule_key_for`, the one
-            // place the spec → key mapping lives).
-            let key = schedule_key_for(spec, accel.fabric())
-                .ok_or_else(|| "schedule job has no schedule key".to_string())?;
-            let (schedule, hit) = cache
-                .get_or_solve_traced(key, tracer, ctx)
-                .map_err(|e| e.to_string())?;
+            let (schedule, hit) = match shared {
+                Some(shared) => shared,
+                // Same truncation as `drift schedule`: fractions become
+                // prefix counts (built inside `schedule_key_for`, the
+                // one place the spec → key mapping lives).
+                None => exec.schedule(
+                    schedule_key_for(spec, accel.fabric())
+                        .ok_or_else(|| "schedule job has no schedule key".to_string())?,
+                )?,
+            };
             Ok((
                 JobOutcome::Schedule {
                     makespan: schedule.makespan,
@@ -312,17 +294,15 @@ fn run_job(
             let workload =
                 GemmWorkload::new(format!("job-{}", spec.id), shape, act_high, weight_high)
                     .map_err(|e| e.to_string())?;
-            let key = ScheduleKey::for_workload(&workload, accel.fabric());
-            let (schedule, hit) = cache
-                .get_or_solve_traced(key, tracer, ctx)
-                .map_err(|e| e.to_string())?;
-            let exec_start = ctx.map(|_| Instant::now());
+            let (schedule, hit) = match shared {
+                Some(shared) => shared,
+                None => exec.schedule(ScheduleKey::for_workload(&workload, accel.fabric()))?,
+            };
+            let exec_start = exec.ctx.map(|_| Instant::now());
             let report = accel
                 .execute_with_schedule(&workload, schedule)
                 .map_err(|e| e.to_string())?;
-            if let (Some(ctx), Some(start)) = (ctx, exec_start) {
-                record_execute_span(tracer, ctx, start, "simulate");
-            }
+            exec.execute_span(exec_start, "simulate");
             Ok((
                 JobOutcome::Simulate {
                     cycles: report.cycles,
@@ -370,8 +350,16 @@ pub(crate) fn worker_loop(
         let start = Instant::now();
         let (outcome, cache_hit) = {
             let job_span = span!(recorder, "serve_job");
-            let (outcome, cache_hit) =
-                execute_job_traced(&spec, &mut accel, cache, &recorder, &tracer, job_trace);
+            let (outcome, cache_hit) = execute_traced(
+                None,
+                std::slice::from_ref(&spec),
+                &mut accel,
+                cache,
+                &recorder,
+                &tracer,
+                job_trace,
+            )
+            .remove(0);
             if let JobOutcome::Simulate { cycles, .. } = &outcome {
                 job_span.add_cycles(*cycles);
             }

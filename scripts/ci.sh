@@ -17,6 +17,14 @@ cargo test -q
 echo "== workspace tests =="
 cargo test -q --workspace
 
+echo "== perfbench build and self-tests =="
+# The benchmark harness is its own package (not a workspace member) that
+# calls the serving stack's public APIs, e.g.
+# drift_serve::worker::{execute_job, execute_group}. Building and
+# self-testing it here catches a refactor that would break the
+# benchmark. Writes only to the git-ignored perfbench/target.
+cargo test --release --locked --manifest-path perfbench/Cargo.toml
+
 echo "== gateway smoke test =="
 # End-to-end over a real socket: start the gateway on an ephemeral port,
 # drive it with the closed-loop load generator (which fails on any lost,
