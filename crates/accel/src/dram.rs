@@ -9,6 +9,12 @@
 //! is row-buffer friendly; the effective bandwidth gates layer latency
 //! under double buffering), and (2) DRAM access energy, the dominant
 //! dynamic-energy term of Fig. 8.
+//!
+//! [`DramSim::stream`] walks a transfer one (channel, row) run at a
+//! time: only a run's first burst can miss, so the cost is O(rows
+//! touched), not O(bursts). The per-burst loop stays as the reference,
+//! [`DramSim::stream_stepped`], and a property test holds the two equal
+//! in cycles, [`DramStats`] and row state.
 
 use crate::{AccelError, Result};
 use serde::{Deserialize, Serialize};
@@ -145,7 +151,7 @@ pub struct DramSim {
     config: DramConfig,
     /// Open row per (channel, bank); `None` when closed.
     open_rows: Vec<Option<u64>>,
-    /// Per-channel busy time accumulated by the current stream call.
+    /// Cumulative statistics.
     stats: DramStats,
     next_alloc: u64,
 }
@@ -206,7 +212,57 @@ impl DramSim {
     /// Bursts are interleaved across channels; the returned latency is
     /// the maximum per-channel busy time for this stream (channels work
     /// in parallel).
+    ///
+    /// This is the per-row walk: it takes one step per (channel, row)
+    /// run of bursts instead of one per burst. Channels own disjoint
+    /// banks, so each channel's bursts can be replayed on their own, in
+    /// address order. Within a run every burst maps to the same bank
+    /// and row, so only the first can miss and the other `run - 1` are
+    /// hits. Each miss adds the same `e_activate_pj`, so adding it once
+    /// per miss gives the same bits as the interleaved order.
+    /// [`DramSim::stream_stepped`] is the per-burst reference; cycles,
+    /// [`DramStats`] and row state match it exactly.
     pub fn stream(&mut self, addr: u64, bytes: u64, write: bool) -> u64 {
+        if bytes == 0 {
+            return 0;
+        }
+        let cfg = self.config;
+        let channels = cfg.channels as u64;
+        let bursts_per_row = cfg.row_bytes / cfg.burst_bytes;
+        // Bursts `first .. end` in address-map order (see
+        // `stream_stepped`): channel = index % channels, and each
+        // channel's bursts form consecutive per-channel indices.
+        let first = addr / cfg.burst_bytes;
+        let end = first + bytes.div_ceil(cfg.burst_bytes);
+        let mut busiest = 0u64;
+        for channel in 0..channels {
+            let index = first + (channel + channels - first % channels) % channels;
+            if index >= end {
+                continue;
+            }
+            let mut per_channel = index / channels;
+            let last = per_channel + (end - 1 - index) / channels;
+            let mut busy = 0u64;
+            while per_channel <= last {
+                let row_seq = per_channel / bursts_per_row;
+                let run = ((row_seq + 1) * bursts_per_row).min(last + 1) - per_channel;
+                let bank = (row_seq % cfg.banks_per_channel as u64) as usize;
+                let row = row_seq / cfg.banks_per_channel as u64;
+                busy += self.access(channel as usize * cfg.banks_per_channel + bank, row);
+                self.stats.row_hits += run - 1;
+                busy += (run - 1) * (cfg.t_cl + cfg.t_burst);
+                per_channel += run;
+            }
+            busiest = busiest.max(busy);
+        }
+        self.finish_stream(bytes, write);
+        busiest
+    }
+
+    /// The per-burst reference for [`DramSim::stream`]: steps through
+    /// every burst in address order, channels interleaved. Same
+    /// arguments, result and effect on the simulator.
+    pub fn stream_stepped(&mut self, addr: u64, bytes: u64, write: bool) -> u64 {
         if bytes == 0 {
             return 0;
         }
@@ -227,28 +283,35 @@ impl DramSim {
             let row_seq = per_channel / bursts_per_row;
             let bank = (row_seq % cfg.banks_per_channel as u64) as usize;
             let row = row_seq / cfg.banks_per_channel as u64;
-            let slot = channel * cfg.banks_per_channel + bank;
-
-            let cost = match self.open_rows[slot] {
-                Some(open) if open == row => {
-                    self.stats.row_hits += 1;
-                    cfg.t_cl + cfg.t_burst
-                }
-                Some(_) => {
-                    self.stats.row_misses += 1;
-                    self.stats.energy_pj += cfg.e_activate_pj;
-                    self.open_rows[slot] = Some(row);
-                    cfg.t_rp + cfg.t_rcd + cfg.t_cl + cfg.t_burst
-                }
-                None => {
-                    self.stats.row_misses += 1;
-                    self.stats.energy_pj += cfg.e_activate_pj;
-                    self.open_rows[slot] = Some(row);
-                    cfg.t_rcd + cfg.t_cl + cfg.t_burst
-                }
-            };
-            channel_busy[channel] += cost;
+            channel_busy[channel] += self.access(channel * cfg.banks_per_channel + bank, row);
         }
+        self.finish_stream(bytes, write);
+        channel_busy.into_iter().max().unwrap_or(0)
+    }
+
+    /// One burst to `row` of bank `slot`: opens the row on a miss and
+    /// returns the burst's cycles.
+    fn access(&mut self, slot: usize, row: u64) -> u64 {
+        let cfg = self.config;
+        match self.open_rows[slot] {
+            Some(open) if open == row => {
+                self.stats.row_hits += 1;
+                cfg.t_cl + cfg.t_burst
+            }
+            open => {
+                self.stats.row_misses += 1;
+                self.stats.energy_pj += cfg.e_activate_pj;
+                self.open_rows[slot] = Some(row);
+                // A closed bank skips the precharge.
+                let precharge = if open.is_some() { cfg.t_rp } else { 0 };
+                precharge + cfg.t_rcd + cfg.t_cl + cfg.t_burst
+            }
+        }
+    }
+
+    /// Charges a finished stream's transfer energy and byte count.
+    fn finish_stream(&mut self, bytes: u64, write: bool) {
+        let cfg = self.config;
         let per_byte = if write {
             cfg.e_write_pj_per_byte
         } else {
@@ -260,7 +323,6 @@ impl DramSim {
         } else {
             self.stats.read_bytes += bytes;
         }
-        channel_busy.into_iter().max().unwrap_or(0)
     }
 }
 

@@ -14,9 +14,7 @@ use drift_core::selector::DriftPolicy;
 use drift_nn::datagen::TokenProfile;
 use drift_nn::lower::{lower, model_low_fraction, model_workloads};
 use drift_nn::zoo::{self, ModelDesc, ModelFamily};
-use drift_quant::policy::run_policy;
 use drift_quant::Precision;
-use drift_tensor::subtensor::SubTensorScheme;
 use std::collections::HashMap;
 
 type Opts = HashMap<String, String>;
@@ -57,29 +55,15 @@ pub fn select(opts: &Opts) -> Result<(), String> {
     let hidden: usize = opt_parse(opts, "hidden", 256)?;
     let delta: f64 = opt_parse(opts, "delta", 0.3)?;
     let seed: u64 = opt_parse(opts, "seed", 7)?;
-    let profile = match opt_str(opts, "profile", "bert") {
-        "cnn" => TokenProfile::cnn(),
-        "vit" => TokenProfile::vit(),
-        "bert" => TokenProfile::bert(),
-        "llm" => TokenProfile::llm(),
-        other => return Err(format!("unknown profile '{other}'")),
-    };
-    let data = profile
-        .generate(tokens, hidden, seed)
+    let name = opt_str(opts, "profile", "bert");
+    let profile = TokenProfile::by_name(name).ok_or_else(|| format!("unknown profile '{name}'"))?;
+    let stats = profile
+        .token_stats(tokens, hidden, seed)
         .map_err(|e| e.to_string())?;
     let policy = DriftPolicy::new(delta).map_err(|e| e.to_string())?;
-    let run = run_policy(
-        &data,
-        &SubTensorScheme::token(hidden),
-        Precision::INT8,
-        &policy,
-    )
-    .map_err(|e| e.to_string())?;
+    let run = stats.select(Precision::INT8, &policy);
 
-    println!(
-        "selector on [{tokens} x {hidden}] ({} profile), δ = {delta}:",
-        opt_str(opts, "profile", "bert")
-    );
+    println!("selector on [{tokens} x {hidden}] ({name} profile), δ = {delta}:");
     println!(
         "  {} of {} tokens converted to INT4 ({:.1}% of elements)",
         run.low_subtensors(),

@@ -34,7 +34,7 @@ use drift_obs::Recorder;
 use drift_quant::capability::RepresentationCapability;
 use drift_quant::convert::ConversionChoice;
 use drift_quant::linear::QuantParams;
-use drift_quant::policy::{Decision, PolicyRun, PrecisionPolicy, TensorContext};
+use drift_quant::policy::{Decision, PrecisionPolicy, SubTensorDecision, TensorContext};
 use drift_quant::precision::Precision;
 use drift_tensor::stats::SummaryStats;
 
@@ -154,13 +154,13 @@ impl DriftPolicy {
     }
 }
 
-/// Records a selector run's per-sub-tensor outcomes into `recorder`:
+/// Records a selector run's per-sub-tensor decisions into `recorder`:
 /// `drift_selector_decisions_total{decision=keep|convert}` and, for
 /// conversions, the Eq. 5 high-clip distribution
 /// `drift_selector_convert_hc_total{hc}`.
 ///
-/// A no-op on a disabled recorder; never changes the run itself.
-pub fn record_policy_run(recorder: &Recorder, run: &PolicyRun) {
+/// A no-op on a disabled recorder; never changes the decisions.
+pub fn record_policy_run(recorder: &Recorder, decisions: &[SubTensorDecision]) {
     if !recorder.is_enabled() {
         return;
     }
@@ -170,7 +170,7 @@ pub fn record_policy_run(recorder: &Recorder, run: &PolicyRun) {
     // label table against future wider pairs.
     const HC_LABELS: [&str; 9] = ["0", "1", "2", "3", "4", "5", "6", "7", "8"];
     let mut by_hc = [0u64; HC_LABELS.len()];
-    for d in &run.decisions {
+    for d in decisions {
         match &d.decision {
             Decision::Keep => keep += 1,
             Decision::Convert(choice) => {
@@ -402,7 +402,7 @@ mod tests {
         .unwrap();
         let run = run_policy(&t, &SubTensorScheme::token(32), Precision::INT8, &policy).unwrap();
         let rec = Recorder::enabled();
-        record_policy_run(&rec, &run);
+        record_policy_run(&rec, &run.decisions);
         let snap = rec.registry().unwrap().snapshot();
         assert_eq!(
             snap.counter_sum("drift_selector_decisions_total"),
@@ -413,7 +413,7 @@ mod tests {
             run.low_subtensors() as u64
         );
         // A disabled recorder records nothing and does not panic.
-        record_policy_run(&Recorder::disabled(), &run);
+        record_policy_run(&Recorder::disabled(), &run.decisions);
     }
 
     #[test]

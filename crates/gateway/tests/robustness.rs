@@ -9,7 +9,7 @@ use drift_gateway::protocol::{
 };
 use drift_gateway::server::{Gateway, GatewayConfig};
 use drift_obs::Recorder;
-use drift_serve::job::{JobKind, JobSpec};
+use drift_serve::job::{JobKind, JobOutcome, JobResult, JobSpec};
 use std::collections::BTreeSet;
 
 /// A job small enough to stay fast in debug builds.
@@ -272,4 +272,59 @@ fn deeply_nested_lines_are_rejected_and_the_connection_survives() {
         other => panic!("unexpected response {other:?}"),
     }
     assert_eq!(gw.shutdown().rejected, 1);
+}
+
+#[test]
+fn oversized_jobs_get_a_job_error_and_the_connection_survives() {
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        GatewayConfig::with_workers(1),
+        Recorder::disabled(),
+    )
+    .unwrap();
+    let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
+    // Each would ask for terabytes: a 1 x 2^36 activation tensor, and
+    // 2^40-row precision maps. Both must fail as jobs, not abort the
+    // gateway on a failed allocation.
+    let oversized = [
+        JobKind::Select {
+            tokens: 1,
+            hidden: 1 << 36,
+            delta: 0.1,
+            profile: "bert".to_string(),
+        },
+        JobKind::Simulate {
+            m: 1 << 40,
+            k: 64,
+            n: 64,
+            fa: 0.5,
+            fw: 0.5,
+        },
+    ];
+    for (id, kind) in oversized.into_iter().enumerate() {
+        let spec = JobSpec {
+            id: id as u64,
+            seed: 1,
+            kind,
+        };
+        match client.submit(&spec, None).unwrap() {
+            Response::Result(JobResult {
+                id: got,
+                outcome: JobOutcome::Error { message },
+            }) => {
+                assert_eq!(got, spec.id);
+                assert!(message.starts_with("job too large"), "{message}");
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+        // The next job on the same connection is still answered.
+        match client.submit(&quick_spec(10 + spec.id), None).unwrap() {
+            Response::Result(r) => {
+                assert_eq!(r.id, 10 + spec.id);
+                assert!(matches!(r.outcome, JobOutcome::Schedule { .. }));
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    gw.shutdown();
 }

@@ -5,7 +5,9 @@
 //!
 //! 1. **Tensor level** ([`TokenProfile::generate`], [`ImageProfile`]) —
 //!    full activation tensors for the scaled-down executable models of
-//!    the accuracy evaluation. Every sub-tensor is zero-mean Laplace;
+//!    the accuracy evaluation. [`TokenProfile::token_stats`] streams
+//!    the same values one token at a time into what the precision
+//!    selector reads. Every sub-tensor is zero-mean Laplace;
 //!    sub-tensor scales are log-normally dispersed per model family,
 //!    with occasional outlier tokens for transformer/LLM families (the
 //!    LLM.int8 phenomenon the paper cites).
@@ -20,10 +22,11 @@
 //!    exactly, so `SummaryStats` stays the single source of truth.
 
 use crate::{NnError, Result};
+use drift_quant::policy::StreamStats;
 use drift_tensor::dist::{Laplace, Sampler};
 use drift_tensor::rng::{derive_seed, seeded, DriftRng};
 use drift_tensor::stats::SummaryStats;
-use drift_tensor::Tensor;
+use drift_tensor::{Shape, Tensor};
 use rand::Rng;
 
 /// Per-model-family token (sub-tensor) statistics profile.
@@ -100,6 +103,18 @@ impl TokenProfile {
         }
     }
 
+    /// The profile named `cnn`, `vit`, `bert` or `llm` (the wire and CLI
+    /// spelling), or `None` for any other name.
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "cnn" => Some(TokenProfile::cnn()),
+            "vit" => Some(TokenProfile::vit()),
+            "bert" => Some(TokenProfile::bert()),
+            "llm" => Some(TokenProfile::llm()),
+            _ => None,
+        }
+    }
+
     /// Draws one token's Laplace scale.
     pub fn sample_scale(&self, rng: &mut DriftRng) -> f64 {
         // Log-normal dispersion around the base scale.
@@ -113,20 +128,62 @@ impl TokenProfile {
     }
 
     /// Generates a `[tokens, hidden]` activation tensor: token `t` is
-    /// i.i.d. `Laplace(0, scale_t)`.
+    /// i.i.d. `Laplace(0, scale_t)`. The collected form of the row
+    /// generator `for_each_token`.
     ///
     /// # Errors
     ///
     /// Returns a tensor error for zero dimensions.
     pub fn generate(&self, tokens: usize, hidden: usize, seed: u64) -> Result<Tensor> {
-        let mut rng = seeded(derive_seed(seed, "token-profile"));
         let mut data = Vec::with_capacity(tokens * hidden);
+        self.for_each_token(tokens, hidden, seed, |row| data.extend_from_slice(row))?;
+        Ok(Tensor::from_vec(vec![tokens, hidden], data)?)
+    }
+
+    /// Streams the rows of [`TokenProfile::generate`]'s tensor: calls
+    /// `row` once per token, in order, with that token's `hidden` values.
+    /// One buffer is refilled for every token and the RNG is drawn in
+    /// the same order, so the rows are exactly the tensor's.
+    ///
+    /// # Errors
+    ///
+    /// Returns a tensor error for zero dimensions, before any row.
+    fn for_each_token(
+        &self,
+        tokens: usize,
+        hidden: usize,
+        seed: u64,
+        mut row: impl FnMut(&[f32]),
+    ) -> Result<()> {
+        Shape::new(vec![tokens, hidden])?;
+        let mut rng = seeded(derive_seed(seed, "token-profile"));
+        let mut buffer = vec![0.0f32; hidden];
         for _ in 0..tokens {
             let b = self.sample_scale(&mut rng);
             let lap = Laplace::new(0.0, b).map_err(NnError::Tensor)?;
-            data.extend(lap.sample_f32(&mut rng, hidden));
+            for v in &mut buffer {
+                *v = lap.sample(&mut rng) as f32;
+            }
+            row(&buffer);
         }
-        Ok(Tensor::from_vec(vec![tokens, hidden], data)?)
+        Ok(())
+    }
+
+    /// The precision selector's view of [`TokenProfile::generate`]'s
+    /// tensor at token granularity: the whole-tensor and per-token
+    /// statistics, gathered row by row without materialising the
+    /// tensor. [`StreamStats::select`] on the
+    /// result takes the decisions
+    /// [`drift_quant::policy::run_policy`] takes on the tensor under
+    /// `SubTensorScheme::token(hidden)`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`TokenProfile::generate`].
+    pub fn token_stats(&self, tokens: usize, hidden: usize, seed: u64) -> Result<StreamStats> {
+        let mut stats = StreamStats::new();
+        self.for_each_token(tokens, hidden, seed, |row| stats.push_subtensor(row))?;
+        Ok(stats)
     }
 
     /// Generates a `[tokens, hidden]` activation tensor carrying a

@@ -11,7 +11,7 @@
 //! treat them interchangeably.
 
 use crate::convert::ConversionChoice;
-use crate::linear::{dequantize_slice, quantize_slice, QuantParams};
+use crate::linear::{dequantize_slice, quantize_value, QuantParams};
 use crate::precision::Precision;
 use crate::Result;
 use drift_tensor::stats::SummaryStats;
@@ -145,6 +145,116 @@ pub struct SubTensorDecision {
     pub decision: Decision,
 }
 
+/// A policy's per-sub-tensor decisions over a whole tensor, without the
+/// reconstructed values: everything the precision selector's output
+/// carries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Selection {
+    /// The initial quantization parameters.
+    pub params: QuantParams,
+    /// Per-sub-tensor decisions, in view order.
+    pub decisions: Vec<SubTensorDecision>,
+}
+
+impl Selection {
+    /// The decision step every policy run shares: fixes the initial
+    /// quantization parameters from the whole tensor's `max|X|` (Eq. 1,
+    /// the same fold [`crate::linear::quantize_slice`] does), then asks
+    /// `policy` once per sub-tensor. `subtensors` holds each view's
+    /// statistics in view order; a view's id is its index.
+    fn decide(
+        global: &SummaryStats,
+        subtensors: &[SummaryStats],
+        hp: Precision,
+        policy: &dyn PrecisionPolicy,
+    ) -> Self {
+        let params = QuantParams::from_abs_max(global.abs_max(), hp);
+        let ctx = TensorContext {
+            global: *global,
+            params,
+        };
+        let decisions = subtensors
+            .iter()
+            .enumerate()
+            .map(|(view_id, stats)| SubTensorDecision {
+                view_id,
+                len: stats.count() as usize,
+                decision: policy.decide(&ctx, stats),
+            })
+            .collect();
+        Selection { params, decisions }
+    }
+
+    /// Fraction of *elements* that compute at low precision.
+    pub fn low_fraction(&self) -> f64 {
+        low_fraction(&self.decisions)
+    }
+
+    /// Count of sub-tensors that selected low precision.
+    pub fn low_subtensors(&self) -> usize {
+        low_subtensors(&self.decisions)
+    }
+}
+
+fn low_fraction(decisions: &[SubTensorDecision]) -> f64 {
+    let total: usize = decisions.iter().map(|d| d.len).sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let low: usize = decisions
+        .iter()
+        .filter(|d| d.decision.is_low())
+        .map(|d| d.len)
+        .sum();
+    low as f64 / total as f64
+}
+
+fn low_subtensors(decisions: &[SubTensorDecision]) -> usize {
+    decisions.iter().filter(|d| d.decision.is_low()).count()
+}
+
+/// The statistics the accelerator's pooling unit gathers as a tensor
+/// streams past it one contiguous sub-tensor at a time (paper §4.1):
+/// one [`SummaryStats`] for the whole tensor and one per sub-tensor.
+///
+/// Feeding a `[tokens, hidden]` tensor row by row yields exactly the
+/// statistics [`run_policy`] computes under
+/// [`SubTensorScheme::token`]`(hidden)`, so [`StreamStats::select`]
+/// takes the same decisions without the tensor ever existing in full.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StreamStats {
+    global: SummaryStats,
+    subtensors: Vec<SummaryStats>,
+}
+
+impl StreamStats {
+    /// An empty stream.
+    pub fn new() -> Self {
+        StreamStats::default()
+    }
+
+    /// Feeds the next sub-tensor, whose values follow the previous
+    /// sub-tensor's in the tensor's row-major order.
+    pub fn push_subtensor(&mut self, values: &[f32]) {
+        let mut stats = SummaryStats::new();
+        for &v in values {
+            self.global.push(v);
+            stats.push(v);
+        }
+        self.subtensors.push(stats);
+    }
+
+    /// Statistics over every value streamed so far.
+    pub fn global(&self) -> &SummaryStats {
+        &self.global
+    }
+
+    /// Runs `policy` over the streamed tensor at initial precision `hp`.
+    pub fn select(&self, hp: Precision, policy: &dyn PrecisionPolicy) -> Selection {
+        Selection::decide(&self.global, &self.subtensors, hp, policy)
+    }
+}
+
 /// The result of running a policy over a whole tensor.
 ///
 /// `effective` holds the dequantized values *as the selected encodings
@@ -164,49 +274,42 @@ pub struct PolicyRun {
 impl PolicyRun {
     /// Fraction of *elements* that compute at low precision.
     pub fn low_fraction(&self) -> f64 {
-        let total: usize = self.decisions.iter().map(|d| d.len).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let low: usize = self
-            .decisions
-            .iter()
-            .filter(|d| d.decision.is_low())
-            .map(|d| d.len)
-            .sum();
-        low as f64 / total as f64
+        low_fraction(&self.decisions)
     }
 
     /// Count of sub-tensors that selected low precision.
     pub fn low_subtensors(&self) -> usize {
-        self.decisions
-            .iter()
-            .filter(|d| d.decision.is_low())
-            .count()
+        low_subtensors(&self.decisions)
     }
 }
 
 /// Runs `policy` over `tensor` partitioned by `scheme`:
 ///
-/// 1. quantize the whole tensor to `hp` with a per-tensor scale (Eq. 1);
-/// 2. compute each sub-tensor's statistics (what the pooling unit does);
-/// 3. ask the policy for a decision per sub-tensor;
-/// 4. materialise the effective (mixed-precision, dequantized) tensor.
+/// 1. compute the whole tensor's and each sub-tensor's statistics (what
+///    the pooling unit does);
+/// 2. take the per-sub-tensor decisions (the step [`StreamStats::select`]
+///    shares);
+/// 3. quantize the whole tensor to `hp` with a per-tensor scale (Eq. 1)
+///    and materialise the effective (mixed-precision, dequantized)
+///    tensor.
+///
+/// Callers that need only the decisions of a token-partitioned tensor
+/// should stream it through [`StreamStats`] instead.
 ///
 /// # Errors
 ///
 /// Propagates partitioning errors (e.g. a token length that does not
-/// divide the tensor) and quantization errors.
+/// divide the tensor).
 pub fn run_policy(
     tensor: &Tensor,
     scheme: &SubTensorScheme,
     hp: Precision,
     policy: &dyn PrecisionPolicy,
 ) -> Result<PolicyRun> {
-    let (codes, params) = quantize_slice(tensor.as_slice(), hp)?;
-    let global = SummaryStats::from_slice(tensor.as_slice());
-    let ctx = TensorContext { global, params };
-
+    let view_error = |e: drift_tensor::TensorError| crate::QuantError::InvalidParameter {
+        name: "view",
+        detail: e.to_string(),
+    };
     let views =
         scheme
             .partition(tensor.shape())
@@ -214,40 +317,37 @@ pub fn run_policy(
                 name: "scheme",
                 detail: e.to_string(),
             })?;
+    let subtensors = views
+        .iter()
+        .map(|view| {
+            Ok(SummaryStats::from_slice(
+                tensor.subtensor(view).map_err(view_error)?,
+            ))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let global = SummaryStats::from_slice(tensor.as_slice());
+    let Selection { params, decisions } = Selection::decide(&global, &subtensors, hp, policy);
 
-    let mut decisions = Vec::with_capacity(views.len());
+    // Reconstruct each sub-tensor's integer codes through its selected
+    // encoding.
+    let codes: Vec<i32> = tensor
+        .as_slice()
+        .iter()
+        .map(|&x| quantize_value(x, &params))
+        .collect();
     let mut effective = tensor.clone();
-    for view in &views {
-        let sub = tensor
-            .subtensor(view)
-            .map_err(|e| crate::QuantError::InvalidParameter {
-                name: "view",
-                detail: e.to_string(),
-            })?;
-        let stats = SummaryStats::from_slice(&sub);
-        let decision = policy.decide(&ctx, &stats);
-
-        // Gather this sub-tensor's integer codes and reconstruct through
-        // the selected encoding.
+    for (view, d) in views.iter().zip(&decisions) {
         let sub_codes: Vec<i32> = view.indices().map(|i| codes[i]).collect();
-        let restored = match decision {
+        let restored = match d.decision {
             Decision::Keep => dequantize_slice(&sub_codes, &params),
             Decision::Convert(choice) => {
                 let low = choice.apply_slice(&sub_codes);
                 choice.dequantize_slice(&low, &params)
             }
         };
-        effective.set_subtensor(view, &restored).map_err(|e| {
-            crate::QuantError::InvalidParameter {
-                name: "view",
-                detail: e.to_string(),
-            }
-        })?;
-        decisions.push(SubTensorDecision {
-            view_id: view.id(),
-            len: view.len(),
-            decision,
-        });
+        effective
+            .set_subtensor(view, &restored)
+            .map_err(view_error)?;
     }
 
     Ok(PolicyRun {

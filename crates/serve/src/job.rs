@@ -96,7 +96,44 @@ pub enum JobKind {
     },
 }
 
+/// The most elements any one operand of a job may hold: a Select
+/// job's `tokens × hidden` activations, or a GEMM job's `m × k`
+/// activations, `k × n` weights and `m × n` outputs.
+///
+/// 2^26 is the largest operand the model zoo lowers to, the
+/// 4096 × 16384 MLP weights of BLOOM-7B1 and OPT-6.7B; every synthetic
+/// stream stays far below it. Above it a job is refused with a job
+/// error before any work or allocation is sized from its fields, so a
+/// hostile line cannot make a process abort on a failed allocation.
+pub const MAX_JOB_ELEMENTS: usize = 1 << 26;
+
 impl JobKind {
+    /// Refuses a job whose operands exceed [`MAX_JOB_ELEMENTS`]
+    /// (products that overflow `usize` included).
+    ///
+    /// # Errors
+    ///
+    /// Names the first oversized operand.
+    pub fn check_size(&self) -> Result<(), String> {
+        let operands: &[(&str, usize, usize)] = match *self {
+            JobKind::Select { tokens, hidden, .. } => &[("Select tensor", tokens, hidden)],
+            JobKind::Schedule { m, k, n, .. } | JobKind::Simulate { m, k, n, .. } => &[
+                ("activation operand", m, k),
+                ("weight operand", k, n),
+                ("output operand", m, n),
+            ],
+        };
+        for &(name, rows, cols) in operands {
+            if rows.checked_mul(cols).is_none_or(|n| n > MAX_JOB_ELEMENTS) {
+                return Err(format!(
+                    "job too large: the {rows}x{cols} {name} is over the limit of \
+                     {MAX_JOB_ELEMENTS} elements per operand"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// A short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -361,6 +398,36 @@ mod tests {
         };
         let line = result_line(&r);
         assert_eq!(serde_json::from_str::<JobResult>(&line).unwrap(), r);
+    }
+
+    #[test]
+    fn oversized_jobs_fail_the_size_check() {
+        let select = |tokens, hidden| JobKind::Select {
+            tokens,
+            hidden,
+            delta: 0.1,
+            profile: "bert".to_string(),
+        };
+        let gemm = |m, k, n| JobKind::Simulate {
+            m,
+            k,
+            n,
+            fa: 0.5,
+            fw: 0.5,
+        };
+        assert!(select(1 << 13, 1 << 13).check_size().is_ok());
+        assert!(select(1, MAX_JOB_ELEMENTS + 1).check_size().is_err());
+        assert!(select(usize::MAX, 2).check_size().is_err());
+        // The largest zoo operand passes; each operand is checked.
+        assert!(gemm(1024, 4096, 16384).check_size().is_ok());
+        let err = gemm(1 << 40, 1, 1).check_size().unwrap_err();
+        assert!(err.contains("activation operand"), "{err}");
+        assert!(gemm(1, 1, 1 << 27).check_size().is_err());
+        assert!(gemm(1 << 14, 1, 1 << 14).check_size().is_err());
+        // Every synthetic job is within the limit.
+        assert!(synthetic_jobs(40, 8, 1)
+            .iter()
+            .all(|j| j.kind.check_size().is_ok()));
     }
 
     #[test]

@@ -22,10 +22,8 @@ use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_core::selector::{record_policy_run, DriftPolicy};
 use drift_nn::datagen::TokenProfile;
 use drift_obs::{span, Recorder, SpanRecord, TraceId, Tracer};
-use drift_quant::policy::run_policy;
 use drift_quant::Precision;
 use drift_tensor::rng::{derive_seed, seeded};
-use drift_tensor::subtensor::SubTensorScheme;
 use rand::Rng;
 use std::time::Instant;
 
@@ -186,8 +184,9 @@ fn simulate_precision_maps(
 }
 
 /// The exact [`ScheduleKey`] executing `spec` on `fabric` will look up,
-/// or `None` for jobs without a schedule (Select) and for invalid
-/// shapes (which execution reports as a job-level error anyway).
+/// or `None` for jobs without a schedule (Select), for invalid shapes,
+/// and for jobs over [`crate::job::MAX_JOB_ELEMENTS`] (execution
+/// reports both as a job-level error anyway).
 ///
 /// This is the single source of truth the router tier shards by: a
 /// front tier that routes every job by this key sends each distinct
@@ -197,6 +196,9 @@ fn simulate_precision_maps(
 /// maps, so it costs `O(m + n)` RNG draws — microseconds against a
 /// millisecond-scale simulation.
 pub fn schedule_key_for(spec: &JobSpec, fabric: ArrayGeometry) -> Option<ScheduleKey> {
+    // Routers call this at admission: an oversized job must not size
+    // the precision maps below.
+    spec.kind.check_size().ok()?;
     match &spec.kind {
         JobKind::Select { .. } => None,
         JobKind::Schedule { m, k, n, fa, fw } => {
@@ -228,6 +230,7 @@ fn run_job(
     exec: &Exec,
     shared: Option<(Schedule, bool)>,
 ) -> Result<(JobOutcome, bool), String> {
+    spec.kind.check_size()?;
     match &spec.kind {
         JobKind::Select {
             tokens,
@@ -236,31 +239,22 @@ fn run_job(
             profile,
         } => {
             let exec_start = exec.ctx.map(|_| Instant::now());
-            let profile = match profile.as_str() {
-                "cnn" => TokenProfile::cnn(),
-                "vit" => TokenProfile::vit(),
-                "bert" => TokenProfile::bert(),
-                "llm" => TokenProfile::llm(),
-                other => return Err(format!("unknown profile '{other}'")),
-            };
-            let data = profile
-                .generate(*tokens, *hidden, spec.seed)
+            let profile = TokenProfile::by_name(profile)
+                .ok_or_else(|| format!("unknown profile '{profile}'"))?;
+            // Only the decisions are answered, so the tensor streams
+            // through the selector's statistics and is never built.
+            let stats = profile
+                .token_stats(*tokens, *hidden, spec.seed)
                 .map_err(|e| e.to_string())?;
             let policy = DriftPolicy::new(*delta).map_err(|e| e.to_string())?;
-            let run = run_policy(
-                &data,
-                &SubTensorScheme::token(*hidden),
-                Precision::INT8,
-                &policy,
-            )
-            .map_err(|e| e.to_string())?;
-            record_policy_run(exec.recorder, &run);
+            let selection = stats.select(Precision::INT8, &policy);
+            record_policy_run(exec.recorder, &selection.decisions);
             exec.execute_span(exec_start, "select");
             Ok((
                 JobOutcome::Select {
-                    low_subtensors: run.low_subtensors(),
-                    subtensors: run.decisions.len(),
-                    low_fraction: run.low_fraction(),
+                    low_subtensors: selection.low_subtensors(),
+                    subtensors: selection.decisions.len(),
+                    low_fraction: selection.low_fraction(),
                 },
                 false,
             ))

@@ -432,8 +432,25 @@ for doc in README.md docs/*.md; do
     fi
   done < <(grep -oE '\]\([^)]+\)' "$doc" | sed -e 's/^](//' -e 's/)$//')
 done
+# Every `drift_<crate>::<name>` path in the same docs must name a
+# module of that crate (crates/<crate>/src/<name>.rs or <name>/mod.rs)
+# or a top-level `pub` item declared in its sources.
+while IFS=: read -r doc crate name; do
+  src="crates/$crate/src"
+  if [ -e "$src/$name.rs" ] || [ -e "$src/$name/mod.rs" ]; then
+    continue
+  fi
+  if [ -d "$src" ] && grep -rqE \
+    "^pub ((const|async|unsafe) )*(fn|struct|enum|trait|type|const|static|mod) $name\b" \
+    "$src"; then
+    continue
+  fi
+  echo "doc links: $doc -> drift_$crate::$name (no such module or item)" >&2
+  DOC_LINK_FAILURES=$((DOC_LINK_FAILURES + 1))
+done < <(grep -oE 'drift_[a-z]+::[A-Za-z_][A-Za-z0-9_]*' README.md docs/*.md \
+  | sed -E 's/drift_([a-z]+)::/\1:/' | sort -u)
 if [ "$DOC_LINK_FAILURES" -ne 0 ]; then
-  echo "doc links: $DOC_LINK_FAILURES broken relative link(s)" >&2
+  echo "doc links: $DOC_LINK_FAILURES broken relative link(s) or code path(s)" >&2
   exit 1
 fi
 echo "doc links: ok"

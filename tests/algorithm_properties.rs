@@ -1,12 +1,20 @@
 //! Property-based tests of the Drift algorithm's core invariants.
 
 use drift::core::selector::DriftPolicy;
+use drift::nn::datagen::TokenProfile;
 use drift::quant::capability::RepresentationCapability;
 use drift::quant::convert::ConversionChoice;
+use drift::quant::drq::DrqPolicy;
+use drift::quant::gating::PrecisionGatingPolicy;
 use drift::quant::linear::{dequantize_slice, quantize_slice, QuantParams};
-use drift::quant::policy::{Decision, PrecisionPolicy, TensorContext};
+use drift::quant::policy::{
+    run_policy, Decision, PrecisionPolicy, StaticHighPolicy, StaticLowPolicy, StreamStats,
+    TensorContext,
+};
 use drift::quant::Precision;
 use drift::tensor::stats::SummaryStats;
+use drift::tensor::subtensor::SubTensorScheme;
+use drift::tensor::Tensor;
 use proptest::prelude::*;
 
 fn stats_from(values: &[f32]) -> SummaryStats {
@@ -14,6 +22,60 @@ fn stats_from(values: &[f32]) -> SummaryStats {
 }
 
 proptest! {
+    /// The streamed selector takes exactly `run_policy`'s decisions at
+    /// token granularity, for every policy family: the same parameters,
+    /// the same decision per token, and a whole-tensor context equal to
+    /// the tensor's own statistics. Values mix Laplace-profile rows
+    /// (through `TokenProfile::token_stats`) with arbitrary rows that
+    /// include exact zeros and repeated magnitudes.
+    #[test]
+    fn streamed_selection_matches_run_policy(
+        tokens in 1usize..24,
+        hidden in 1usize..48,
+        profile in 0usize..4,
+        seed in any::<u64>(),
+        raw in proptest::collection::vec(-4i32..5, 24 * 48),
+        scale in 1e-3f32..10.0,
+        delta in 0.0f64..40.0,
+        alpha in 0.0f64..2.0,
+        theta in 0.0f64..1.0,
+    ) {
+        let policies: [&dyn PrecisionPolicy; 5] = [
+            &DriftPolicy::new(delta).unwrap(),
+            &DrqPolicy::new(alpha).unwrap(),
+            &PrecisionGatingPolicy::new(theta, Precision::INT4).unwrap(),
+            &StaticHighPolicy,
+            &StaticLowPolicy::new(Precision::INT4),
+        ];
+        let profile = TokenProfile::by_name(["cnn", "vit", "bert", "llm"][profile]).unwrap();
+        let generated = profile.generate(tokens, hidden, seed).unwrap();
+        let values: Vec<f32> = raw[..tokens * hidden]
+            .iter()
+            .map(|&q| q as f32 * scale / 4.0)
+            .collect();
+        let arbitrary = Tensor::from_vec(vec![tokens, hidden], values).unwrap();
+        let mut streamed = StreamStats::new();
+        arbitrary.as_slice().chunks(hidden).for_each(|row| streamed.push_subtensor(row));
+        for (tensor, stats) in [
+            (&generated, profile.token_stats(tokens, hidden, seed).unwrap()),
+            (&arbitrary, streamed),
+        ] {
+            prop_assert_eq!(stats.global(), &SummaryStats::from_slice(tensor.as_slice()));
+            for policy in policies {
+                let run =
+                    run_policy(tensor, &SubTensorScheme::token(hidden), Precision::INT8, policy)
+                        .unwrap();
+                let selection = stats.select(Precision::INT8, policy);
+                prop_assert_eq!(selection.params, run.params, "{}", policy.name());
+                prop_assert_eq!(&selection.decisions, &run.decisions, "{}", policy.name());
+                prop_assert_eq!(
+                    selection.low_fraction().to_bits(),
+                    run.low_fraction().to_bits()
+                );
+            }
+        }
+    }
+
     /// Eq. 5's guarantee: whatever the sub-tensor, the selected
     /// conversion's representation range covers its largest magnitude.
     #[test]
