@@ -699,7 +699,7 @@ pub fn store(args: &[String]) -> Result<(), String> {
 }
 
 /// `drift report` — renders a `--metrics-out` JSON snapshot as the
-/// human table (counters with units, histogram quantiles, stage tree).
+/// human table (counters with units, histogram quantiles).
 pub fn report(args: &[String]) -> Result<(), String> {
     let [path] = args else {
         return Err("usage: drift report FILE|-".to_string());
@@ -719,11 +719,13 @@ pub fn report(args: &[String]) -> Result<(), String> {
 }
 
 /// Parses the `Snapshot::to_json` schema back into a [`Snapshot`].
+/// Sections it does not know, such as the `stages` of older
+/// snapshots, are skipped.
 ///
 /// Lives here rather than in `drift-obs` so the obs crate stays
 /// dependency-free; the CLI already carries `serde_json`.
 fn parse_snapshot(text: &str) -> Result<drift_obs::Snapshot, String> {
-    use drift_obs::export::{HistogramSample, Sample, StageSample};
+    use drift_obs::export::{HistogramSample, Sample};
     use drift_obs::registry::MetricId;
     use serde_json::Value;
 
@@ -813,18 +815,6 @@ fn parse_snapshot(text: &str) -> Result<drift_obs::Snapshot, String> {
             bounds: u64s(&entry, "bounds"),
             counts: u64s(&entry, "counts"),
             sum: entry.get("sum").and_then(v_u64).unwrap_or(0),
-        });
-    }
-    for entry in section("stages") {
-        snapshot.stages.push(StageSample {
-            stage: entry
-                .get("stage")
-                .and_then(v_str)
-                .ok_or("stage sample missing \"stage\"")?
-                .to_string(),
-            calls: entry.get("calls").and_then(v_u64).unwrap_or(0),
-            wall_ns: entry.get("wall_ns").and_then(v_u64).unwrap_or(0),
-            sim_cycles: entry.get("sim_cycles").and_then(v_u64).unwrap_or(0),
         });
     }
     Ok(snapshot)
@@ -917,5 +907,26 @@ fn default_delta(family: ModelFamily) -> f64 {
         ModelFamily::Vit => 0.045,
         ModelFamily::Bert => 0.027,
         ModelFamily::Llm => 0.006,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_loads_a_snapshot_with_an_old_stages_section() {
+        let json = r#"{
+  "counters": [
+    {"name": "drift_serve_jobs_total", "labels": {"kind": "simulate", "outcome": "ok"}, "value": 40}],
+  "fcounters": [],
+  "gauges": [],
+  "histograms": [],
+  "stages": [
+    {"stage": "serve_job", "calls": 40, "wall_ns": 120000000, "sim_cycles": 700000}]
+}"#;
+        let snapshot = parse_snapshot(json).unwrap();
+        assert_eq!(snapshot.counter_sum("drift_serve_jobs_total"), 40);
+        assert!(snapshot.render_table().contains("drift_serve_jobs_total"));
     }
 }

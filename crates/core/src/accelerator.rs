@@ -24,7 +24,7 @@ use drift_accel::energy::EnergyModel;
 use drift_accel::gemm::GemmWorkload;
 use drift_accel::systolic::{pass_count, simulate_stream, ArrayGeometry, BG_WEIGHT_BIT_LANES};
 use drift_accel::{AccelError, Result};
-use drift_obs::{span, Recorder};
+use drift_obs::{Recorder, Stage};
 use drift_quant::convert::ConversionChoice;
 use drift_quant::policy::Decision;
 use drift_quant::precision::Precision;
@@ -296,6 +296,8 @@ impl DriftAccelerator {
                 );
             }
             self.recorder
+                .counter_add("drift_sim_cycles_total", &[], report.cycles);
+            self.recorder
                 .counter_add("drift_compute_cycles_total", &[], report.compute_cycles);
             self.recorder
                 .counter_add("drift_dram_cycles_total", &[], report.dram_cycles);
@@ -345,28 +347,16 @@ impl Accelerator for DriftAccelerator {
         // streams from it (Section 4.1); the scheduler then solves
         // Eq. 8 for the quadrant mix.
         let plan = self.dispatch(workload)?;
-        let solve_start = self.recorder.is_enabled().then(std::time::Instant::now);
-        let schedule = {
-            let _solve = span!(self.recorder, "schedule_solve");
-            match self.scheduler {
-                SchedulerKind::Balanced => balanced_schedule(self.fabric, &workload.quadrants()),
-                SchedulerKind::EqualStatic => equal_schedule(self.fabric, &workload.quadrants()),
-            }
-            .map_err(|e| AccelError::InvalidConfig {
-                name: "schedule",
-                detail: e.to_string(),
-            })?
-        };
-        if let Some(start) = solve_start {
-            self.recorder
-                .counter_add("drift_schedule_solves_total", &[], 1);
-            self.recorder.observe(
-                "drift_schedule_solve_nanoseconds",
-                &[],
-                drift_obs::contract::SOLVE_NS_BUCKETS,
-                start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            );
+        let solve = Stage::new("core", "solve", &self.recorder).open();
+        let schedule = match self.scheduler {
+            SchedulerKind::Balanced => balanced_schedule(self.fabric, &workload.quadrants()),
+            SchedulerKind::EqualStatic => equal_schedule(self.fabric, &workload.quadrants()),
         }
+        .map_err(|e| AccelError::InvalidConfig {
+            name: "schedule",
+            detail: e.to_string(),
+        })?;
+        solve.end("ok", &[]);
         self.simulate(workload, &plan, schedule)
     }
 }
@@ -533,15 +523,17 @@ mod tests {
         let snap = rec.registry().unwrap().snapshot();
         assert_eq!(snap.counter_sum("drift_layers_executed_total"), 2);
         assert_eq!(snap.counter_sum("drift_reconfigurations_total"), 1);
-        assert_eq!(snap.counter_sum("drift_schedule_solves_total"), 2);
+        let solves = snap
+            .histogram_merged("drift_stage_microseconds")
+            .expect("the solve stage is timed");
+        assert_eq!(solves.count(), 2);
+        assert_eq!(
+            snap.counter_sum("drift_sim_cycles_total"),
+            want.iter().map(|r| r.cycles).sum::<u64>()
+        );
         assert!(snap.counter_sum("drift_array_busy_cycles_total") > 0);
         assert!(snap.counter_sum("drift_array_idle_cycles_total") > 0);
         assert!(snap.counter_sum("drift_dram_row_hits_total") > 0);
-        assert!(rec
-            .registry()
-            .unwrap()
-            .stages()
-            .contains_key("schedule_solve"));
     }
 
     #[test]

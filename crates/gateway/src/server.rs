@@ -42,7 +42,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use drift_core::accelerator::DriftAccelerator;
 use drift_core::arch::paper_fabric;
 use drift_core::schedule::ScheduleKey;
-use drift_obs::{Recorder, SpanRecord, TraceDecision, TraceId, Tracer};
+use drift_obs::{Recorder, SpanCtx, Stage, TraceDecision, Tracer};
 use drift_serve::cache::ScheduleCache;
 use drift_serve::job::{result_line, JobOutcome, JobResult, JobSpec};
 use drift_serve::persist::{open_and_preload, StoreBinding};
@@ -206,28 +206,23 @@ impl ServiceEstimator {
     }
 }
 
-/// The sampled-trace state of an admitted job: which trace it belongs
-/// to, the upstream parent span, and this gateway's request span id
-/// (the parent of every span the gateway records for the job).
-#[derive(Debug, Clone, Copy)]
-struct JobTrace {
-    trace: TraceId,
-    parent: Option<u64>,
-    req_span: u64,
-}
-
-/// One queued response line plus the trace info the connection writer
-/// needs to record a `response_write` span (`None` for control acks
-/// and untraced requests).
+/// One queued response line. The answer to an admitted request has its
+/// write timed as a `response_write` stage, a span under the request's
+/// span when it is sampled; control acks and refusals are plain.
 #[derive(Debug, Clone)]
 struct Reply {
     line: String,
-    trace: Option<(TraceId, u64)>,
+    timed: bool,
+    request_span: Option<SpanCtx>,
 }
 
 impl Reply {
     fn plain(line: String) -> Reply {
-        Reply { line, trace: None }
+        Reply {
+            line,
+            timed: false,
+            request_span: None,
+        }
     }
 }
 
@@ -246,13 +241,20 @@ struct RequestState {
     slots: Mutex<Vec<Option<String>>>,
     remaining: AtomicUsize,
     reply: Sender<Reply>,
-    trace: Option<JobTrace>,
+    /// This gateway's request span (the parent of every span the
+    /// gateway records for the request), when sampled.
+    span: Option<SpanCtx>,
     admitted: Instant,
     /// The line-wide deadline: the budget is shared by every item.
     deadline: Option<Instant>,
 }
 
 impl RequestState {
+    /// A new span under the request span, when the request is sampled.
+    fn child_span(&self, shared: &Shared) -> Option<SpanCtx> {
+        self.span.map(|s| s.child(&shared.tracer))
+    }
+
     fn expired(&self, now: Instant) -> bool {
         self.deadline.is_some_and(|d| now >= d)
     }
@@ -286,7 +288,7 @@ impl RequestState {
     }
 
     /// Sends the response and settles the request's accounting
-    /// (in-flight gauge, end-to-end latency, the request trace span).
+    /// (in-flight gauge, the `request` stage).
     fn finish(&self, shared: &Shared, outcome: &str) {
         let mut items: Vec<String> = {
             let mut slots = self.slots.lock().expect("request slots");
@@ -303,24 +305,12 @@ impl RequestState {
         };
         let recorder = &shared.recorder;
         recorder.gauge_add("drift_gateway_inflight_requests", &[], -(total as i64));
-        if recorder.is_enabled() {
-            recorder.observe(
-                "drift_gateway_request_latency_microseconds",
-                &[],
-                drift_obs::contract::LATENCY_US_BUCKETS,
-                self.admitted
-                    .elapsed()
-                    .as_micros()
-                    .min(u128::from(u64::MAX)) as u64,
-            );
-        }
-        if let Some(t) = &self.trace {
-            let outcome = if self.single { outcome } else { "ok" };
-            record_request_span(shared, t, self.id, self.admitted, outcome);
-        }
+        let outcome = if self.single { outcome } else { "ok" };
+        end_request(shared, self.span, self.id, self.admitted, outcome);
         let reply = Reply {
             line,
-            trace: self.trace.as_ref().map(|t| (t.trace, t.req_span)),
+            timed: true,
+            request_span: self.span,
         };
         if self.reply.send(reply).is_err() {
             // The connection is fully gone (reader and writer exited).
@@ -760,11 +750,11 @@ fn handle_line(
             .decide(shared.trace_seq.fetch_add(1, Ordering::Relaxed)),
         other => other,
     };
-    let job_trace = match (decision.context(), shared.tracer.is_enabled()) {
-        (Some(ctx), true) => Some(JobTrace {
+    let span = match (decision.context(), shared.tracer.is_enabled()) {
+        (Some(ctx), true) => Some(SpanCtx {
             trace: ctx.trace_id,
+            span: shared.tracer.new_span_id(),
             parent: ctx.parent_span,
-            req_span: shared.tracer.new_span_id(),
         }),
         _ => None,
     };
@@ -787,9 +777,7 @@ fn handle_line(
             &[("outcome", "unmeetable")],
             total as u64,
         );
-        if let Some(t) = &job_trace {
-            record_request_span(shared, t, id, admitted, "unmeetable");
-        }
+        end_request(shared, span, id, admitted, "unmeetable");
         let _ = reply.send(Reply::plain(protocol::error_line(Some(id), ERR_UNMEETABLE)));
         return true;
     }
@@ -799,7 +787,7 @@ fn handle_line(
         slots: Mutex::new(vec![None; total]),
         remaining: AtomicUsize::new(total),
         reply: reply.clone(),
-        trace: job_trace,
+        span,
         admitted,
         deadline,
     });
@@ -864,35 +852,25 @@ fn handle_line(
             shared
                 .recorder
                 .counter_add("drift_gateway_requests_shed_total", &[], total as u64);
-            if let Some(t) = &job_trace {
-                record_request_span(shared, t, id, admitted, "overloaded");
-            }
+            end_request(shared, span, id, admitted, "overloaded");
             let _ = reply.send(Reply::plain(protocol::error_line(Some(id), ERR_OVERLOADED)));
         }
     }
     true
 }
 
-/// Records the gateway-tier root (`request`) span for a job that
-/// settled now, labelled with how it settled.
-fn record_request_span(
-    shared: &Shared,
-    trace: &JobTrace,
-    job_id: u64,
-    admitted: Instant,
-    outcome: &str,
-) {
-    shared.tracer.record(&SpanRecord {
-        service: None,
-        trace: trace.trace,
-        span: trace.req_span,
-        parent: trace.parent,
-        stage: "request",
-        start: admitted,
-        end: Instant::now(),
-        job: Some(job_id),
-        attrs: &[("outcome", outcome)],
-    });
+/// A gateway-tier stage, written as a span under `span` when sampled.
+fn stage<'a>(shared: &'a Shared, name: &'static str, span: Option<SpanCtx>) -> Stage<'a> {
+    Stage::new("gateway", name, &shared.recorder).traced(&shared.tracer, span)
+}
+
+/// Ends the gateway-tier `request` stage of a request admitted at
+/// `admitted` and settled now, labelled with how it settled.
+fn end_request(shared: &Shared, span: Option<SpanCtx>, id: u64, admitted: Instant, outcome: &str) {
+    stage(shared, "request", span)
+        .job(id)
+        .since(admitted)
+        .end(outcome, &[("outcome", outcome)]);
 }
 
 /// Writes response lines until every sender is gone. A write failure
@@ -908,23 +886,17 @@ fn writer_loop(mut stream: TcpStream, replies: &Receiver<Reply>, shared: &Shared
     let mut buf: Vec<u8> = Vec::new();
     for reply in replies.iter() {
         if !dead {
-            let write_start = reply.trace.map(|t| (t, Instant::now()));
+            let span = reply.request_span.map(|s| s.child(&shared.tracer));
+            let write = reply
+                .timed
+                .then(|| stage(shared, "response_write", span).open());
             buf.clear();
             buf.extend_from_slice(reply.line.as_bytes());
             buf.push(b'\n');
             dead = stream.write_all(&buf).is_err() || stream.flush().is_err();
-            if let Some(((trace, req_span), start)) = write_start {
-                shared.tracer.record(&SpanRecord {
-                    service: None,
-                    trace,
-                    span: shared.tracer.new_span_id(),
-                    parent: Some(req_span),
-                    stage: "response_write",
-                    start,
-                    end: Instant::now(),
-                    job: None,
-                    attrs: &[("outcome", if dead { "dropped" } else { "ok" })],
-                });
+            if let Some(write) = write {
+                let outcome = if dead { "dropped" } else { "ok" };
+                write.end(outcome, &[("outcome", outcome)]);
             }
             if !dead {
                 continue;
@@ -957,12 +929,14 @@ fn run_group(group: GroupJob, accel: &mut DriftAccelerator, shared: &Shared) {
     let dequeued = Instant::now();
     let n = group.specs.len();
     let doomed = request.doomed(dequeued, shared.estimator.estimate_us());
-    record_queue_wait(
-        shared,
-        request,
-        dequeued,
-        if doomed { "expired" } else { "ok" },
-    );
+    // One queue-wait stage per group (the group was one queue entry),
+    // labelled by what happened at dequeue: `ok` = handed to a worker,
+    // `expired` = discarded as doomed.
+    let waited = if doomed { "expired" } else { "ok" };
+    stage(shared, "queue_wait", request.child_span(shared))
+        .job(request.id)
+        .since(request.admitted)
+        .end_at(dequeued, waited, &[("outcome", waited)]);
     if doomed {
         for (pos, spec) in group.positions.iter().zip(&group.specs) {
             count_expired_item(shared);
@@ -978,9 +952,8 @@ fn run_group(group: GroupJob, accel: &mut DriftAccelerator, shared: &Shared) {
     // The execute span is also the parent of serve-tier spans
     // (cache_lookup/solve/execute), so its id is minted up front and
     // handed down through the executor.
-    let exec = request
-        .trace
-        .map(|t| (t, shared.tracer.new_span_id(), Instant::now()));
+    let exec_span = request.child_span(shared);
+    let exec = stage(shared, "execute", exec_span).job(request.id).open();
     let results = execute_traced(
         group.key.as_ref(),
         &group.specs,
@@ -988,26 +961,18 @@ fn run_group(group: GroupJob, accel: &mut DriftAccelerator, shared: &Shared) {
         &shared.cache,
         &shared.recorder,
         &shared.tracer,
-        exec.map(|(t, span, _)| (t.trace, span)),
+        exec_span,
     );
     let is_error = |outcome: &JobOutcome| matches!(outcome, JobOutcome::Error { .. });
-    if let Some((t, span, start)) = exec {
-        let failed = results.iter().any(|(outcome, _)| is_error(outcome));
-        shared.tracer.record(&SpanRecord {
-            service: None,
-            trace: t.trace,
-            span,
-            parent: Some(t.req_span),
-            stage: "execute",
-            start,
-            end: Instant::now(),
-            job: Some(request.id),
-            attrs: &[
-                ("kind", group.specs[0].kind.label()),
-                ("outcome", if failed { "error" } else { "ok" }),
-            ],
-        });
-    }
+    let executed = if results.iter().any(|(outcome, _)| is_error(outcome)) {
+        "error"
+    } else {
+        "ok"
+    };
+    exec.end(
+        executed,
+        &[("kind", group.specs[0].kind.label()), ("outcome", executed)],
+    );
     // One dequeue-to-done observation per item, so the admission
     // estimator keeps tracking per-job service time.
     shared
@@ -1060,37 +1025,6 @@ fn count_expired_item(shared: &Shared) {
         &[("outcome", "missed")],
         1,
     );
-}
-
-/// Observes how long a group sat in the queue (once per group: the
-/// group was one queue entry), labelled by what happened at dequeue
-/// (`ok` = handed to a worker, `expired` = discarded as doomed), and
-/// records a matching `queue_wait` span under the request span.
-fn record_queue_wait(shared: &Shared, request: &RequestState, dequeued: Instant, outcome: &str) {
-    if shared.recorder.is_enabled() {
-        shared.recorder.observe(
-            "drift_gateway_queue_wait_microseconds",
-            &[("outcome", outcome)],
-            drift_obs::contract::LATENCY_US_BUCKETS,
-            dequeued
-                .duration_since(request.admitted)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64,
-        );
-    }
-    if let Some(t) = &request.trace {
-        shared.tracer.record(&SpanRecord {
-            service: None,
-            trace: t.trace,
-            span: shared.tracer.new_span_id(),
-            parent: Some(t.req_span),
-            stage: "queue_wait",
-            start: request.admitted,
-            end: dequeued,
-            job: Some(request.id),
-            attrs: &[("outcome", outcome)],
-        });
-    }
 }
 
 #[cfg(test)]

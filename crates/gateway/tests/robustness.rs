@@ -27,18 +27,18 @@ fn quick_spec(id: u64) -> JobSpec {
     }
 }
 
-/// A cycle-accurate simulation big enough to keep a worker busy for a
-/// while, so queues actually fill and deadlines actually pass.
+/// A precision selection over a 128 × 768 activation stream: several
+/// milliseconds per job even in a release build, so queues actually
+/// fill and deadlines actually pass.
 fn heavy_spec(id: u64) -> JobSpec {
     JobSpec {
         id,
         seed: id + 1,
-        kind: JobKind::Simulate {
-            m: 96,
-            k: 384,
-            n: 96,
-            fa: 0.5,
-            fw: 0.5,
+        kind: JobKind::Select {
+            tokens: 128,
+            hidden: 768,
+            delta: 0.027,
+            profile: "bert".to_string(),
         },
     }
 }
@@ -88,11 +88,14 @@ fn stale_requests_expire_with_deadline_exceeded() {
 
     // Three heavy jobs occupy the single worker; the budgeted request
     // queues behind them, so its 1 ms deadline has long passed when a
-    // worker finally dequeues it.
-    for id in 0..3 {
-        client.send(&heavy_spec(id), None).unwrap();
-    }
-    client.send(&quick_spec(99), Some(1)).unwrap();
+    // worker finally dequeues it. One write puts every line in a single
+    // read: the 1 ms line is admitted before a heavy job can finish and
+    // feed the service estimate that would shed it as unmeetable.
+    let mut lines: Vec<String> = (0..3)
+        .map(|id| request_line(&heavy_spec(id), None))
+        .collect();
+    lines.push(request_line(&quick_spec(99), Some(1)));
+    client.send_raw(&lines.join("\n")).unwrap();
 
     let mut expired = Vec::new();
     for _ in 0..4 {
@@ -159,16 +162,15 @@ fn stale_batches_expire_and_label_their_queue_wait_expired() {
     // happened to it: the singleton and the batch were both discarded.
     let snap = recorder.registry().unwrap().snapshot();
     let waits = |outcome: &str| -> u64 {
-        snap.histograms
-            .iter()
-            .filter(|h| h.id.name == "drift_gateway_queue_wait_microseconds")
-            .filter(|h| {
-                h.id.labels
-                    .iter()
-                    .any(|(k, v)| k == "outcome" && v == outcome)
-            })
-            .map(|h| h.count())
-            .sum()
+        snap.histogram_merged_where(
+            "drift_stage_microseconds",
+            &[
+                ("tier", "gateway"),
+                ("stage", "queue_wait"),
+                ("outcome", outcome),
+            ],
+        )
+        .map_or(0, |h| h.count())
     };
     assert_eq!(waits("expired"), 2);
     assert_eq!(waits("ok"), 3);

@@ -46,13 +46,13 @@ pub struct MetricSpec {
     pub help: &'static str,
 }
 
-/// Buckets for per-job serve latency, microseconds.
+/// Buckets for every stage duration (`drift_stage_microseconds`),
+/// microseconds: 1 µs at the bottom resolves cache lookups and
+/// sub-50 µs Eq. 8 solves, 1 s at the top covers the slowest jobs.
 pub const LATENCY_US_BUCKETS: &[u64] = &[
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
+    1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
+    250_000, 1_000_000,
 ];
-
-/// Buckets for Eq. 8 solve wall time, nanoseconds.
-pub const SOLVE_NS_BUCKETS: &[u64] = &[1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
 
 /// Buckets for sampled queue depth, jobs.
 pub const QUEUE_DEPTH_BUCKETS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256];
@@ -154,20 +154,6 @@ pub const METRICS: &[MetricSpec] = &[
         help: "Solved schedules accepted from prewarm control messages into the cache",
     },
     MetricSpec {
-        name: "drift_gateway_queue_wait_microseconds",
-        kind: MetricKind::Histogram,
-        unit: "microseconds",
-        labels: &["outcome"],
-        help: "Admission-to-dequeue wait, labelled ok or expired at dequeue",
-    },
-    MetricSpec {
-        name: "drift_gateway_request_latency_microseconds",
-        kind: MetricKind::Histogram,
-        unit: "microseconds",
-        labels: &[],
-        help: "End-to-end request latency from admission to response enqueue",
-    },
-    MetricSpec {
         name: "drift_gateway_requests_accepted_total",
         kind: MetricKind::Counter,
         unit: "requests",
@@ -231,13 +217,6 @@ pub const METRICS: &[MetricSpec] = &[
         labels: &[],
         help:
             "Jobs re-dispatched to a ring successor after a shed, a dead shard, or a failed write",
-    },
-    MetricSpec {
-        name: "drift_router_hop_latency_microseconds",
-        kind: MetricKind::Histogram,
-        unit: "microseconds",
-        labels: &[],
-        help: "Forward-to-response latency of individual backend hops",
     },
     MetricSpec {
         name: "drift_router_inflight_requests",
@@ -317,20 +296,6 @@ pub const METRICS: &[MetricSpec] = &[
         help: "Schedule-cache lookups that ran the Eq. 8 sweep",
     },
     MetricSpec {
-        name: "drift_schedule_solve_nanoseconds",
-        kind: MetricKind::Histogram,
-        unit: "nanoseconds",
-        labels: &[],
-        help: "Wall time of individual Eq. 8 balanced-schedule sweeps",
-    },
-    MetricSpec {
-        name: "drift_schedule_solves_total",
-        kind: MetricKind::Counter,
-        unit: "solves",
-        labels: &[],
-        help: "Eq. 8 balanced-schedule sweeps executed",
-    },
-    MetricSpec {
         name: "drift_selector_convert_hc_total",
         kind: MetricKind::Counter,
         unit: "subtensors",
@@ -357,13 +322,6 @@ pub const METRICS: &[MetricSpec] = &[
         unit: "schedules",
         labels: &[],
         help: "Schedule-cache entries evicted (LRU within a full shard) to admit new ones",
-    },
-    MetricSpec {
-        name: "drift_serve_job_latency_microseconds",
-        kind: MetricKind::Histogram,
-        unit: "microseconds",
-        labels: &["worker"],
-        help: "Per-job wall latency, one histogram per worker",
     },
     MetricSpec {
         name: "drift_serve_jobs_rejected_total",
@@ -402,25 +360,18 @@ pub const METRICS: &[MetricSpec] = &[
         help: "Worker threads in the serving pool",
     },
     MetricSpec {
-        name: "drift_stage_calls_total",
-        kind: MetricKind::Counter,
-        unit: "spans",
-        labels: &["stage"],
-        help: "Completed spans per hierarchical stage path",
-    },
-    MetricSpec {
-        name: "drift_stage_sim_cycles_total",
+        name: "drift_sim_cycles_total",
         kind: MetricKind::Counter,
         unit: "cycles",
-        labels: &["stage"],
-        help: "Simulated cycles attributed to each stage path",
+        labels: &[],
+        help: "Simulated cycles across executed layers (what a Simulate job reports as cycles)",
     },
     MetricSpec {
-        name: "drift_stage_wall_nanoseconds_total",
-        kind: MetricKind::Counter,
-        unit: "nanoseconds",
-        labels: &["stage"],
-        help: "Wall time spent inside each stage path",
+        name: "drift_stage_microseconds",
+        kind: MetricKind::Histogram,
+        unit: "microseconds",
+        labels: &["tier", "stage", "outcome"],
+        help: "Duration of each timed stage, by tier, stage and outcome (the same timing its trace span carries)",
     },
     MetricSpec {
         name: "drift_store_bytes_written_total",
@@ -492,13 +443,6 @@ pub const METRICS: &[MetricSpec] = &[
         labels: &["service"],
         help: "Spans appended to the JSONL trace sink",
     },
-    MetricSpec {
-        name: "drift_trace_stage_duration_microseconds",
-        kind: MetricKind::Histogram,
-        unit: "microseconds",
-        labels: &["service", "stage"],
-        help: "Duration of recorded trace spans per service and stage",
-    },
 ];
 
 /// Looks up the contract entry for `name`.
@@ -532,7 +476,7 @@ mod tests {
 
     #[test]
     fn bucket_sets_are_strictly_increasing() {
-        for bounds in [LATENCY_US_BUCKETS, SOLVE_NS_BUCKETS, QUEUE_DEPTH_BUCKETS] {
+        for bounds in [LATENCY_US_BUCKETS, QUEUE_DEPTH_BUCKETS, BATCH_SIZE_BUCKETS] {
             assert!(bounds.windows(2).all(|w| w[0] < w[1]));
         }
     }

@@ -68,19 +68,6 @@ impl HistogramSample {
     }
 }
 
-/// One hierarchical stage-timing row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageSample {
-    /// Slash-separated span path (e.g. `serve_job/schedule_solve`).
-    pub stage: String,
-    /// Completed spans.
-    pub calls: u64,
-    /// Total wall nanoseconds.
-    pub wall_ns: u64,
-    /// Total simulated cycles attributed to the stage.
-    pub sim_cycles: u64,
-}
-
 /// A point-in-time copy of every metric in a registry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
@@ -92,8 +79,6 @@ pub struct Snapshot {
     pub gauges: Vec<Sample<i64>>,
     /// Histograms.
     pub histograms: Vec<HistogramSample>,
-    /// Stage timings, sorted by path.
-    pub stages: Vec<StageSample>,
 }
 
 impl Snapshot {
@@ -125,16 +110,6 @@ impl Snapshot {
                     sum,
                 })
                 .collect(),
-            stages: registry
-                .stages()
-                .into_iter()
-                .map(|(stage, t)| StageSample {
-                    stage,
-                    calls: t.calls,
-                    wall_ns: t.wall_ns,
-                    sim_cycles: t.sim_cycles,
-                })
-                .collect(),
         }
     }
 
@@ -157,11 +132,27 @@ impl Snapshot {
         self.histograms.iter().find(|h| h.id.name == name)
     }
 
-    /// Merges every histogram named `name` (e.g. per-worker latency
-    /// series) into one combined sample, or `None` when absent.
+    /// Merges every histogram named `name` (e.g. the series of every
+    /// tier and stage) into one combined sample, or `None` when absent.
     pub fn histogram_merged(&self, name: &str) -> Option<HistogramSample> {
+        self.histogram_merged_where(name, &[])
+    }
+
+    /// [`Snapshot::histogram_merged`] over only the series whose labels
+    /// include every pair of `labels`, e.g. one tier's stage.
+    pub fn histogram_merged_where(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+    ) -> Option<HistogramSample> {
+        let matches = |h: &&HistogramSample| {
+            h.id.name == name
+                && labels
+                    .iter()
+                    .all(|&(k, v)| h.id.labels.iter().any(|(hk, hv)| hk == k && hv == v))
+        };
         let mut merged: Option<HistogramSample> = None;
-        for h in self.histograms.iter().filter(|h| h.id.name == name) {
+        for h in self.histograms.iter().filter(matches) {
             match &mut merged {
                 None => {
                     let mut m = h.clone();
@@ -256,30 +247,6 @@ impl Snapshot {
                 h.count()
             ));
         }
-        // Stage timings surface as three derived counter families.
-        if !self.stages.is_empty() {
-            for (name, get) in [
-                (
-                    "drift_stage_calls_total",
-                    (|s: &StageSample| s.calls) as fn(&StageSample) -> u64,
-                ),
-                ("drift_stage_sim_cycles_total", |s: &StageSample| {
-                    s.sim_cycles
-                }),
-                ("drift_stage_wall_nanoseconds_total", |s: &StageSample| {
-                    s.wall_ns
-                }),
-            ] {
-                header(&mut out, name, MetricKind::Counter);
-                for s in &self.stages {
-                    out.push_str(&format!(
-                        "{name}{{stage=\"{}\"}} {}\n",
-                        escape_label(&s.stage),
-                        get(s)
-                    ));
-                }
-            }
-        }
         out
     }
 
@@ -307,25 +274,12 @@ impl Snapshot {
                 h.sum
             ));
         }
-        out.push_str("],\n  \"stages\": [");
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"stage\": {}, \"calls\": {}, \"wall_ns\": {}, \"sim_cycles\": {}}}",
-                json_str(&s.stage),
-                s.calls,
-                s.wall_ns,
-                s.sim_cycles
-            ));
-        }
         out.push_str("]\n}\n");
         out
     }
 
     /// Renders the human `drift report` table: counters and gauges with
-    /// their contract units, histogram quantiles, and the stage tree.
+    /// their contract units, and histogram quantiles.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         let unit = |name: &str| spec_for(name).map_or("", |s| s.unit);
@@ -370,21 +324,6 @@ impl Snapshot {
                     h.mean(),
                     display_quantile(h, 0.50),
                     display_quantile(h, 0.99),
-                ));
-            }
-        }
-        if !self.stages.is_empty() {
-            out.push_str(&format!(
-                "\n{:<40} {:>9} {:>12} {:>16}\n",
-                "stage", "calls", "wall(ms)", "sim-cycles"
-            ));
-            for s in &self.stages {
-                out.push_str(&format!(
-                    "{:<40} {:>9} {:>12.2} {:>16}\n",
-                    s.stage,
-                    s.calls,
-                    s.wall_ns as f64 / 1e6,
-                    s.sim_cycles
                 ));
             }
         }
@@ -528,19 +467,15 @@ mod tests {
                 value: 3,
             }],
             histograms: vec![HistogramSample {
-                id: MetricId::new("drift_serve_job_latency_microseconds", &[("worker", "0")]),
+                id: MetricId::new("drift_stage_microseconds", JOB_STAGE),
                 bounds: vec![50, 100, 250],
                 counts: vec![1, 2, 0, 1],
                 sum: 460,
             }],
-            stages: vec![StageSample {
-                stage: "serve_job/schedule_solve".to_string(),
-                calls: 4,
-                wall_ns: 8_000_000,
-                sim_cycles: 100,
-            }],
         }
     }
+
+    const JOB_STAGE: &[(&str, &str)] = &[("tier", "serve"), ("stage", "job"), ("outcome", "ok")];
 
     #[test]
     fn prometheus_format_is_well_formed() {
@@ -550,12 +485,12 @@ mod tests {
         assert!(text.contains("drift_energy_picojoules_total{stage=\"dram\"} 1234.5"));
         assert!(text.contains("# TYPE drift_serve_queue_depth gauge"));
         // Cumulative buckets: 1, 3, 3, +Inf=4.
-        assert!(text.contains("_bucket{worker=\"0\",le=\"50\"} 1"));
-        assert!(text.contains("_bucket{worker=\"0\",le=\"100\"} 3"));
-        assert!(text.contains("_bucket{worker=\"0\",le=\"+Inf\"} 4"));
-        assert!(text.contains("drift_serve_job_latency_microseconds_sum{worker=\"0\"} 460"));
-        assert!(text.contains("drift_serve_job_latency_microseconds_count{worker=\"0\"} 4"));
-        assert!(text.contains("drift_stage_calls_total{stage=\"serve_job/schedule_solve\"} 4"));
+        let labels = "outcome=\"ok\",stage=\"job\",tier=\"serve\"";
+        assert!(text.contains(&format!("_bucket{{{labels},le=\"50\"}} 1")));
+        assert!(text.contains(&format!("_bucket{{{labels},le=\"100\"}} 3")));
+        assert!(text.contains(&format!("_bucket{{{labels},le=\"+Inf\"}} 4")));
+        assert!(text.contains(&format!("drift_stage_microseconds_sum{{{labels}}} 460")));
+        assert!(text.contains(&format!("drift_stage_microseconds_count{{{labels}}} 4")));
     }
 
     #[test]
@@ -594,12 +529,20 @@ mod tests {
     fn merged_histograms_sum_counts() {
         let mut snap = sample_snapshot();
         let mut second = snap.histograms[0].clone();
-        second.id = MetricId::new("drift_serve_job_latency_microseconds", &[("worker", "1")]);
+        second.id = MetricId::new(
+            "drift_stage_microseconds",
+            &[("tier", "gateway"), ("stage", "request"), ("outcome", "ok")],
+        );
         snap.histograms.push(second);
-        let merged = snap
-            .histogram_merged("drift_serve_job_latency_microseconds")
-            .unwrap();
+        let merged = snap.histogram_merged("drift_stage_microseconds").unwrap();
         assert_eq!(merged.counts, vec![2, 4, 0, 2]);
         assert_eq!(merged.sum, 920);
+        let gateway = snap
+            .histogram_merged_where("drift_stage_microseconds", &[("tier", "gateway")])
+            .unwrap();
+        assert_eq!(gateway.counts, vec![1, 2, 0, 1]);
+        assert!(snap
+            .histogram_merged_where("drift_stage_microseconds", &[("tier", "router")])
+            .is_none());
     }
 }

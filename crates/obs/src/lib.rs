@@ -8,9 +8,11 @@
 //! * [`registry`] — [`MetricsRegistry`]: atomic counters, float
 //!   counters, gauges, and fixed-bucket histograms, keyed by
 //!   `(name, labels)`;
-//! * [`mod@span`] — [`Recorder`] and the [`span!`] guard macro: wall-time
-//!   and simulated-cycle durations folded into hierarchical stage
-//!   timings (`serve_job/schedule_solve`);
+//! * [`recorder`] — [`Recorder`], the on/off handle every metric
+//!   goes through;
+//! * [`stage`] — [`Stage`], the one timing primitive: a stage is timed
+//!   once, and ending it feeds both `drift_stage_microseconds` and the
+//!   request's trace span;
 //! * [`contract`] — the declared list of every exported metric (name,
 //!   kind, unit, labels, help), kept in sync with
 //!   `docs/OBSERVABILITY.md` by test;
@@ -26,17 +28,15 @@
 //! # Example
 //!
 //! ```rust
-//! use drift_obs::{span, Recorder};
+//! use drift_obs::{Recorder, Stage};
 //!
 //! let rec = Recorder::enabled();
 //! rec.counter_add("drift_serve_jobs_total", &[("kind", "simulate"), ("outcome", "ok")], 1);
-//! {
-//!     let solve = span!(rec, "schedule_solve");
-//!     solve.add_cycles(512);
-//! }
+//! let solve = Stage::new("core", "solve", &rec).open();
+//! solve.end("ok", &[]);
 //! let snapshot = rec.registry().unwrap().snapshot();
 //! assert!(snapshot.to_prometheus().contains("drift_serve_jobs_total"));
-//! assert_eq!(snapshot.stages[0].sim_cycles, 512);
+//! assert_eq!(snapshot.histogram("drift_stage_microseconds").unwrap().count(), 1);
 //!
 //! // The disabled recorder accepts the same calls and does nothing:
 //! let off = Recorder::disabled();
@@ -51,11 +51,13 @@
 pub mod contract;
 pub mod export;
 pub mod http;
+pub mod recorder;
 pub mod registry;
-pub mod span;
+pub mod stage;
 pub mod trace;
 
 pub use export::Snapshot;
-pub use registry::{Histogram, MetricsRegistry, StageTiming};
-pub use span::{Recorder, SpanGuard};
-pub use trace::{SpanRecord, TraceContext, TraceDecision, TraceId, Tracer};
+pub use recorder::Recorder;
+pub use registry::{Histogram, MetricsRegistry};
+pub use stage::{SpanCtx, Stage};
+pub use trace::{TraceContext, TraceDecision, TraceId, Tracer};

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// A metric identity: name plus sorted `(key, value)` labels.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -137,29 +137,16 @@ impl Histogram {
     }
 }
 
-/// Wall/simulated-time totals for one span path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTiming {
-    /// Completed spans on this path.
-    pub calls: u64,
-    /// Total wall time, nanoseconds.
-    pub wall_ns: u64,
-    /// Total simulated cycles attributed via
-    /// [`SpanGuard::add_cycles`](crate::span::SpanGuard::add_cycles).
-    pub sim_cycles: u64,
-}
-
 /// The registry of every live metric.
 ///
 /// Cheap to create, intended to be shared behind an `Arc` (see
-/// [`Recorder`](crate::span::Recorder)).
+/// [`Recorder`](crate::recorder::Recorder)).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<MetricId, Arc<AtomicU64>>>,
     fcounters: RwLock<BTreeMap<MetricId, Arc<AtomicF64>>>,
     gauges: RwLock<BTreeMap<MetricId, Arc<AtomicI64>>>,
     histograms: RwLock<BTreeMap<MetricId, Arc<Histogram>>>,
-    stages: Mutex<BTreeMap<String, StageTiming>>,
 }
 
 /// Get-or-register boilerplate shared by the four metric maps.
@@ -234,20 +221,6 @@ impl MetricsRegistry {
     /// Observes `v` into a histogram.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], bounds: &[u64], v: u64) {
         self.histogram(name, labels, bounds).observe(v);
-    }
-
-    /// Folds one completed span into its path's stage totals.
-    pub fn record_stage(&self, path: &str, wall_ns: u64, sim_cycles: u64) {
-        let mut stages = self.stages.lock().expect("stage lock");
-        let t = stages.entry(path.to_string()).or_default();
-        t.calls += 1;
-        t.wall_ns += wall_ns;
-        t.sim_cycles += sim_cycles;
-    }
-
-    /// A copy of the stage totals, keyed by span path.
-    pub fn stages(&self) -> BTreeMap<String, StageTiming> {
-        self.stages.lock().expect("stage lock").clone()
     }
 
     /// A point-in-time copy of every metric (see

@@ -19,18 +19,17 @@
 //! — travels downstream as optional wire fields and is never
 //! re-decided (see `docs/OBSERVABILITY.md` for the wire encoding).
 //!
-//! Each tier records completed [`SpanRecord`]s after the fact: callers
-//! hold the `Instant`s at which a stage started and ended, and the
-//! tracer converts them to wall-clock microseconds via an anchor pair
-//! captured at construction, which keeps timestamps monotonic within a
-//! process and comparable across same-host processes. Records are
-//! appended as one JSON object per line to the sink file
-//! (`--trace-out`), and the `drift trace` CLI merges per-tier files by
-//! trace id into end-to-end waterfalls.
+//! Spans are written only by ending a [`Stage`](crate::stage::Stage),
+//! which times each step once for both the metrics and the trace. The
+//! tracer converts the stage's start and end `Instant`s to wall-clock
+//! microseconds via an anchor pair captured at construction, which
+//! keeps timestamps monotonic within a process and comparable across
+//! same-host processes. Spans are appended as one JSON object per line
+//! to the sink file (`--trace-out`), and the `drift trace` CLI merges
+//! per-tier files by trace id into end-to-end waterfalls.
 
-use crate::contract::LATENCY_US_BUCKETS;
 use crate::export::json_str;
-use crate::span::Recorder;
+use crate::recorder::Recorder;
 use std::fmt;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -117,24 +116,20 @@ impl TraceDecision {
 }
 
 /// One completed span, ready to be appended to the trace sink.
-///
-/// Spans are recorded after the fact: the caller held the start/end
-/// `Instant`s and calls [`Tracer::record`] once the stage finished.
 #[derive(Debug)]
-pub struct SpanRecord<'a> {
-    /// Overrides the tracer's service name for this span. The serve
+pub(crate) struct SpanRecord<'a> {
+    /// The span's service: the tier of the stage that ended. The serve
     /// tier records through its host process's tracer (e.g. a
     /// gateway's), but its spans still belong to service `serve`.
-    pub service: Option<&'a str>,
+    pub service: &'a str,
     /// The trace this span belongs to.
     pub trace: TraceId,
     /// This span's id (from [`Tracer::new_span_id`]).
     pub span: u64,
     /// The parent span id, or `None` for a root span.
     pub parent: Option<u64>,
-    /// The stage name (e.g. `queue_wait`); combined with the tracer's
-    /// service name it forms the `svc.stage` key reported by
-    /// `drift trace`.
+    /// The stage name (e.g. `queue_wait`); combined with the service
+    /// it forms the `svc.stage` key reported by `drift trace`.
     pub stage: &'a str,
     /// When the stage started.
     pub start: Instant,
@@ -190,11 +185,12 @@ impl Tracer {
     }
 
     /// A tracer appending spans to the file at `path` (created or
-    /// truncated). `service` names this tier in every span,
-    /// `sample_every` is the N of "sample 1 in N" at the ingress edge,
-    /// and `seed` makes the sampled trace-id set reproducible. Trace
-    /// metrics (sampled/dropped/orphaned counters, stage histograms)
-    /// are emitted through `recorder`.
+    /// truncated). `service` names the process's tier (each span
+    /// carries the tier of the stage that wrote it), `sample_every` is
+    /// the N of "sample 1 in N" at the ingress edge, and `seed` makes
+    /// the sampled trace-id set reproducible. Trace metrics (sampled,
+    /// written, dropped and orphaned counters) are emitted through
+    /// `recorder`.
     pub fn to_file(
         path: &Path,
         service: &str,
@@ -245,7 +241,7 @@ impl Tracer {
         self.0.is_some()
     }
 
-    /// The service name spans are recorded under, when enabled.
+    /// The service name the tracer was created with, when enabled.
     pub fn service(&self) -> Option<&str> {
         self.0.as_ref().map(|i| i.service.as_str())
     }
@@ -319,10 +315,10 @@ impl Tracer {
     }
 
     /// Appends one completed span to the sink and updates the trace
-    /// metrics: `spans_written` + the per-stage duration histogram on
-    /// success, `spans_dropped` when the sink write fails, and
-    /// `spans_orphaned` when the sink was already closed.
-    pub fn record(&self, rec: &SpanRecord<'_>) {
+    /// metrics: `spans_written` on success, `spans_dropped` when the
+    /// sink write fails, and `spans_orphaned` when the sink was already
+    /// closed.
+    pub(crate) fn record(&self, rec: &SpanRecord<'_>) {
         let Some(inner) = &self.0 else {
             return;
         };
@@ -332,8 +328,7 @@ impl Tracer {
             .checked_duration_since(rec.start)
             .map(|d| d.as_micros().min(u128::from(u64::MAX)) as u64)
             .unwrap_or(0);
-        let service = rec.service.unwrap_or(&inner.service);
-        let line = render_span(service, rec, start_us, dur_us);
+        let line = render_span(rec, start_us, dur_us);
         let mut sink = inner.sink.lock().unwrap();
         match &mut *sink {
             Sink::Open(w) => {
@@ -345,14 +340,8 @@ impl Tracer {
                 if ok {
                     inner.recorder.counter_add(
                         "drift_trace_spans_written_total",
-                        &[("service", service)],
+                        &[("service", rec.service)],
                         1,
-                    );
-                    inner.recorder.observe(
-                        "drift_trace_stage_duration_microseconds",
-                        &[("service", service), ("stage", rec.stage)],
-                        LATENCY_US_BUCKETS,
-                        dur_us,
                     );
                 } else {
                     inner
@@ -400,7 +389,7 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn render_span(service: &str, rec: &SpanRecord<'_>, start_us: u64, dur_us: u64) -> String {
+fn render_span(rec: &SpanRecord<'_>, start_us: u64, dur_us: u64) -> String {
     let mut out = String::with_capacity(160);
     out.push_str("{\"trace\":\"");
     out.push_str(&rec.trace.to_string());
@@ -413,7 +402,7 @@ fn render_span(service: &str, rec: &SpanRecord<'_>, start_us: u64, dur_us: u64) 
         out.push('"');
     }
     out.push_str(",\"svc\":");
-    out.push_str(&json_str(service));
+    out.push_str(&json_str(rec.service));
     out.push_str(",\"stage\":");
     out.push_str(&json_str(rec.stage));
     out.push_str(&format!(",\"start_us\":{start_us},\"dur_us\":{dur_us}"));
@@ -479,7 +468,7 @@ mod tests {
         assert_eq!(t.wall_us(Instant::now()), 0);
         let now = Instant::now();
         t.record(&SpanRecord {
-            service: None,
+            service: "noop",
             trace: TraceId(1),
             span: 1,
             parent: None,
@@ -536,7 +525,7 @@ mod tests {
         assert_ne!(root, child);
         let start = Instant::now();
         t.record(&SpanRecord {
-            service: None,
+            service: "gateway",
             trace,
             span: root,
             parent: None,
@@ -547,7 +536,7 @@ mod tests {
             attrs: &[("outcome", "ok")],
         });
         t.record(&SpanRecord {
-            service: None,
+            service: "gateway",
             trace,
             span: child,
             parent: Some(root),
@@ -582,7 +571,7 @@ mod tests {
         let t = Tracer::to_writer(Box::new(buf.clone()), "serve", 1, 0, rec.clone());
         let now = Instant::now();
         let span = SpanRecord {
-            service: None,
+            service: "serve",
             trace: TraceId(9),
             span: 1,
             parent: None,

@@ -2,7 +2,7 @@
 //! Prometheus escaping, concurrent-update exactness, the golden
 //! `drift report` table, and the contract/docs sync check.
 
-use drift_obs::export::{HistogramSample, Sample, StageSample};
+use drift_obs::export::{HistogramSample, Sample};
 use drift_obs::registry::MetricId;
 use drift_obs::{contract, MetricsRegistry, Recorder, Snapshot};
 
@@ -98,25 +98,14 @@ fn golden_snapshot() -> Snapshot {
             value: 2,
         }],
         histograms: vec![HistogramSample {
-            id: MetricId::new("drift_serve_job_latency_microseconds", &[("worker", "0")]),
+            id: MetricId::new(
+                "drift_stage_microseconds",
+                &[("tier", "serve"), ("stage", "job"), ("outcome", "ok")],
+            ),
             bounds: contract::LATENCY_US_BUCKETS.to_vec(),
-            counts: vec![0, 3, 10, 17, 6, 3, 1, 0, 0, 0, 0, 0, 0],
+            counts: vec![0, 0, 0, 0, 0, 0, 3, 10, 17, 6, 3, 1, 0, 0, 0, 0, 0, 0, 0],
             sum: 24_000,
         }],
-        stages: vec![
-            StageSample {
-                stage: "serve_job".to_string(),
-                calls: 40,
-                wall_ns: 120_000_000,
-                sim_cycles: 700_000,
-            },
-            StageSample {
-                stage: "serve_job/schedule_solve".to_string(),
-                calls: 7,
-                wall_ns: 2_500_000,
-                sim_cycles: 0,
-            },
-        ],
     }
 }
 

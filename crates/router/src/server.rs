@@ -55,12 +55,12 @@ use drift_accel::systolic::ArrayGeometry;
 use drift_core::arch::paper_fabric;
 use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_gateway::client::{Client, ClientReader, ClientWriter};
-use drift_gateway::framing::{LineEvent, LineReader};
+use drift_gateway::framing::{LineEventRef, LineReader};
 use drift_gateway::protocol::{
     self, ControlOp, Request, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_OVERLOADED,
 };
 use drift_gateway::Response;
-use drift_obs::{Recorder, SpanRecord, TraceContext, TraceDecision, TraceId, Tracer};
+use drift_obs::{Recorder, SpanCtx, Stage, TraceContext, TraceDecision, Tracer};
 use drift_serve::job::{result_line, JobSpec};
 use drift_serve::worker::schedule_key_for;
 use serde::Value;
@@ -246,16 +246,40 @@ enum EntryTrace {
     /// Sampled with the router tracing: record a root `request` span
     /// plus one `hop` span per dispatch attempt.
     Sampled {
-        /// The trace this request belongs to.
-        trace: TraceId,
-        /// The upstream parent span carried on the wire, if any.
-        parent: Option<u64>,
-        /// The router's root `request` span id (settles with the job).
-        root_span: u64,
+        /// The router's root `request` span (settles with the job),
+        /// parented under the upstream span carried on the wire, if any.
+        request: SpanCtx,
         /// The current dispatch attempt's span id (re-minted per hop);
         /// forwarded downstream as the gateway's parent span.
         hop_span: u64,
     },
+}
+
+impl EntryTrace {
+    /// The root `request` span, when sampled with the router tracing.
+    fn request_span(&self) -> Option<SpanCtx> {
+        match *self {
+            EntryTrace::Sampled { request, .. } => Some(request),
+            _ => None,
+        }
+    }
+
+    /// The current dispatch attempt's `hop` span, under the request span.
+    fn hop_span(&self) -> Option<SpanCtx> {
+        match *self {
+            EntryTrace::Sampled { request, hop_span } => Some(SpanCtx {
+                trace: request.trace,
+                span: hop_span,
+                parent: Some(request.span),
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// A router-tier stage, written as a span under `span` when sampled.
+fn stage<'a>(shared: &'a Shared, name: &'static str, span: Option<SpanCtx>) -> Stage<'a> {
+    Stage::new("router", name, &shared.recorder).traced(&shared.tracer, span)
 }
 
 /// The client-visible state of one admitted request line — a singleton
@@ -323,25 +347,11 @@ impl ClientRequest {
         } else {
             protocol::batch_response_line(self.orig_id, &items)
         };
-        if let EntryTrace::Sampled {
-            trace,
-            parent,
-            root_span,
-            ..
-        } = self.trace
-        {
-            shared.tracer.record(&SpanRecord {
-                service: None,
-                trace,
-                span: root_span,
-                parent,
-                stage: "request",
-                start: self.admitted,
-                end: Instant::now(),
-                job: Some(self.orig_id),
-                attrs: &[("outcome", if self.single { outcome } else { "ok" })],
-            });
-        }
+        let outcome = if self.single { outcome } else { "ok" };
+        stage(shared, "request", self.trace.request_span())
+            .job(self.orig_id)
+            .since(self.admitted)
+            .end(outcome, &[("outcome", outcome)]);
         shared
             .recorder
             .gauge_add("drift_router_inflight_requests", &[], -(total as i64));
@@ -741,36 +751,23 @@ fn orphan_failover(shared: &Arc<Shared>, link: &Arc<ShardLink>) {
             .collect()
     };
     for orphan in orphans {
-        record_hop_span(shared, &orphan, "shard_dead");
+        end_hop(shared, &orphan, "shard_dead");
         count_failover(shared);
         route(shared, &orphan.request, orphan.items);
     }
 }
 
-/// Records the span of a sub-batch's current dispatch attempt (started
-/// at `batch.sent`, against `batch.shard`). A no-op unless the request
-/// is sampled with the router tracing.
-fn record_hop_span(shared: &Shared, batch: &PendingBatch, outcome: &str) {
-    let EntryTrace::Sampled {
-        trace,
-        root_span,
-        hop_span,
-        ..
-    } = batch.trace
-    else {
-        return;
-    };
-    shared.tracer.record(&SpanRecord {
-        service: None,
-        trace,
-        span: hop_span,
-        parent: Some(root_span),
-        stage: "hop",
-        start: batch.sent,
-        end: Instant::now(),
-        job: Some(batch.request.orig_id),
-        attrs: &[("outcome", outcome), ("shard", &batch.shard.addr)],
-    });
+/// Ends the `hop` stage of a sub-batch's current dispatch attempt
+/// (started at `batch.sent`, against `batch.shard`). Every way a hop
+/// ends calls this exactly once.
+fn end_hop(shared: &Shared, batch: &PendingBatch, outcome: &str) {
+    stage(shared, "hop", batch.trace.hop_span())
+        .job(batch.request.orig_id)
+        .since(batch.sent)
+        .end(
+            outcome,
+            &[("outcome", outcome), ("shard", &batch.shard.addr)],
+        );
 }
 
 fn count_failover(shared: &Shared) {
@@ -797,8 +794,7 @@ fn on_backend_response(shared: &Arc<Shared>, response: Response) {
     };
     match response {
         Response::Batch { items, .. } => {
-            observe_hop(shared, batch.sent);
-            record_hop_span(shared, &batch, "ok");
+            end_hop(shared, &batch, "ok");
             // Splice each item back into its client slot. Re-rendering
             // the parsed payload goes through the same serialisers the
             // gateway used, so the bytes match a direct submission.
@@ -820,17 +816,15 @@ fn on_backend_response(shared: &Arc<Shared>, response: Response) {
             }
         }
         Response::Error { error, .. } if error == ERR_OVERLOADED => {
-            observe_hop(shared, batch.sent);
             // The gateway shed the whole sub-batch (admission is
             // all-or-shed): walk its items on to their next untried
             // shards.
-            record_hop_span(shared, &batch, "overloaded");
+            end_hop(shared, &batch, "overloaded");
             count_failover(shared);
             route(shared, &batch.request, batch.items);
         }
         Response::Error { error, .. } => {
-            observe_hop(shared, batch.sent);
-            record_hop_span(shared, &batch, "error");
+            end_hop(shared, &batch, "error");
             batch
                 .request
                 .settle_all(shared, &batch.items, &error, &error);
@@ -838,23 +832,12 @@ fn on_backend_response(shared: &Arc<Shared>, response: Response) {
         // Protocol violation — a singleton result correlated to a
         // sub-batch id. Settle the slots so the request never hangs.
         _ => {
-            record_hop_span(shared, &batch, "error");
+            end_hop(shared, &batch, "error");
             let items = &batch.items;
             batch
                 .request
                 .settle_all(shared, items, ERR_BAD_REQUEST, ERR_BAD_REQUEST);
         }
-    }
-}
-
-fn observe_hop(shared: &Shared, sent: Instant) {
-    if shared.recorder.is_enabled() {
-        shared.recorder.observe(
-            "drift_router_hop_latency_microseconds",
-            &[],
-            drift_obs::contract::LATENCY_US_BUCKETS,
-            sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-        );
     }
 }
 
@@ -966,10 +949,8 @@ fn route(shared: &Arc<Shared>, request: &Arc<ClientRequest>, items: Routing) {
             let decision = match trace {
                 EntryTrace::Off => TraceDecision::Undecided,
                 EntryTrace::Forward(decision) => decision,
-                EntryTrace::Sampled {
-                    trace, hop_span, ..
-                } => TraceDecision::Sampled(TraceContext {
-                    trace_id: trace,
+                EntryTrace::Sampled { request, hop_span } => TraceDecision::Sampled(TraceContext {
+                    trace_id: request.trace,
                     parent_span: Some(hop_span),
                 }),
             };
@@ -1019,7 +1000,7 @@ fn route(shared: &Arc<Shared>, request: &Arc<ClientRequest>, items: Routing) {
             else {
                 continue;
             };
-            record_hop_span(shared, &reclaimed, "write_failed");
+            end_hop(shared, &reclaimed, "write_failed");
             eject(shared, &link);
             count_failover(shared);
             work.push(reclaimed.items);
@@ -1082,19 +1063,21 @@ fn connection(stream: TcpStream, shared: &Arc<Shared>) {
     let mut last_activity = Instant::now();
     let idle = shared.config.idle_timeout_ms;
     while !shared.should_stop() {
-        match lines.next_line() {
-            LineEvent::Line(line) => {
+        // The borrowed variant keeps each request line in the reader's
+        // reused scratch buffer: no per-line allocation.
+        match lines.next_line_ref() {
+            LineEventRef::Line(line) => {
                 last_activity = Instant::now();
-                if !handle_client_line(&line, shared, &reply_tx) {
+                if !handle_client_line(line, shared, &reply_tx) {
                     break;
                 }
             }
-            LineEvent::TimedOut => {
+            LineEventRef::TimedOut => {
                 if idle > 0 && last_activity.elapsed() >= Duration::from_millis(idle) {
                     break;
                 }
             }
-            LineEvent::Eof | LineEvent::Failed => break,
+            LineEventRef::Eof | LineEventRef::Failed => break,
         }
     }
     // Dropping our sender lets the writer exit once every in-flight
@@ -1198,9 +1181,11 @@ fn resolve_entry_trace(shared: &Shared, trace_wire: TraceDecision) -> EntryTrace
         };
         match decision.context() {
             Some(ctx) => EntryTrace::Sampled {
-                trace: ctx.trace_id,
-                parent: ctx.parent_span,
-                root_span: shared.tracer.new_span_id(),
+                request: SpanCtx {
+                    trace: ctx.trace_id,
+                    span: shared.tracer.new_span_id(),
+                    parent: ctx.parent_span,
+                },
                 hop_span: 0,
             },
             None => EntryTrace::Forward(TraceDecision::Unsampled),

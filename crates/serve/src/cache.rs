@@ -15,7 +15,7 @@
 
 use crossbeam::channel::Sender;
 use drift_core::schedule::{Schedule, ScheduleKey};
-use drift_obs::{span, Recorder, SpanRecord, TraceId, Tracer};
+use drift_obs::{Recorder, SpanCtx, Stage, Tracer};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -93,7 +93,7 @@ impl ScheduleCache {
     }
 
     /// Like [`ScheduleCache::new`], but mirroring hit/miss/residency
-    /// counters and Eq. 8 solve timings into `recorder`.
+    /// counters and the lookup and Eq. 8 solve stages into `recorder`.
     pub fn with_recorder(capacity: usize, shards: usize, recorder: Recorder) -> Self {
         let shards = shards.clamp(1, capacity.max(1));
         ScheduleCache {
@@ -250,11 +250,10 @@ impl ScheduleCache {
         self.get_or_solve_traced(key, &Tracer::disabled(), None)
     }
 
-    /// [`ScheduleCache::get_or_solve`], additionally recording
-    /// serve-tier `cache_lookup` (and, on a miss, `solve`) trace spans
-    /// parented under `ctx` = (trace id, parent span id). With a
-    /// disabled tracer or no context the behaviour — including every
-    /// recorder metric — is identical to [`ScheduleCache::get_or_solve`].
+    /// [`ScheduleCache::get_or_solve`], timing the serve-tier
+    /// `cache_lookup` stage and, on a miss, the `solve` stage: into the
+    /// cache's recorder, and as trace spans through `tracer` under
+    /// `parent` when the request is sampled.
     ///
     /// # Errors
     ///
@@ -263,57 +262,26 @@ impl ScheduleCache {
         &self,
         key: ScheduleKey,
         tracer: &Tracer,
-        ctx: Option<(TraceId, u64)>,
+        parent: Option<SpanCtx>,
     ) -> drift_core::Result<(Schedule, bool)> {
-        use std::time::Instant;
-        let trace = if tracer.is_enabled() { ctx } else { None };
-        let lookup_start = trace.map(|_| Instant::now());
+        let stage = |name| {
+            Stage::new("serve", name, &self.recorder)
+                .traced(tracer, parent.map(|p| p.child(tracer)))
+                .open()
+        };
+        let lookup = stage("cache_lookup");
         let got = self.get(&key);
-        if let (Some((trace_id, parent)), Some(lookup_start)) = (trace, lookup_start) {
-            tracer.record(&SpanRecord {
-                service: Some("serve"),
-                trace: trace_id,
-                span: tracer.new_span_id(),
-                parent: Some(parent),
-                stage: "cache_lookup",
-                start: lookup_start,
-                end: Instant::now(),
-                job: None,
-                attrs: &[("hit", if got.is_some() { "true" } else { "false" })],
-            });
-        }
+        let hit = got.is_some();
+        lookup.end(
+            if hit { "hit" } else { "miss" },
+            &[("hit", if hit { "true" } else { "false" })],
+        );
         if let Some(schedule) = got {
             return Ok((schedule, true));
         }
-        let trace_solve_start = trace.map(|_| Instant::now());
-        let solve_start = self.recorder.is_enabled().then(Instant::now);
-        let schedule = {
-            let _solve = span!(self.recorder, "schedule_solve");
-            key.solve()?
-        };
-        if let Some(start) = solve_start {
-            self.recorder
-                .counter_add("drift_schedule_solves_total", &[], 1);
-            self.recorder.observe(
-                "drift_schedule_solve_nanoseconds",
-                &[],
-                drift_obs::contract::SOLVE_NS_BUCKETS,
-                start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            );
-        }
-        if let (Some((trace_id, parent)), Some(start)) = (trace, trace_solve_start) {
-            tracer.record(&SpanRecord {
-                service: Some("serve"),
-                trace: trace_id,
-                span: tracer.new_span_id(),
-                parent: Some(parent),
-                stage: "solve",
-                start,
-                end: Instant::now(),
-                job: None,
-                attrs: &[],
-            });
-        }
+        let solve = stage("solve");
+        let schedule = key.solve()?;
+        solve.end("ok", &[]);
         // Only the solve that added the key spills it: a concurrent
         // miss on the same key inserts the identical schedule, and a
         // second spill would write a duplicate store record.

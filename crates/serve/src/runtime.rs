@@ -320,13 +320,15 @@ mod tests {
             snap.counter_sum("drift_schedule_cache_misses_total"),
             observed.report.cache.misses
         );
-        let latency = snap
-            .histogram_merged("drift_serve_job_latency_microseconds")
-            .expect("latency histogram present");
-        assert_eq!(latency.count(), 80);
-        let stages = rec.registry().unwrap().stages();
-        assert_eq!(stages["serve_job"].calls, 80);
-        assert!(stages.contains_key("serve_job/schedule_solve"));
+        let stage = |name| {
+            snap.histogram_merged_where(
+                "drift_stage_microseconds",
+                &[("tier", "serve"), ("stage", name)],
+            )
+            .map_or(0, |h| h.count())
+        };
+        assert_eq!(stage("job"), 80);
+        assert_eq!(stage("solve"), observed.report.cache.misses);
     }
 
     #[test]
@@ -341,7 +343,7 @@ mod tests {
             "drift_schedule_cache_hits_total",
             "drift_schedule_cache_misses_total",
             "drift_array_busy_cycles_total{array=\"",
-            "drift_serve_job_latency_microseconds_bucket{",
+            "drift_stage_microseconds_bucket{outcome=\"ok\",stage=\"job\",tier=\"serve\",",
             "drift_serve_workers 2",
             "drift_selector_decisions_total{decision=\"",
         ] {

@@ -21,7 +21,7 @@ use drift_core::accelerator::DriftAccelerator;
 use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_core::selector::{record_policy_run, DriftPolicy};
 use drift_nn::datagen::TokenProfile;
-use drift_obs::{span, Recorder, SpanRecord, TraceId, Tracer};
+use drift_obs::{Recorder, SpanCtx, Stage, Tracer};
 use drift_quant::Precision;
 use drift_tensor::rng::{derive_seed, seeded};
 use rand::Rng;
@@ -88,11 +88,10 @@ pub fn execute_group(
 /// same pure function of the key. Failures land in
 /// [`JobOutcome::Error`] rather than tearing down the worker.
 ///
-/// Serve-tier trace spans (`cache_lookup`/`solve` around the schedule
-/// cache, `execute` around the simulator or selector) are recorded
-/// through `tracer`, parented under `ctx` = (trace id, parent span id).
-/// With a disabled tracer or no context the outcomes and every metric
-/// are unchanged.
+/// The serve-tier stages (`cache_lookup`/`solve` around the schedule
+/// cache, `execute` around the simulator or selector) are timed into
+/// `recorder` and, when the request is sampled, written as spans
+/// through `tracer` under `parent`. Neither changes any outcome.
 pub fn execute_traced(
     key: Option<&ScheduleKey>,
     specs: &[JobSpec],
@@ -100,7 +99,7 @@ pub fn execute_traced(
     cache: &ScheduleCache,
     recorder: &Recorder,
     tracer: &Tracer,
-    ctx: Option<(TraceId, u64)>,
+    parent: Option<SpanCtx>,
 ) -> Vec<(JobOutcome, bool)> {
     debug_assert!(key.is_none_or(|key| specs
         .iter()
@@ -109,7 +108,7 @@ pub fn execute_traced(
         cache,
         recorder,
         tracer,
-        ctx: if tracer.is_enabled() { ctx } else { None },
+        parent,
     };
     let mut resolved = key.map(|key| exec.schedule(*key));
     specs
@@ -135,33 +134,24 @@ struct Exec<'a> {
     cache: &'a ScheduleCache,
     recorder: &'a Recorder,
     tracer: &'a Tracer,
-    /// The trace context, `None` unless the tracer is enabled.
-    ctx: Option<(TraceId, u64)>,
+    /// The span the group's serve-tier spans hang under, when sampled.
+    parent: Option<SpanCtx>,
 }
 
 impl Exec<'_> {
     /// Looks `key` up in the cache, solving it on a miss.
     fn schedule(&self, key: ScheduleKey) -> Result<(Schedule, bool), String> {
         self.cache
-            .get_or_solve_traced(key, self.tracer, self.ctx)
+            .get_or_solve_traced(key, self.tracer, self.parent)
             .map_err(|e| e.to_string())
     }
 
-    /// Records a serve-tier `execute` span covering `start`..now.
-    fn execute_span(&self, start: Option<Instant>, kind: &str) {
-        if let (Some((trace, parent)), Some(start)) = (self.ctx, start) {
-            self.tracer.record(&SpanRecord {
-                service: Some("serve"),
-                trace,
-                span: self.tracer.new_span_id(),
-                parent: Some(parent),
-                stage: "execute",
-                start,
-                end: Instant::now(),
-                job: None,
-                attrs: &[("kind", kind)],
-            });
-        }
+    /// Opens a serve-tier `execute` stage; the caller ends it with the
+    /// job kind once the simulator or selector returns.
+    fn execute_stage(&self) -> Stage<'_> {
+        Stage::new("serve", "execute", self.recorder)
+            .traced(self.tracer, self.parent.map(|p| p.child(self.tracer)))
+            .open()
     }
 }
 
@@ -238,7 +228,7 @@ fn run_job(
             delta,
             profile,
         } => {
-            let exec_start = exec.ctx.map(|_| Instant::now());
+            let stage = exec.execute_stage();
             let profile = TokenProfile::by_name(profile)
                 .ok_or_else(|| format!("unknown profile '{profile}'"))?;
             // Only the decisions are answered, so the tensor streams
@@ -249,7 +239,7 @@ fn run_job(
             let policy = DriftPolicy::new(*delta).map_err(|e| e.to_string())?;
             let selection = stats.select(Precision::INT8, &policy);
             record_policy_run(exec.recorder, &selection.decisions);
-            exec.execute_span(exec_start, "select");
+            stage.end("ok", &[("kind", "select")]);
             Ok((
                 JobOutcome::Select {
                     low_subtensors: selection.low_subtensors(),
@@ -292,11 +282,11 @@ fn run_job(
                 Some(shared) => shared,
                 None => exec.schedule(ScheduleKey::for_workload(&workload, accel.fabric()))?,
             };
-            let exec_start = exec.ctx.map(|_| Instant::now());
+            let stage = exec.execute_stage();
             let report = accel
                 .execute_with_schedule(&workload, schedule)
                 .map_err(|e| e.to_string())?;
-            exec.execute_span(exec_start, "simulate");
+            stage.end("ok", &[("kind", "simulate")]);
             Ok((
                 JobOutcome::Simulate {
                     cycles: report.cycles,
@@ -331,68 +321,46 @@ pub(crate) fn worker_loop(
     let mut accel =
         DriftAccelerator::paper_config().expect("the paper configuration always builds");
     accel.set_recorder(recorder.clone());
-    let worker_label = worker.to_string();
     let mut stats = WorkerStats::new(worker);
     while let Some((seq, spec)) = jobs.next_job() {
         // Offline serve is its own ingress edge: the submission
         // sequence number is the sampling input, and each sampled job
         // gets a root `job` span with cache/solve/execute children.
-        let job_trace = tracer
-            .decide(seq)
-            .context()
-            .map(|c| (c.trace_id, tracer.new_span_id()));
+        let span = tracer.decide(seq).context().map(|c| SpanCtx {
+            trace: c.trace_id,
+            span: tracer.new_span_id(),
+            parent: None,
+        });
         let start = Instant::now();
-        let (outcome, cache_hit) = {
-            let job_span = span!(recorder, "serve_job");
-            let (outcome, cache_hit) = execute_traced(
-                None,
-                std::slice::from_ref(&spec),
-                &mut accel,
-                cache,
-                &recorder,
-                &tracer,
-                job_trace,
-            )
-            .remove(0);
-            if let JobOutcome::Simulate { cycles, .. } = &outcome {
-                job_span.add_cycles(*cycles);
-            }
-            (outcome, cache_hit)
-        };
-        let latency = start.elapsed();
+        let (outcome, cache_hit) = execute_traced(
+            None,
+            std::slice::from_ref(&spec),
+            &mut accel,
+            cache,
+            &recorder,
+            &tracer,
+            span,
+        )
+        .remove(0);
+        let end = Instant::now();
+        let latency = end.duration_since(start);
         let is_error = matches!(outcome, JobOutcome::Error { .. });
-        if let Some((trace, span_id)) = job_trace {
-            tracer.record(&SpanRecord {
-                service: None,
-                trace,
-                span: span_id,
-                parent: None,
-                stage: "job",
-                start,
-                end: Instant::now(),
-                job: Some(spec.id),
-                attrs: &[
-                    ("kind", spec.kind.label()),
-                    ("outcome", if is_error { "error" } else { "ok" }),
-                ],
-            });
-        }
-        if recorder.is_enabled() {
-            recorder.counter_add(
-                "drift_serve_jobs_total",
-                &[
-                    ("kind", spec.kind.label()),
-                    ("outcome", if is_error { "error" } else { "ok" }),
-                ],
-                1,
+        let job_outcome = if is_error { "error" } else { "ok" };
+        let kind = spec.kind.label();
+        Stage::new("serve", "job", &recorder)
+            .traced(&tracer, span)
+            .job(spec.id)
+            .since(start)
+            .end_at(
+                end,
+                job_outcome,
+                &[("kind", kind), ("outcome", job_outcome)],
             );
-            recorder.observe(
-                "drift_serve_job_latency_microseconds",
-                &[("worker", &worker_label)],
-                drift_obs::contract::LATENCY_US_BUCKETS,
-                latency.as_micros().min(u128::from(u64::MAX)) as u64,
-            );
-        }
+        recorder.counter_add(
+            "drift_serve_jobs_total",
+            &[("kind", kind), ("outcome", job_outcome)],
+            1,
+        );
         stats.record(latency, cache_hit, is_error);
         if results
             .send((

@@ -10,6 +10,17 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== one stage-timing primitive =="
+# Every stage is timed once, through drift_obs::Stage, which feeds both
+# drift_stage_microseconds and the trace span (docs/OBSERVABILITY.md).
+# Outside crates/obs no code may build a SpanRecord, reference a
+# latency bucket set, or open a span! guard.
+if grep -rnE 'SpanRecord|(LATENCY|SOLVE)_[A-Z]+_BUCKETS|\bspan!' \
+  --include='*.rs' crates src tests examples | grep -v '^crates/obs/'; then
+  echo "stage lint: time stages with drift_obs::Stage, not by hand" >&2
+  exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
