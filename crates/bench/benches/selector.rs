@@ -10,12 +10,16 @@ use drift_quant::linear::QuantParams;
 use drift_quant::policy::{PrecisionPolicy, TensorContext};
 use drift_quant::precision::Precision;
 use drift_tensor::rng::seeded;
-use drift_tensor::stats::SummaryStats;
+use drift_tensor::stats::{AbsStats, SummaryStats};
 
 fn bench_selector(c: &mut Criterion) {
     let policy = DriftPolicy::new(0.3).expect("delta is valid");
-    let rows = TokenProfile::bert().row_stats(1024, 768, 7);
-    let mut global = SummaryStats::new();
+    let rows: Vec<AbsStats> = TokenProfile::bert()
+        .row_stats(1024, 768, 7)
+        .iter()
+        .map(SummaryStats::abs)
+        .collect();
+    let mut global = AbsStats::new();
     for r in &rows {
         global.merge(r);
     }
@@ -38,7 +42,7 @@ fn bench_selector(c: &mut Criterion) {
         use drift_tensor::dist::Sampler;
         b.iter_batched(
             || lap.sample_f32(&mut rng, 768),
-            SummaryStats::from_slice,
+            AbsStats::from_slice,
             BatchSize::SmallInput,
         )
     });

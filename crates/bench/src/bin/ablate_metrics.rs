@@ -21,7 +21,7 @@ use drift_quant::capability::RepresentationCapability;
 use drift_quant::convert::ConversionChoice;
 use drift_quant::policy::{Decision, PrecisionPolicy, StaticHighPolicy, TensorContext};
 use drift_quant::precision::Precision;
-use drift_tensor::stats::SummaryStats;
+use drift_tensor::stats::AbsStats;
 use drift_tensor::Tensor;
 
 /// Density-test-only policy: fixed range-preserving conversion, gated
@@ -36,7 +36,7 @@ impl PrecisionPolicy for RdOnlyPolicy {
         "rd-only"
     }
 
-    fn decide(&self, ctx: &TensorContext, stats: &SummaryStats) -> Decision {
+    fn decide(&self, ctx: &TensorContext, stats: &AbsStats) -> Decision {
         let hp = ctx.params.precision;
         if hp.bits() <= 4 {
             return Decision::Keep;

@@ -43,7 +43,7 @@ fn main() {
     // Three example sub-tensors, one per row of the paper's figure.
     let policy = DriftPolicy::new(1.0).expect("delta is valid");
     let ctx = TensorContext {
-        global: stats_with(1.27, 0.4),
+        global: stats_with(1.27, 0.4).abs(),
         params,
     };
     let examples = [
@@ -61,7 +61,7 @@ fn main() {
             .expect("INT4 < INT8");
         let cap = RepresentationCapability::of(&choice, &params);
         let ratio = cap.density_ratio(2.0 * stats.mean_abs() * stats.mean_abs());
-        let decision = policy.decide(&ctx, &stats);
+        let decision = policy.decide(&ctx, &stats.abs());
         rows.push(vec![
             label.to_string(),
             format!("{:.3}", stats.abs_max()),

@@ -22,7 +22,7 @@ use drift_quant::intgemm::{int_gemm, CodedMatrix};
 use drift_quant::linear::QuantParams;
 use drift_quant::policy::{PrecisionPolicy, TensorContext};
 use drift_quant::precision::Precision;
-use drift_tensor::stats::SummaryStats;
+use drift_tensor::stats::AbsStats;
 use drift_tensor::Tensor;
 
 fn main() {
@@ -119,17 +119,15 @@ fn main() {
 
     // Index buffer filled by the selector.
     let mut controller = PrecisionController::drift_default();
+    let global = AbsStats::from_slice(acts.as_slice());
     let ctx = TensorContext {
-        global: SummaryStats::from_slice(acts.as_slice()),
-        params: QuantParams::from_abs_max(
-            SummaryStats::from_slice(acts.as_slice()).abs_max(),
-            Precision::INT8,
-        ),
+        global,
+        params: QuantParams::from_abs_max(global.abs_max(), Precision::INT8),
     };
     let mut act_high = Vec::new();
     for r in 0..8 {
         let row = &acts.as_slice()[r * 12..(r + 1) * 12];
-        let d = policy.decide(&ctx, &SummaryStats::from_slice(row));
+        let d = policy.decide(&ctx, &AbsStats::from_slice(row));
         act_high.push(!d.is_low());
         controller.record(r, d).expect("index buffer has room");
     }

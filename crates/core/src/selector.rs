@@ -36,7 +36,7 @@ use drift_quant::convert::ConversionChoice;
 use drift_quant::linear::QuantParams;
 use drift_quant::policy::{Decision, PrecisionPolicy, SubTensorDecision, TensorContext};
 use drift_quant::precision::Precision;
-use drift_tensor::stats::SummaryStats;
+use drift_tensor::stats::AbsStats;
 
 /// The Drift precision policy.
 ///
@@ -205,7 +205,7 @@ impl PrecisionPolicy for DriftPolicy {
         "drift"
     }
 
-    fn decide(&self, ctx: &TensorContext, stats: &SummaryStats) -> Decision {
+    fn decide(&self, ctx: &TensorContext, stats: &AbsStats) -> Decision {
         let Some(choice) = self.range_choice(stats.abs_max(), &ctx.params) else {
             return Decision::Keep;
         };
@@ -234,7 +234,7 @@ mod tests {
 
     fn ctx(abs_max: f64) -> TensorContext {
         TensorContext {
-            global: SummaryStats::from_slice([abs_max as f32, -(abs_max as f32)]),
+            global: AbsStats::from_slice([abs_max as f32, -(abs_max as f32)]),
             params: QuantParams::from_abs_max(abs_max, Precision::INT8),
         }
     }
@@ -314,7 +314,7 @@ mod tests {
         let policy = DriftPolicy::new(10.0).unwrap();
         let c = ctx(1.0);
         // A sub-tensor with moderate range but tiny mean magnitude.
-        let stats = SummaryStats::from_slice([0.9f32, -0.001, 0.001, -0.9]);
+        let stats = AbsStats::from_slice([0.9f32, -0.001, 0.001, -0.9]);
         // Range forces hc = 0 ⇒ lc = 4 ⇒ RD = 16Δ; var = 2·0.45²≈0.4;
         // ratio = 0.4 / (16/127) ≈ 3.2 < 10 ⇒ keep.
         assert_eq!(policy.decide(&c, &stats), Decision::Keep);
@@ -324,7 +324,7 @@ mod tests {
     fn eq6_large_variance_converts() {
         let policy = DriftPolicy::new(1.0).unwrap();
         let c = ctx(1.0);
-        let stats = SummaryStats::from_slice([0.9f32, -0.8, 0.7, -0.85]);
+        let stats = AbsStats::from_slice([0.9f32, -0.8, 0.7, -0.85]);
         assert!(policy.decide(&c, &stats).is_low());
     }
 
@@ -332,10 +332,10 @@ mod tests {
     fn delta_monotonicity() {
         // Raising δ can only move decisions from Convert to Keep.
         let c = ctx(1.0);
-        let samples: Vec<SummaryStats> = (1..20)
+        let samples: Vec<AbsStats> = (1..20)
             .map(|i| {
                 let scale = i as f32 / 20.0;
-                SummaryStats::from_slice([scale, -scale * 0.7, scale * 0.3, -scale])
+                AbsStats::from_slice([scale, -scale * 0.7, scale * 0.3, -scale])
             })
             .collect();
         let mut last_low = usize::MAX;
@@ -354,7 +354,7 @@ mod tests {
     fn all_zero_subtensor_converts_maximally() {
         let policy = DriftPolicy::new(1e9).unwrap();
         let c = ctx(1.0);
-        let stats = SummaryStats::from_slice([0.0f32, 0.0, 0.0]);
+        let stats = AbsStats::from_slice([0.0f32, 0.0, 0.0]);
         match policy.decide(&c, &stats) {
             Decision::Convert(choice) => assert_eq!(choice.hc(), 4),
             other => panic!("expected conversion, got {other:?}"),
@@ -365,10 +365,10 @@ mod tests {
     fn zero_scale_tensor_converts() {
         let policy = DriftPolicy::new(1e9).unwrap();
         let c = TensorContext {
-            global: SummaryStats::from_slice([0.0f32]),
+            global: AbsStats::from_slice([0.0f32]),
             params: QuantParams::from_abs_max(0.0, Precision::INT8),
         };
-        let stats = SummaryStats::from_slice([0.0f32]);
+        let stats = AbsStats::from_slice([0.0f32]);
         assert!(policy.decide(&c, &stats).is_low());
     }
 
@@ -376,7 +376,7 @@ mod tests {
     fn keeps_when_lp_not_lower() {
         let policy = DriftPolicy::with_low_precision(1.0, Precision::INT8).unwrap();
         let c = ctx(1.0);
-        let stats = SummaryStats::from_slice([0.5f32, -0.5]);
+        let stats = AbsStats::from_slice([0.5f32, -0.5]);
         assert_eq!(policy.decide(&c, &stats), Decision::Keep);
     }
 

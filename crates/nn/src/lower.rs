@@ -17,7 +17,7 @@ use drift_quant::linear::QuantParams;
 use drift_quant::policy::{PrecisionPolicy, TensorContext};
 use drift_quant::precision::Precision;
 use drift_tensor::rng::derive_seed;
-use drift_tensor::stats::SummaryStats;
+use drift_tensor::stats::{AbsStats, SummaryStats};
 use serde::{Deserialize, Serialize};
 
 /// One lowered GEMM with an instance multiplier.
@@ -113,9 +113,10 @@ pub fn annotate(
     } else {
         profile.row_stats(shape.m, shape.k, derive_seed(seed, &op.name))
     };
+    let rows: Vec<AbsStats> = rows.iter().map(SummaryStats::abs).collect();
 
     // The tensor-global context the policy sees: merge the row stats.
-    let mut global = SummaryStats::new();
+    let mut global = AbsStats::new();
     for r in &rows {
         global.merge(r);
     }
@@ -136,7 +137,8 @@ pub fn annotate(
         0.3,
         derive_seed(seed, &format!("{}-w", op.name)),
     );
-    let mut wglobal = SummaryStats::new();
+    let wcols: Vec<AbsStats> = wcols.iter().map(SummaryStats::abs).collect();
+    let mut wglobal = AbsStats::new();
     for c in &wcols {
         wglobal.merge(c);
     }

@@ -24,7 +24,7 @@ use crate::convert::ConversionChoice;
 use crate::policy::{Decision, PrecisionPolicy, TensorContext};
 use crate::precision::Precision;
 use crate::{QuantError, Result};
-use drift_tensor::stats::SummaryStats;
+use drift_tensor::stats::AbsStats;
 
 /// The DRQ precision policy.
 ///
@@ -106,7 +106,7 @@ impl PrecisionPolicy for DrqPolicy {
         "drq"
     }
 
-    fn decide(&self, ctx: &TensorContext, stats: &SummaryStats) -> Decision {
+    fn decide(&self, ctx: &TensorContext, stats: &AbsStats) -> Decision {
         let hp = ctx.params.precision;
         if self.lp.bits() >= hp.bits() {
             return Decision::Keep;
@@ -134,7 +134,7 @@ mod tests {
     use crate::linear::QuantParams;
 
     fn ctx_with(global: &[f32]) -> TensorContext {
-        let stats = SummaryStats::from_slice(global);
+        let stats = AbsStats::from_slice(global);
         TensorContext {
             global: stats,
             params: QuantParams::from_abs_max(stats.abs_max(), Precision::INT8),
@@ -152,7 +152,7 @@ mod tests {
     fn sensitive_region_stays_high() {
         let drq = DrqPolicy::new(1.0).unwrap();
         let ctx = ctx_with(&[1.0, 0.1, 0.1, 0.1]);
-        let hot = SummaryStats::from_slice([1.0f32, 0.9]);
+        let hot = AbsStats::from_slice([1.0f32, 0.9]);
         assert_eq!(drq.decide(&ctx, &hot), Decision::Keep);
     }
 
@@ -160,7 +160,7 @@ mod tests {
     fn insensitive_region_goes_low_with_hc0() {
         let drq = DrqPolicy::new(1.0).unwrap();
         let ctx = ctx_with(&[1.0, 0.1, 0.1, 0.1]);
-        let cold = SummaryStats::from_slice([0.05f32, 0.02]);
+        let cold = AbsStats::from_slice([0.05f32, 0.02]);
         match drq.decide(&ctx, &cold) {
             Decision::Convert(choice) => {
                 assert_eq!(choice.hc(), 0);
@@ -176,7 +176,7 @@ mod tests {
         // With alpha = 0 every region's mean >= 0, so all stay 8-bit.
         let drq = DrqPolicy::new(0.0).unwrap();
         let ctx = ctx_with(&[1.0, 0.1]);
-        let cold = SummaryStats::from_slice([0.0001f32]);
+        let cold = AbsStats::from_slice([0.0001f32]);
         assert_eq!(drq.decide(&ctx, &cold), Decision::Keep);
     }
 
@@ -188,7 +188,7 @@ mod tests {
         // accuracy drop on ViT/BERT in paper Section 5.2.
         let drq = DrqPolicy::new(1.0).unwrap();
         let ctx = ctx_with(&[8.0, -8.0, 0.01, -0.01]);
-        let small_token = SummaryStats::from_slice([0.01f32, -0.008, 0.009]);
+        let small_token = AbsStats::from_slice([0.01f32, -0.008, 0.009]);
         let decision = drq.decide(&ctx, &small_token);
         let Decision::Convert(choice) = decision else {
             panic!("expected conversion");
@@ -203,7 +203,7 @@ mod tests {
         let drq = DrqPolicy::with_low_precision(1.0, Precision::INT3).unwrap();
         assert_eq!(drq.low_precision(), Precision::INT3);
         let ctx = ctx_with(&[1.0, 0.1, 0.1, 0.1]);
-        let cold = SummaryStats::from_slice([0.01f32]);
+        let cold = AbsStats::from_slice([0.01f32]);
         match drq.decide(&ctx, &cold) {
             Decision::Convert(choice) => assert_eq!(choice.lp(), Precision::INT3),
             other => panic!("expected conversion, got {other:?}"),
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn keeps_high_when_lp_not_lower() {
         let drq = DrqPolicy::new(1.0).unwrap();
-        let stats = SummaryStats::from_slice([0.001f32]);
+        let stats = AbsStats::from_slice([0.001f32]);
         let mut ctx = ctx_with(&[1.0, 0.001]);
         ctx.params = QuantParams::from_abs_max(1.0, Precision::INT4);
         assert_eq!(drq.decide(&ctx, &stats), Decision::Keep);

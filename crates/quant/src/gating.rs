@@ -19,7 +19,7 @@ use crate::convert::ConversionChoice;
 use crate::policy::{Decision, PrecisionPolicy, TensorContext};
 use crate::precision::Precision;
 use crate::{QuantError, Result};
-use drift_tensor::stats::SummaryStats;
+use drift_tensor::stats::AbsStats;
 
 /// The Precision Gating policy.
 ///
@@ -78,7 +78,7 @@ impl PrecisionPolicy for PrecisionGatingPolicy {
         "precision-gating"
     }
 
-    fn decide(&self, ctx: &TensorContext, stats: &SummaryStats) -> Decision {
+    fn decide(&self, ctx: &TensorContext, stats: &AbsStats) -> Decision {
         let hp = ctx.params.precision;
         if self.lp.bits() >= hp.bits() {
             return Decision::Keep;
@@ -105,7 +105,7 @@ mod tests {
     use crate::linear::QuantParams;
 
     fn ctx() -> TensorContext {
-        let global = SummaryStats::from_slice([1.0f32, -0.5, 0.25, -0.125]);
+        let global = AbsStats::from_slice([1.0f32, -0.5, 0.25, -0.125]);
         TensorContext {
             global,
             params: QuantParams::from_abs_max(global.abs_max(), Precision::INT8),
@@ -123,14 +123,14 @@ mod tests {
     #[test]
     fn large_value_gates_up() {
         let pg = PrecisionGatingPolicy::new(0.5, Precision::INT3).unwrap();
-        let big = SummaryStats::from_slice([0.9f32]);
+        let big = AbsStats::from_slice([0.9f32]);
         assert_eq!(pg.decide(&ctx(), &big), Decision::Keep);
     }
 
     #[test]
     fn small_value_truncates_to_msbs() {
         let pg = PrecisionGatingPolicy::new(0.5, Precision::INT3).unwrap();
-        let small = SummaryStats::from_slice([0.1f32]);
+        let small = AbsStats::from_slice([0.1f32]);
         match pg.decide(&ctx(), &small) {
             Decision::Convert(choice) => {
                 assert_eq!(choice.hc(), 0);
@@ -144,16 +144,16 @@ mod tests {
     #[test]
     fn theta_zero_gates_everything_up() {
         let pg = PrecisionGatingPolicy::new(0.0, Precision::INT3).unwrap();
-        let any = SummaryStats::from_slice([0.0001f32]);
+        let any = AbsStats::from_slice([0.0001f32]);
         assert_eq!(pg.decide(&ctx(), &any), Decision::Keep);
     }
 
     #[test]
     fn theta_one_truncates_all_but_the_max() {
         let pg = PrecisionGatingPolicy::new(1.0, Precision::INT3).unwrap();
-        let below = SummaryStats::from_slice([0.99f32]);
+        let below = AbsStats::from_slice([0.99f32]);
         assert!(pg.decide(&ctx(), &below).is_low());
-        let exactly = SummaryStats::from_slice([1.0f32]);
+        let exactly = AbsStats::from_slice([1.0f32]);
         assert_eq!(pg.decide(&ctx(), &exactly), Decision::Keep);
     }
 }

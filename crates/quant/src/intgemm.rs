@@ -15,7 +15,7 @@ use crate::linear::{quantize_slice, QuantParams};
 use crate::policy::{Decision, PolicyRun, PrecisionPolicy, SubTensorDecision, TensorContext};
 use crate::precision::Precision;
 use crate::{QuantError, Result};
-use drift_tensor::stats::SummaryStats;
+use drift_tensor::stats::AbsStats;
 use drift_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -75,7 +75,7 @@ impl CodedMatrix {
         let mut precisions = Vec::with_capacity(rows);
         for r in 0..rows {
             let row = &tensor.as_slice()[r * cols..(r + 1) * cols];
-            let stats = SummaryStats::from_slice(row);
+            let stats = AbsStats::from_slice(row);
             let decision = policy.decide(&ctx, &stats);
             let row_codes = &codes8[r * cols..(r + 1) * cols];
             let (converted, scale, precision) = encode_group(row_codes, decision, &params);
@@ -113,7 +113,7 @@ impl CodedMatrix {
         let mut precisions = Vec::with_capacity(cols);
         for c in 0..cols {
             let column: Vec<f32> = (0..rows).map(|r| data[r * cols + c]).collect();
-            let stats = SummaryStats::from_slice(&column);
+            let stats = AbsStats::from_slice(&column);
             let decision = policy.decide(&ctx, &stats);
             let col_codes: Vec<i32> = (0..rows).map(|r| codes8[r * cols + c]).collect();
             let (converted, scale, precision) = encode_group(&col_codes, decision, &params);
@@ -278,7 +278,7 @@ fn matrix_dims(tensor: &Tensor) -> Result<(usize, usize)> {
 
 fn context_for(tensor: &Tensor, params: QuantParams) -> TensorContext {
     TensorContext {
-        global: SummaryStats::from_slice(tensor.as_slice()),
+        global: AbsStats::from_slice(tensor.as_slice()),
         params,
     }
 }

@@ -2,8 +2,8 @@
 //! inference engine, plus the static baselines.
 //!
 //! A [`PrecisionPolicy`] receives, for each sub-tensor, the streaming
-//! statistics the accelerator's pooling unit computes (`max|Y|`,
-//! `avg|Y|`, …) and returns a [`Decision`]: keep the initial
+//! statistics the accelerator's pooling unit computes (`max|Y|` and
+//! `avg|Y|`, as an [`AbsStats`]) and returns a [`Decision`]: keep the initial
 //! high-precision encoding, or convert to low precision with a specific
 //! [`ConversionChoice`]. The Drift selection algorithm (in `drift-core`),
 //! the DRQ baseline ([`crate::drq`]), and the static baselines below all
@@ -14,7 +14,7 @@ use crate::convert::ConversionChoice;
 use crate::linear::{dequantize_slice, quantize_value, QuantParams};
 use crate::precision::Precision;
 use crate::Result;
-use drift_tensor::stats::SummaryStats;
+use drift_tensor::stats::AbsStats;
 use drift_tensor::subtensor::SubTensorScheme;
 use drift_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -50,7 +50,7 @@ impl Decision {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TensorContext {
     /// Statistics over the entire tensor.
-    pub global: SummaryStats,
+    pub global: AbsStats,
     /// The initial quantization parameters (scale Δ and precision hp).
     pub params: QuantParams,
 }
@@ -65,7 +65,7 @@ pub trait PrecisionPolicy {
     fn name(&self) -> &str;
 
     /// Decides the precision for one sub-tensor.
-    fn decide(&self, ctx: &TensorContext, stats: &SummaryStats) -> Decision;
+    fn decide(&self, ctx: &TensorContext, stats: &AbsStats) -> Decision;
 
     /// The low precision this policy targets (used by hardware mapping to
     /// size low-precision tiles). Defaults to INT4, the paper's setting.
@@ -91,7 +91,7 @@ impl PrecisionPolicy for StaticHighPolicy {
         "int8"
     }
 
-    fn decide(&self, _ctx: &TensorContext, _stats: &SummaryStats) -> Decision {
+    fn decide(&self, _ctx: &TensorContext, _stats: &AbsStats) -> Decision {
         Decision::Keep
     }
 }
@@ -116,7 +116,7 @@ impl PrecisionPolicy for StaticLowPolicy {
         "static-low"
     }
 
-    fn decide(&self, ctx: &TensorContext, _stats: &SummaryStats) -> Decision {
+    fn decide(&self, ctx: &TensorContext, _stats: &AbsStats) -> Decision {
         let hp = ctx.params.precision;
         if self.lp.bits() >= hp.bits() {
             return Decision::Keep;
@@ -163,8 +163,8 @@ impl Selection {
     /// `policy` once per sub-tensor. `subtensors` holds each view's
     /// statistics in view order; a view's id is its index.
     fn decide(
-        global: &SummaryStats,
-        subtensors: &[SummaryStats],
+        global: &AbsStats,
+        subtensors: &[AbsStats],
         hp: Precision,
         policy: &dyn PrecisionPolicy,
     ) -> Self {
@@ -215,7 +215,7 @@ fn low_subtensors(decisions: &[SubTensorDecision]) -> usize {
 
 /// The statistics the accelerator's pooling unit gathers as a tensor
 /// streams past it one contiguous sub-tensor at a time (paper §4.1):
-/// one [`SummaryStats`] for the whole tensor and one per sub-tensor.
+/// one [`AbsStats`] for the whole tensor and one per sub-tensor.
 ///
 /// Feeding a `[tokens, hidden]` tensor row by row yields exactly the
 /// statistics [`run_policy`] computes under
@@ -223,8 +223,8 @@ fn low_subtensors(decisions: &[SubTensorDecision]) -> usize {
 /// takes the same decisions without the tensor ever existing in full.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamStats {
-    global: SummaryStats,
-    subtensors: Vec<SummaryStats>,
+    global: AbsStats,
+    subtensors: Vec<AbsStats>,
 }
 
 impl StreamStats {
@@ -236,7 +236,7 @@ impl StreamStats {
     /// Feeds the next sub-tensor, whose values follow the previous
     /// sub-tensor's in the tensor's row-major order.
     pub fn push_subtensor(&mut self, values: &[f32]) {
-        let mut stats = SummaryStats::new();
+        let mut stats = AbsStats::new();
         for &v in values {
             self.global.push(v);
             stats.push(v);
@@ -245,7 +245,7 @@ impl StreamStats {
     }
 
     /// Statistics over every value streamed so far.
-    pub fn global(&self) -> &SummaryStats {
+    pub fn global(&self) -> &AbsStats {
         &self.global
     }
 
@@ -320,12 +320,12 @@ pub fn run_policy(
     let subtensors = views
         .iter()
         .map(|view| {
-            Ok(SummaryStats::from_slice(
+            Ok(AbsStats::from_slice(
                 tensor.subtensor(view).map_err(view_error)?,
             ))
         })
         .collect::<Result<Vec<_>>>()?;
-    let global = SummaryStats::from_slice(tensor.as_slice());
+    let global = AbsStats::from_slice(tensor.as_slice());
     let Selection { params, decisions } = Selection::decide(&global, &subtensors, hp, policy);
 
     // Reconstruct each sub-tensor's integer codes through its selected

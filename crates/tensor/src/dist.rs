@@ -94,14 +94,23 @@ impl Laplace {
     pub fn variance(&self) -> f64 {
         2.0 * self.b * self.b
     }
+
+    /// Inverse-CDF sampling from a uniform draw `u ∈ [0, 1)`: with
+    /// `v = u - 1/2`, `x = μ - b · sign(v) · ln(1 - 2|v|)`. The log's
+    /// argument is floored at `f64::MIN_POSITIVE`, as in [`Gaussian`] and
+    /// [`Exponential`], so the draw `u = 0` gives a finite value; every
+    /// other draw has `1 - 2|v| ≥ 2⁻⁵²` and is not affected.
+    #[inline]
+    fn inverse_cdf(&self, u: f64) -> f64 {
+        let v = u - 0.5;
+        self.mu - self.b * v.signum() * (1.0 - 2.0 * v.abs()).max(f64::MIN_POSITIVE).ln()
+    }
 }
 
 impl Sampler for Laplace {
+    #[inline]
     fn sample(&self, rng: &mut DriftRng) -> f64 {
-        // Inverse-CDF sampling: u ∈ (-1/2, 1/2),
-        // x = μ - b · sign(u) · ln(1 - 2|u|).
-        let u: f64 = rng.gen::<f64>() - 0.5;
-        self.mu - self.b * u.signum() * (1.0 - 2.0 * u.abs()).ln()
+        self.inverse_cdf(rng.gen())
     }
 
     fn cdf(&self, x: f64) -> f64 {
@@ -156,6 +165,7 @@ impl Gaussian {
 }
 
 impl Sampler for Gaussian {
+    #[inline]
     fn sample(&self, rng: &mut DriftRng) -> f64 {
         // Box–Muller; one of the pair is discarded for simplicity.
         let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
@@ -200,6 +210,7 @@ impl Exponential {
 }
 
 impl Sampler for Exponential {
+    #[inline]
     fn sample(&self, rng: &mut DriftRng) -> f64 {
         let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
         -u.ln() / self.lambda
@@ -240,6 +251,7 @@ impl Uniform {
 }
 
 impl Sampler for Uniform {
+    #[inline]
     fn sample(&self, rng: &mut DriftRng) -> f64 {
         self.lo + (self.hi - self.lo) * rng.gen::<f64>()
     }
@@ -472,6 +484,19 @@ mod tests {
         assert!(Laplace::new(0.0, -1.0).is_err());
         assert!(Laplace::new(f64::NAN, 1.0).is_err());
         assert!(Laplace::new(0.0, f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn laplace_zero_draw_is_finite() {
+        let lap = Laplace::new(0.5, 2.0).unwrap();
+        let lowest = lap.inverse_cdf(0.0);
+        assert!(lowest.is_finite(), "u = 0 gave {lowest}");
+        // The floor only touches u = 0: the next draw, 2⁻⁵³, still takes
+        // the unfloored log, and lies above the floored value.
+        let next = lap.inverse_cdf(2f64.powi(-53));
+        assert_eq!(next, 0.5 + 2.0 * 2f64.powi(-52).ln());
+        assert!(lowest < next);
+        assert_eq!(lap.inverse_cdf(0.5), 0.5);
     }
 
     #[test]

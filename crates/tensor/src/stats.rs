@@ -5,11 +5,108 @@
 //! two statistics per sub-tensor: `max(|Y|)` (for the representation-range
 //! test, Eq. 5) and `avg(|Y|)` (the MLE of the Laplace scale `b`, which
 //! gives `var(Y) = 2 b²` for the representation-density test, Eq. 6).
-//! [`SummaryStats`] accumulates those — plus exact mean/variance for
-//! verification — in one streaming pass, matching what the accelerator's
-//! pooling unit computes in hardware.
+//! [`AbsStats`] accumulates exactly those, as the accelerator's pooling
+//! unit does in hardware, and is what every precision policy reads.
+//! [`SummaryStats`] adds min/max, the signed sum and Welford mean/variance
+//! for profiling and verification; [`SummaryStats::abs`] projects it onto
+//! the [`AbsStats`] the same values give.
 
 use serde::{Deserialize, Serialize};
+
+/// One-pass `count`, `max(|Y|)` and `Σ|Y|` over a stream of `f32` values:
+/// the statistics a precision policy reads.
+///
+/// Pushes and merges do the same floating-point operations, in the same
+/// order, as [`SummaryStats`]'s, so `AbsStats::from_slice(x)` equals
+/// `SummaryStats::from_slice(x).abs()` bit for bit.
+///
+/// # Example
+///
+/// ```rust
+/// use drift_tensor::stats::AbsStats;
+///
+/// let stats = AbsStats::from_slice([1.0f32, -2.0, 3.0, -4.0]);
+/// assert_eq!(stats.abs_max(), 4.0);
+/// assert_eq!(stats.mean_abs(), 2.5);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AbsStats {
+    count: u64,
+    abs_max: f64,
+    sum_abs: f64,
+}
+
+impl AbsStats {
+    /// Creates an empty accumulator.
+    pub fn new() -> Self {
+        AbsStats {
+            count: 0,
+            abs_max: 0.0,
+            sum_abs: 0.0,
+        }
+    }
+
+    /// Builds statistics from anything that can be viewed as a `[f32]`
+    /// slice.
+    pub fn from_slice(values: impl AsRef<[f32]>) -> Self {
+        let mut stats = AbsStats::new();
+        for &v in values.as_ref() {
+            stats.push(v);
+        }
+        stats
+    }
+
+    /// Feeds one value into the accumulator.
+    #[inline]
+    pub fn push(&mut self, value: f32) {
+        let a = f64::from(value).abs();
+        self.count += 1;
+        self.abs_max = self.abs_max.max(a);
+        self.sum_abs += a;
+    }
+
+    /// Merges another accumulator into this one (parallel reduction),
+    /// folding as [`SummaryStats::merge`] does.
+    pub fn merge(&mut self, other: &AbsStats) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        self.count += other.count;
+        self.abs_max = self.abs_max.max(other.abs_max);
+        self.sum_abs += other.sum_abs;
+    }
+
+    /// Number of values observed.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// `max(|Y|)`: the statistic driving Drift's representation-range test
+    /// (paper Eq. 5). Zero when empty.
+    pub fn abs_max(&self) -> f64 {
+        self.abs_max
+    }
+
+    /// `avg(|Y|)`: the statistic driving Drift's representation-density
+    /// test (paper Eq. 6). Zero when empty.
+    pub fn mean_abs(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum_abs / self.count as f64
+        }
+    }
+}
+
+impl Default for AbsStats {
+    fn default() -> Self {
+        AbsStats::new()
+    }
+}
 
 /// One-pass summary statistics over a stream of `f32` values.
 ///
@@ -99,6 +196,15 @@ impl SummaryStats {
         self.abs_max = self.abs_max.max(other.abs_max);
         self.sum += other.sum;
         self.sum_abs += other.sum_abs;
+    }
+
+    /// The [`AbsStats`] of the same values.
+    pub fn abs(&self) -> AbsStats {
+        AbsStats {
+            count: self.count,
+            abs_max: self.abs_max,
+            sum_abs: self.sum_abs,
+        }
     }
 
     /// Number of values observed.
@@ -224,6 +330,19 @@ mod tests {
         assert_eq!(s.mean_abs(), 0.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.abs_max(), 0.0);
+    }
+
+    #[test]
+    fn empty_abs_stats_are_benign() {
+        let s = AbsStats::new();
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.abs_max(), 0.0);
+        assert_eq!(s.mean_abs(), 0.0);
+        assert_eq!(s, SummaryStats::new().abs());
+        let mut e = AbsStats::new();
+        e.merge(&AbsStats::from_slice([-3.0f32, 1.0]));
+        assert_eq!(e.abs_max(), 3.0);
+        assert_eq!(e.mean_abs(), 2.0);
     }
 
     #[test]

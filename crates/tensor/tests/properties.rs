@@ -2,13 +2,46 @@
 
 use drift_tensor::dist::{ks_statistic, Exponential, Gaussian, Histogram, Laplace, Sampler};
 use drift_tensor::rng::seeded;
-use drift_tensor::stats::SummaryStats;
+use drift_tensor::stats::{AbsStats, SummaryStats};
 use drift_tensor::subtensor::SubTensorScheme;
 use drift_tensor::{Shape, Tensor};
 use proptest::prelude::*;
 
 fn arb_shape() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(1usize..8, 1..4)
+}
+
+/// Values that stress `|·|`, `max` and the sums: signed zeros,
+/// subnormals, repeated magnitudes of either sign, `±f32::MAX`, and the
+/// ordinary value `x` of the same position.
+fn awkward(picks: &[u32], ordinary: &[f32]) -> Vec<f32> {
+    let subnormal = f32::MIN_POSITIVE / 3.0;
+    picks
+        .iter()
+        .zip(ordinary)
+        .map(|(&pick, &x)| match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(1),
+            3 => -f32::from_bits(1),
+            4 => subnormal,
+            5 => -subnormal,
+            6 => 0.75,
+            7 => -0.75,
+            8 => f32::MAX,
+            9 => -f32::MAX,
+            _ => x,
+        })
+        .collect()
+}
+
+/// Every field of an [`AbsStats`] a policy can read, as bits.
+fn abs_bits(stats: &AbsStats) -> (u64, u64, u64) {
+    (
+        stats.count(),
+        stats.abs_max().to_bits(),
+        stats.mean_abs().to_bits(),
+    )
 }
 
 proptest! {
@@ -101,6 +134,35 @@ proptest! {
         let abs_max = data.iter().fold(0.0f64, |m, &v| m.max(f64::from(v).abs()));
         prop_assert_eq!(s.abs_max(), abs_max);
         prop_assert!(s.mean_abs() <= s.abs_max() + 1e-12);
+    }
+
+    /// `AbsStats` is `SummaryStats` projected onto `count`, `max|Y|` and
+    /// `Σ|Y|`, bit for bit: over one pass, and over a chain of merges of
+    /// the same cuts (empty pieces included).
+    #[test]
+    fn abs_stats_are_summary_stats_projected(
+        picks in proptest::collection::vec(0u32..16, 0..96),
+        ordinary in proptest::collection::vec(-1e3f32..1e3, 96),
+        cuts in proptest::collection::vec(0usize..97, 0..6),
+    ) {
+        let values = awkward(&picks, &ordinary);
+        let summary = SummaryStats::from_slice(&values);
+        let abs = AbsStats::from_slice(&values);
+        prop_assert_eq!(summary.abs(), abs);
+        prop_assert_eq!(abs_bits(&summary.abs()), abs_bits(&abs));
+
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(values.len())).collect();
+        cuts.sort_unstable();
+        let mut merged_summary = SummaryStats::new();
+        let mut merged_abs = AbsStats::new();
+        let mut start = 0;
+        for end in cuts.into_iter().chain([values.len()]) {
+            merged_summary.merge(&SummaryStats::from_slice(&values[start..end]));
+            merged_abs.merge(&AbsStats::from_slice(&values[start..end]));
+            start = end;
+        }
+        prop_assert_eq!(merged_summary.abs(), merged_abs);
+        prop_assert_eq!(abs_bits(&merged_summary.abs()), abs_bits(&merged_abs));
     }
 
     /// All histogram mass is accounted for (bins + underflow + overflow).

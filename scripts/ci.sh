@@ -28,6 +28,16 @@ cargo test -q
 echo "== workspace tests =="
 cargo test -q --workspace
 
+echo "== release-build tests =="
+# Inlining and the SSE2 keystream refill exist only in optimised builds,
+# so the keystream, the pinned result bytes and the algorithm and
+# simulator properties are checked there too. The gateway robustness
+# suite stays out: its two stale-deadline tests race each other for the
+# CPUs in release (ROADMAP.md, deterministic fault injection).
+cargo test -q --release -p rand_chacha
+cargo test -q --release -p drift-serve --test determinism
+cargo test -q --release --test algorithm_properties --test simulator_crosscheck
+
 echo "== perfbench build and self-tests =="
 # The benchmark harness is its own package (not a workspace member) that
 # calls the serving stack's public APIs, e.g.

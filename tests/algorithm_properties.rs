@@ -60,7 +60,7 @@ proptest! {
             (&generated, profile.token_stats(tokens, hidden, seed).unwrap()),
             (&arbitrary, streamed),
         ] {
-            prop_assert_eq!(stats.global(), &SummaryStats::from_slice(tensor.as_slice()));
+            prop_assert_eq!(stats.global(), &SummaryStats::from_slice(tensor.as_slice()).abs());
             for policy in policies {
                 let run =
                     run_policy(tensor, &SubTensorScheme::token(hidden), Precision::INT8, policy)
@@ -101,8 +101,8 @@ proptest! {
         d2 in 0.0f64..10.0,
     ) {
         let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
-        let stats = stats_from(&values);
-        let global = stats_from(&values);
+        let stats = stats_from(&values).abs();
+        let global = stats_from(&values).abs();
         let ctx = TensorContext {
             global,
             params: QuantParams::from_abs_max(global.abs_max(), Precision::INT8),
@@ -151,7 +151,7 @@ proptest! {
         values in proptest::collection::vec(-5.0f32..5.0, 2..32),
         delta in 0.0f64..5.0,
     ) {
-        let stats = stats_from(&values);
+        let stats = stats_from(&values).abs();
         let ctx = TensorContext {
             global: stats,
             params: QuantParams::from_abs_max(stats.abs_max(), Precision::INT8),
@@ -164,9 +164,9 @@ proptest! {
     /// representable at any width), regardless of δ.
     #[test]
     fn zero_subtensors_always_convert(delta in 0.0f64..1e6) {
-        let stats = stats_from(&[0.0, 0.0, 0.0]);
+        let stats = stats_from(&[0.0, 0.0, 0.0]).abs();
         let ctx = TensorContext {
-            global: stats_from(&[1.0, -1.0]),
+            global: stats_from(&[1.0, -1.0]).abs(),
             params: QuantParams::from_abs_max(1.0, Precision::INT8),
         };
         let policy = DriftPolicy::new(delta).unwrap();
