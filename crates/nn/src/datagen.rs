@@ -161,9 +161,7 @@ impl TokenProfile {
         for _ in 0..tokens {
             let b = self.sample_scale(&mut rng);
             let lap = Laplace::new(0.0, b).map_err(NnError::Tensor)?;
-            for v in &mut buffer {
-                *v = lap.sample(&mut rng) as f32;
-            }
+            lap.fill_f32(&mut rng, &mut buffer);
             row(&buffer);
         }
         Ok(())
@@ -537,6 +535,36 @@ mod tests {
             max / min > 3.0,
             "object region not distinguishable: {max} / {min}"
         );
+    }
+
+    #[test]
+    fn generated_bytes_are_pinned() {
+        // FNV-1a over the little-endian bytes of each generated tensor,
+        // pinned from the per-value sampler: a changed value shows here
+        // even where it flips no precision decision.
+        let fnv = |t: &Tensor| {
+            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            for byte in t.as_slice().iter().flat_map(|x| x.to_le_bytes()) {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x1000_0000_01b3);
+            }
+            hash
+        };
+        let pinned = [
+            ("cnn", 0x816a_46a5_7117_e504, 0x445f_ffcd_2a2c_8ea0),
+            ("vit", 0xaf17_ae50_44a8_4002, 0x8a38_7543_6c59_482b),
+            ("bert", 0xc43c_498d_75f1_6a2d, 0xac1f_92ed_0f67_829e),
+            ("llm", 0x750d_d73f_9223_b1d2, 0x9d2f_1d70_f0ec_e279),
+        ];
+        for (name, wide, odd) in pinned {
+            let profile = TokenProfile::by_name(name).unwrap();
+            let t = profile.generate(16, 768, 42).unwrap();
+            assert_eq!(fnv(&t), wide, "{name} 16 x 768");
+            // 257 values per row: one past a bulk chunk, and rows that
+            // start mid-way through a keystream refill.
+            let t = profile.generate(33, 257, 7).unwrap();
+            assert_eq!(fnv(&t), odd, "{name} 33 x 257");
+        }
     }
 
     #[test]

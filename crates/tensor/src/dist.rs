@@ -5,6 +5,32 @@
 //! This module supplies the samplers used to generate activation data with
 //! controlled sub-tensor statistics, and the Kolmogorov–Smirnov machinery
 //! used by the Figure-1 reproduction to quantify the Laplace fit.
+//!
+//! # Bulk Laplace sampling, and why its `f32` values are exact
+//!
+//! [`Laplace::fill_f32`] gives every slot the bits `sample(rng) as f32`
+//! would, without a libm call per value. It draws a chunk of keystream
+//! words at once and, per word, forms `u`, `v`, `signum` and `w` with
+//! exactly [`Laplace`]'s own operations, then computes `L = ln(w)` with
+//! the fdlibm `e_log.c` algorithm (branch-free, so it vectorises). The
+//! certificate that the result is the one `f64::ln` would have led to:
+//!
+//! 1. fdlibm's `log` is within 1 ulp of the true logarithm, and so is
+//!    the platform libm's; both are therefore within `2⁻⁵¹·|L|` of each
+//!    other, far inside the bracket `x ∈ [L − |L|·2⁻³⁶, L + |L|·2⁻³⁶]`.
+//! 2. The sampler's expression `(μ − (b·signum)·x) as f32` is monotone
+//!    in `x`: every step (a multiplication by a fixed value, a
+//!    subtraction from a fixed value, the narrowing) is a correctly
+//!    rounded monotone function.
+//! 3. So when both ends of the bracket give the same nonzero `f32` (and
+//!    `L ≠ 0`), every `x` inside it gives that value, libm's among them;
+//!    a nonzero `f32` value has one encoding, so the bits agree too.
+//!
+//! A slot whose ends differ (about `2·2⁻³⁶/2⁻²⁴ ≈ 4.9·10⁻⁴` of them, at
+//! an `f32` rounding boundary) is recomputed exactly through libm. The
+//! chunk loop is compiled twice, for the baseline target and for
+//! AVX-512, and picked at run time; Rust never fuses a multiply and an
+//! add, so both compilations give the same bits.
 
 use crate::rng::DriftRng;
 use crate::{Result, TensorError};
@@ -27,9 +53,19 @@ pub trait Sampler {
         (0..n).map(|_| self.sample(rng)).collect()
     }
 
+    /// Fills `out` with samples narrowed to `f32`: slot by slot, the
+    /// values `sample(rng) as f32` gives.
+    fn fill_f32(&self, rng: &mut DriftRng, out: &mut [f32]) {
+        for value in out {
+            *value = self.sample(rng) as f32;
+        }
+    }
+
     /// Fills a vector with `n` samples, narrowed to `f32`.
     fn sample_f32(&self, rng: &mut DriftRng, n: usize) -> Vec<f32> {
-        (0..n).map(|_| self.sample(rng) as f32).collect()
+        let mut out = vec![0.0; n];
+        self.fill_f32(rng, &mut out);
+        out
     }
 }
 
@@ -105,12 +141,143 @@ impl Laplace {
         let v = u - 0.5;
         self.mu - self.b * v.signum() * (1.0 - 2.0 * v.abs()).max(f64::MIN_POSITIVE).ln()
     }
+
+    /// Turns one chunk of keystream words into `out`, slot for slot the
+    /// values `inverse_cdf(unit(word)) as f32`: the certified bulk pass,
+    /// then libm for every slot it left uncertified.
+    fn fill_chunk(&self, words: &[u64], out: &mut [f32]) {
+        laplace_chunk(self.mu, self.b, words, out);
+        for (value, &word) in out.iter_mut().zip(words) {
+            if value.is_nan() {
+                *value = self.inverse_cdf(unit(word)) as f32;
+            }
+        }
+    }
+}
+
+/// Values per chunk of [`Laplace::fill_f32`].
+const CHUNK: usize = 256;
+
+/// Relative half-width of the bracket around fdlibm's `ln` (module doc).
+const BRACKET: f64 = 1.0 / (1u64 << 36) as f64;
+
+/// The `f64` in `[0, 1)` that `rng.gen::<f64>()` makes of the keystream
+/// value `word`: its top 53 bits, scaled by `2⁻⁵³`.
+#[inline(always)]
+fn unit(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// fdlibm's `e_log.c` natural logarithm, < 1 ulp from the true value,
+/// with its branches turned into selects so that it vectorises. It
+/// always takes the general path: the `|f| < 2⁻²⁰` shortcut is only a
+/// faster approximation, and the `k = 0` forms are the general formula
+/// at `k = 0`. `x` must be positive and normal, as every `w` [`Laplace`]
+/// forms is.
+#[inline(always)]
+fn fdlibm_ln(x: f64) -> f64 {
+    const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+    const LG1: f64 = f64::from_bits(0x3FE5_5555_5555_5593);
+    const LG2: f64 = f64::from_bits(0x3FD9_9999_9997_FA04);
+    const LG3: f64 = f64::from_bits(0x3FD2_4924_9422_9359);
+    const LG4: f64 = f64::from_bits(0x3FCC_71C5_1D8E_78AF);
+    const LG5: f64 = f64::from_bits(0x3FC7_4664_96CB_03DE);
+    const LG6: f64 = f64::from_bits(0x3FC3_9A09_D078_C69F);
+    const LG7: f64 = f64::from_bits(0x3FC2_F112_DF3E_5244);
+    debug_assert!(x.is_normal() && x > 0.0, "fdlibm_ln domain: {x}");
+
+    let bits = x.to_bits();
+    let high = (bits >> 32) as i32;
+    let hx = high & 0x000f_ffff;
+    // Scale x by 2^-k into m ∈ [√2/2, √2): `i` is set when the mantissa
+    // is at least √2, and then m takes the exponent of 1/2.
+    let i = (hx + 0x95f64) & 0x10_0000;
+    let k = (high >> 20) - 1023 + (i >> 20);
+    let m_high = (hx | (i ^ 0x3ff0_0000)) as u32;
+    let f = f64::from_bits((u64::from(m_high) << 32) | (bits & 0xffff_ffff)) - 1.0;
+
+    let s = f / (2.0 + f);
+    let dk = f64::from(k);
+    let z = s * s;
+    let w = z * z;
+    let t1 = w * (LG2 + w * (LG4 + w * LG6));
+    let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
+    let r = t2 + t1;
+    let hfsq = 0.5 * f * f;
+    // fdlibm keeps `hfsq` in the reconstruction where x's mantissa lies
+    // in (1.38, 1.42), the two ends of the range of |f|.
+    let large = ((hx - 0x6147a) | (0x6b851 - hx)) > 0;
+    if large {
+        dk * LN2_HI - ((hfsq - (s * (hfsq + r) + dk * LN2_LO)) - f)
+    } else {
+        dk * LN2_HI - ((s * (f - r) - dk * LN2_LO) - f)
+    }
+}
+
+/// The certified pass over one chunk (module doc): slot `i` gets
+/// `inverse_cdf(unit(words[i])) as f32` where the bracket certifies it,
+/// and NaN, which no sample is, where it does not.
+#[inline(always)]
+fn laplace_chunk_body(mu: f64, b: f64, words: &[u64], out: &mut [f32]) {
+    for (value, &word) in out.iter_mut().zip(words) {
+        // Exactly `inverse_cdf`'s operations up to the logarithm.
+        let v = unit(word) - 0.5;
+        let scale = b * v.signum();
+        let l = fdlibm_ln((1.0 - 2.0 * v.abs()).max(f64::MIN_POSITIVE));
+        let d = l.abs() * BRACKET;
+        let lo = (mu - scale * (l - d)) as f32;
+        let hi = (mu - scale * (l + d)) as f32;
+        let certified = lo.to_bits() == hi.to_bits() && l != 0.0 && lo != 0.0;
+        *value = if certified { lo } else { f32::NAN };
+    }
+}
+
+/// [`laplace_chunk_body`] in AVX-512 vectors.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, AVX-512DQ and AVX-512VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+unsafe fn laplace_chunk_avx512(mu: f64, b: f64, words: &[u64], out: &mut [f32]) {
+    laplace_chunk_body(mu, b, words, out);
+}
+
+/// Whether this CPU runs [`laplace_chunk_avx512`] (std caches the
+/// answer).
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vl")
+}
+
+/// [`laplace_chunk_body`] in the widest build this CPU runs.
+fn laplace_chunk(mu: f64, b: f64, words: &[u64], out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx512() {
+        // SAFETY: the CPU has AVX-512F, DQ and VL, checked just above.
+        return unsafe { laplace_chunk_avx512(mu, b, words, out) };
+    }
+    laplace_chunk_body(mu, b, words, out);
 }
 
 impl Sampler for Laplace {
     #[inline]
     fn sample(&self, rng: &mut DriftRng) -> f64 {
         self.inverse_cdf(rng.gen())
+    }
+
+    /// Chunks of 256 values, each drawn with one
+    /// [`DriftRng::fill_u64`] and certified in bulk (module doc).
+    fn fill_f32(&self, rng: &mut DriftRng, out: &mut [f32]) {
+        let mut words = [0u64; CHUNK];
+        for chunk in out.chunks_mut(CHUNK) {
+            let words = &mut words[..chunk.len()];
+            rng.fill_u64(words);
+            self.fill_chunk(words, chunk);
+        }
     }
 
     fn cdf(&self, x: f64) -> f64 {
@@ -237,10 +404,10 @@ impl Uniform {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidParameter`] unless `lo < hi` and both
-    /// are finite.
+    /// Returns [`TensorError::InvalidParameter`] unless `lo < hi`, both
+    /// are finite, and so is the width `hi - lo`.
     pub fn new(lo: f64, hi: f64) -> Result<Self> {
-        if !lo.is_finite() || !hi.is_finite() || lo >= hi {
+        if !lo.is_finite() || !hi.is_finite() || lo >= hi || !(hi - lo).is_finite() {
             return Err(TensorError::InvalidParameter {
                 name: "hi",
                 value: hi,
@@ -248,12 +415,19 @@ impl Uniform {
         }
         Ok(Uniform { lo, hi })
     }
+
+    /// Maps a uniform draw `u ∈ [0, 1)` onto `[lo, hi)`. The product
+    /// can round up to `hi` (for `[1, 2)` and `u = 1 − 2⁻⁵³`), so the
+    /// result is capped at the largest value below `hi`.
+    fn inverse_cdf(&self, u: f64) -> f64 {
+        (self.lo + (self.hi - self.lo) * u).min(self.hi.next_down())
+    }
 }
 
 impl Sampler for Uniform {
     #[inline]
     fn sample(&self, rng: &mut DriftRng) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.gen::<f64>()
+        self.inverse_cdf(rng.gen())
     }
 
     fn cdf(&self, x: f64) -> f64 {
@@ -561,6 +735,140 @@ mod tests {
             .collect();
         let d = ks_statistic(&abs_samples, |x| exp.cdf(x));
         assert!(d < 0.03, "KS statistic {d} too large");
+    }
+
+    /// The ulps between two positive finite `f64`s.
+    fn ulps(a: f64, b: f64) -> u64 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    #[test]
+    fn fdlibm_ln_is_within_one_ulp_of_libm() {
+        let near_one = (1..=20_000u64).map(|j| 1.0 - j as f64 * f64::EPSILON);
+        let smallest = (1..=20_000u64).map(|j| j as f64 * f64::EPSILON);
+        let powers = (0..=1022).map(|e| 2f64.powi(-e));
+        let mut rng = seeded(99);
+        // Every w the sampler forms from a draw: 1 − 2|u − 1/2|, floored.
+        let drawn = (0..1_000_000).map(|_| {
+            let v = rng.gen::<f64>() - 0.5;
+            (1.0 - 2.0 * v.abs()).max(f64::MIN_POSITIVE)
+        });
+        // Around where the mantissa folds into [√2/2, √2).
+        let root = std::f64::consts::FRAC_1_SQRT_2;
+        let fixed = [
+            f64::MIN_POSITIVE,
+            root.next_down(),
+            root,
+            root.next_up(),
+            0.75,
+        ];
+        let mut checked = 0;
+        for w in near_one
+            .chain(smallest)
+            .chain(powers)
+            .chain(drawn)
+            .chain(fixed)
+        {
+            let (ours, libm) = (fdlibm_ln(w), w.ln());
+            assert!(
+                ulps(ours, libm) <= 1,
+                "ln({w:e}): {ours:e} vs libm {libm:e}"
+            );
+            checked += 1;
+        }
+        assert!(checked > 1_000_000);
+    }
+
+    /// A build of the chunk body.
+    type ChunkBody = fn(f64, f64, &[u64], &mut [f32]);
+
+    /// Every build of the chunk body this CPU runs, by name.
+    fn chunk_builds() -> Vec<(&'static str, ChunkBody)> {
+        let mut builds: Vec<(&'static str, ChunkBody)> = vec![("baseline", laplace_chunk_body)];
+        #[cfg(target_arch = "x86_64")]
+        if has_avx512() {
+            builds.push(("avx512", |mu, b, words, out| {
+                // SAFETY: `has_avx512` found AVX-512F, DQ and VL.
+                unsafe { laplace_chunk_avx512(mu, b, words, out) }
+            }));
+        } else {
+            println!("AVX-512F/DQ/VL not present on this CPU: skipping the AVX-512 chunk body");
+        }
+        builds
+    }
+
+    #[test]
+    fn chunk_body_handles_the_edge_draws() {
+        // The top 53 bits of a word make u: 0 gives u = 0 (w floored to
+        // MIN_POSITIVE), 2^52 gives u = 1/2 (w = 1, L = 0), and 2^52 ± 1
+        // give w = 1 − 2⁻⁵², the largest w below 1.
+        let half = 1u64 << 63;
+        let words = [0, 2047, half, half + (1 << 11), half - (1 << 11), u64::MAX];
+        for (mu, b) in [(0.0, 1.0), (0.0, 1e-6), (-20.0, 3.5), (1e-3, 1e3)] {
+            let lap = Laplace::new(mu, b).unwrap();
+            let exact: Vec<f32> = words
+                .iter()
+                .map(|&w| lap.inverse_cdf(unit(w)) as f32)
+                .collect();
+            for (name, body) in chunk_builds() {
+                let mut out = [0.0f32; 6];
+                body(mu, b, &words, &mut out);
+                for (i, (&got, &want)) in out.iter().zip(&exact).enumerate() {
+                    assert!(
+                        got.is_nan() || got.to_bits() == want.to_bits(),
+                        "{name}: word {i}, mu {mu}, b {b}: {got} vs {want}"
+                    );
+                }
+                // u = 1/2 has L = 0, which the bracket cannot certify.
+                assert!(out[2].is_nan(), "{name}: u = 1/2 certified");
+                assert!(!out[0].is_nan(), "{name}: u = 0 left uncertified");
+            }
+            let mut out = [0.0f32; 6];
+            lap.fill_chunk(&words, &mut out);
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&exact), "mu {mu}, b {b}");
+            assert_eq!(out[2], mu as f32);
+        }
+    }
+
+    #[test]
+    fn chunk_builds_agree_and_rarely_fall_back() {
+        let mut rng = seeded(31);
+        let mut words = vec![0u64; 1 << 16];
+        rng.fill_u64(&mut words);
+        let builds = chunk_builds();
+        for (mu, b) in [(0.0, 0.05), (20.0, 1e-6), (-1e-3, 700.0)] {
+            let mut reference = vec![0.0f32; words.len()];
+            laplace_chunk_body(mu, b, &words, &mut reference);
+            for (name, body) in &builds {
+                let mut out = vec![0.0f32; words.len()];
+                body(mu, b, &words, &mut out);
+                let same = out
+                    .iter()
+                    .zip(&reference)
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "{name} differs from the baseline build");
+            }
+            // About 4.9e-4 of slots sit at an f32 rounding boundary.
+            let fallbacks = reference.iter().filter(|x| x.is_nan()).count();
+            let rate = fallbacks as f64 / words.len() as f64;
+            assert!(rate < 2e-3, "fallback rate {rate} for mu {mu}, b {b}");
+        }
+    }
+
+    #[test]
+    fn uniform_stays_below_hi() {
+        let u = Uniform::new(1.0, 2.0).unwrap();
+        let top = 1.0 - f64::EPSILON / 2.0;
+        assert_eq!(1.0 + top, 2.0, "the unclamped map rounds up to hi");
+        assert_eq!(u.inverse_cdf(top), 2.0f64.next_down());
+        assert_eq!(u.inverse_cdf(0.0), 1.0);
+    }
+
+    #[test]
+    fn uniform_rejects_an_infinite_width() {
+        assert!(Uniform::new(-f64::MAX, f64::MAX).is_err());
+        assert!(Uniform::new(-f64::MAX / 2.0, f64::MAX / 2.0).is_ok());
     }
 
     #[test]

@@ -6,6 +6,7 @@ use drift_tensor::stats::{AbsStats, SummaryStats};
 use drift_tensor::subtensor::SubTensorScheme;
 use drift_tensor::{Shape, Tensor};
 use proptest::prelude::*;
+use rand::RngCore;
 
 fn arb_shape() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(1usize..8, 1..4)
@@ -222,5 +223,38 @@ proptest! {
         let a = lap.sample_vec(&mut seeded(seed), 16);
         let b = lap.sample_vec(&mut seeded(seed), 16);
         prop_assert_eq!(a, b);
+    }
+
+    /// The bulk sampler gives every slot exactly the bits of the
+    /// per-value path, `sample() as f32`, and leaves the stream where
+    /// the per-value path does.
+    #[test]
+    fn laplace_fill_f32_is_sample_as_f32_bit_for_bit(
+        seed in any::<u64>(),
+        log_b in -6.0f64..3.0,
+    ) {
+        let b = 10f64.powf(log_b);
+        for mu in [0.0, 1e-3, -1e-3, 20.0, -20.0] {
+            let lap = Laplace::new(mu, b).unwrap();
+            for len in [0, 1, 255, 256, 257, 1024] {
+                let mut bulk = seeded(seed);
+                let mut single = seeded(seed);
+                let mut out = vec![0.0f32; len];
+                lap.fill_f32(&mut bulk, &mut out);
+                for (i, &x) in out.iter().enumerate() {
+                    let want = lap.sample(&mut single) as f32;
+                    prop_assert_eq!(
+                        x.to_bits(),
+                        want.to_bits(),
+                        "mu {}, b {}, len {}, slot {}",
+                        mu,
+                        b,
+                        len,
+                        i
+                    );
+                }
+                prop_assert_eq!(bulk.next_u64(), single.next_u64());
+            }
+        }
     }
 }

@@ -29,12 +29,16 @@ echo "== workspace tests =="
 cargo test -q --workspace
 
 echo "== release-build tests =="
-# Inlining and the SSE2 keystream refill exist only in optimised builds,
-# so the keystream, the pinned result bytes and the algorithm and
-# simulator properties are checked there too. The gateway robustness
-# suite stays out: its two stale-deadline tests race each other for the
-# CPUs in release (ROADMAP.md, deterministic fault injection).
+# Inlining and vectorisation happen only in optimised builds, so the
+# keystream, the bulk Laplace sampler, the pinned generator and result
+# bytes and the algorithm and simulator properties are checked there
+# too. The wide paths (the AVX-512 keystream refill and sampler body)
+# are picked at run time, so debug and release both exercise them on an
+# AVX-512 host. The gateway robustness suite stays out: its two
+# stale-deadline tests race each other for the CPUs in release
+# (ROADMAP.md, deterministic fault injection).
 cargo test -q --release -p rand_chacha
+cargo test -q --release -p drift-tensor -p drift-nn
 cargo test -q --release -p drift-serve --test determinism
 cargo test -q --release --test algorithm_properties --test simulator_crosscheck
 
