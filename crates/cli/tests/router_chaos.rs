@@ -6,7 +6,7 @@
 
 #![cfg(unix)]
 
-use drift_gateway::framing::{LineEvent, LineReader};
+use drift_gateway::framing::{LineEventRef, LineReader};
 use drift_gateway::protocol::request_line;
 use drift_obs::Recorder;
 use drift_router::{Router, RouterConfig};
@@ -115,9 +115,9 @@ fn collect(reader: &mut LineReader, expect: usize, seen: &mut HashMap<u64, usize
             Instant::now() < deadline,
             "timed out at {got}/{expect} responses"
         );
-        match reader.next_line() {
-            LineEvent::Line(line) => {
-                let value: Value = serde_json::from_str(&line).expect("response is JSON");
+        match reader.next_line_ref() {
+            LineEventRef::Line(line) => {
+                let value: Value = serde_json::from_str(line).expect("response is JSON");
                 let id = match value.get("id") {
                     Some(Value::U64(id)) => *id,
                     Some(Value::I64(id)) if *id >= 0 => *id as u64,
@@ -130,8 +130,8 @@ fn collect(reader: &mut LineReader, expect: usize, seen: &mut HashMap<u64, usize
                 *seen.entry(id).or_insert(0) += 1;
                 got += 1;
             }
-            LineEvent::TimedOut => {}
-            LineEvent::Eof | LineEvent::Failed => panic!("router dropped the connection"),
+            LineEventRef::TimedOut => {}
+            LineEventRef::Eof | LineEventRef::Failed => panic!("router dropped the connection"),
         }
     }
 }

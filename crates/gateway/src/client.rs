@@ -55,11 +55,12 @@ pub struct Submission {
     pub retries: u32,
 }
 
-/// One connection to a gateway.
+/// One connection to a gateway: a [`ClientReader`] and a
+/// [`ClientWriter`] over the same socket.
 #[derive(Debug)]
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    reader: ClientReader,
+    writer: ClientWriter,
 }
 
 impl Client {
@@ -90,9 +91,9 @@ impl Client {
 
     fn from_stream(stream: TcpStream) -> io::Result<Client> {
         stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
+        let writer = ClientWriter(stream.try_clone()?);
         Ok(Client {
-            reader: BufReader::new(stream),
+            reader: ClientReader(BufReader::new(stream)),
             writer,
         })
     }
@@ -105,7 +106,7 @@ impl Client {
     ///
     /// Propagates the `try_clone` failure.
     pub fn try_clone_stream(&self) -> io::Result<TcpStream> {
-        self.reader.get_ref().try_clone()
+        self.writer.0.try_clone()
     }
 
     /// Sends one job request without waiting for the response
@@ -115,7 +116,7 @@ impl Client {
     ///
     /// Returns the socket error on a failed write.
     pub fn send(&mut self, spec: &JobSpec, deadline_ms: Option<u64>) -> Result<(), String> {
-        self.send_raw(&protocol::request_line(spec, deadline_ms))
+        self.writer.send(spec, deadline_ms)
     }
 
     /// Sends one raw line (exposed for protocol tests and tooling).
@@ -124,13 +125,7 @@ impl Client {
     ///
     /// Returns the socket error on a failed write.
     pub fn send_raw(&mut self, line: &str) -> Result<(), String> {
-        let mut bytes = Vec::with_capacity(line.len() + 1);
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
-        self.writer
-            .write_all(&bytes)
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("gateway send failed: {e}"))
+        self.writer.send_raw(line)
     }
 
     /// Blocks for the next response line.
@@ -139,15 +134,7 @@ impl Client {
     ///
     /// Reports a closed connection or an unparseable response.
     pub fn recv(&mut self) -> Result<Response, String> {
-        let mut line = String::new();
-        let n = self
-            .reader
-            .read_line(&mut line)
-            .map_err(|e| format!("gateway recv failed: {e}"))?;
-        if n == 0 {
-            return Err("gateway closed the connection".to_string());
-        }
-        protocol::parse_response(line.trim_end())
+        self.reader.recv()
     }
 
     /// Sends one job and waits for its response.
@@ -174,7 +161,7 @@ impl Client {
         specs: &[JobSpec],
         deadline_ms: Option<u64>,
     ) -> Result<(), String> {
-        self.send_raw(&protocol::batch_request_line(id, specs, deadline_ms))
+        self.writer.send_batch(id, specs, deadline_ms)
     }
 
     /// Sends one batch of jobs and waits for its single response line:
@@ -211,17 +198,7 @@ impl Client {
         deadline_ms: Option<u64>,
         policy: &RetryPolicy,
     ) -> Result<Submission, String> {
-        let mut retries = 0;
-        loop {
-            let response = self.submit_batch(id, specs, deadline_ms)?;
-            let shed =
-                matches!(&response, Response::Error { error, .. } if error == ERR_OVERLOADED);
-            if !shed || retries >= policy.max_retries {
-                return Ok(Submission { response, retries });
-            }
-            std::thread::sleep(policy.delay(retries));
-            retries += 1;
-        }
+        with_retry(policy, || self.submit_batch(id, specs, deadline_ms))
     }
 
     /// [`Client::submit`], retrying shed (`overloaded`) responses with
@@ -237,17 +214,7 @@ impl Client {
         deadline_ms: Option<u64>,
         policy: &RetryPolicy,
     ) -> Result<Submission, String> {
-        let mut retries = 0;
-        loop {
-            let response = self.submit(spec, deadline_ms)?;
-            let shed =
-                matches!(&response, Response::Error { error, .. } if error == ERR_OVERLOADED);
-            if !shed || retries >= policy.max_retries {
-                return Ok(Submission { response, retries });
-            }
-            std::thread::sleep(policy.delay(retries));
-            retries += 1;
-        }
+        with_retry(policy, || self.submit(spec, deadline_ms))
     }
 
     /// Probes the gateway with a `ping` control line.
@@ -310,22 +277,31 @@ impl Client {
     /// so one thread can keep pipelining requests while another reaps
     /// responses (the open-loop load generator's mode of operation).
     pub fn split(self) -> (ClientReader, ClientWriter) {
-        (
-            ClientReader {
-                reader: self.reader,
-            },
-            ClientWriter {
-                writer: self.writer,
-            },
-        )
+        (self.reader, self.writer)
     }
 }
 
-/// The receive half of a split [`Client`].
-#[derive(Debug)]
-pub struct ClientReader {
-    reader: BufReader<TcpStream>,
+/// Runs `attempt` until it answers anything but a shed, or until
+/// `policy` runs out of retries, backing off between attempts.
+fn with_retry(
+    policy: &RetryPolicy,
+    mut attempt: impl FnMut() -> Result<Response, String>,
+) -> Result<Submission, String> {
+    let mut retries = 0;
+    loop {
+        let response = attempt()?;
+        let shed = matches!(&response, Response::Error { error, .. } if error == ERR_OVERLOADED);
+        if !shed || retries >= policy.max_retries {
+            return Ok(Submission { response, retries });
+        }
+        std::thread::sleep(policy.delay(retries));
+        retries += 1;
+    }
 }
+
+/// The receive half of a [`Client`].
+#[derive(Debug)]
+pub struct ClientReader(BufReader<TcpStream>);
 
 impl ClientReader {
     /// Blocks for the next response line (see [`Client::recv`]).
@@ -336,7 +312,7 @@ impl ClientReader {
     pub fn recv(&mut self) -> Result<Response, String> {
         let mut line = String::new();
         let n = self
-            .reader
+            .0
             .read_line(&mut line)
             .map_err(|e| format!("gateway recv failed: {e}"))?;
         if n == 0 {
@@ -346,11 +322,9 @@ impl ClientReader {
     }
 }
 
-/// The send half of a split [`Client`].
+/// The send half of a [`Client`].
 #[derive(Debug)]
-pub struct ClientWriter {
-    writer: TcpStream,
-}
+pub struct ClientWriter(TcpStream);
 
 impl ClientWriter {
     /// Sends one job request without waiting for the response (see
@@ -388,9 +362,9 @@ impl ClientWriter {
         let mut bytes = Vec::with_capacity(line.len() + 1);
         bytes.extend_from_slice(line.as_bytes());
         bytes.push(b'\n');
-        self.writer
+        self.0
             .write_all(&bytes)
-            .and_then(|()| self.writer.flush())
+            .and_then(|()| self.0.flush())
             .map_err(|e| format!("gateway send failed: {e}"))
     }
 }

@@ -57,7 +57,7 @@ pub struct LoadGenConfig {
     /// persistent connection per client. Measures connection-churn cost
     /// (see the connection-reuse guidance in `docs/SERVING.md`).
     pub connect_per_request: bool,
-    /// Jobs per wire request. `1` submits singleton request lines;
+    /// Jobs per wire request. `1` (or `0`) submits singleton lines;
     /// above `1` each client chunks its job stream and submits whole
     /// chunks with the batch wire protocol (`docs/SERVING.md`) — one
     /// request line in, one response line out per chunk. The batch id
@@ -266,6 +266,10 @@ impl LoadGenConfig {
 /// produced).
 pub fn run(addr: &str, config: &LoadGenConfig) -> Result<LoadReport, String> {
     let clients = config.clients.max(1);
+    let config = &LoadGenConfig {
+        batch: config.batch.max(1),
+        ..*config
+    };
     let jobs = if config.schedule_only {
         synthetic_schedule_jobs(config.jobs, config.shapes, config.seed)
     } else {
@@ -334,101 +338,59 @@ pub fn run(addr: &str, config: &LoadGenConfig) -> Result<LoadReport, String> {
     })
 }
 
+/// Drives one client's slice as lines of `config.batch` jobs.
 fn drive_client(
     addr: &str,
     slice: &[JobSpec],
     config: &LoadGenConfig,
     pace: Option<Duration>,
 ) -> Result<ClientTally, String> {
-    if config.connect_per_request && pace.is_none() {
-        return drive_churning(addr, slice, config);
-    }
-    let client =
-        Client::connect(addr).map_err(|e| format!("cannot connect to gateway at {addr}: {e}"))?;
+    let connect =
+        || Client::connect(addr).map_err(|e| format!("cannot connect to gateway at {addr}: {e}"));
     if let Some(interval) = pace {
-        return if config.batch > 1 {
-            drive_open_loop_batched(client, slice, config, interval)
-        } else {
-            drive_open_loop(client, slice, config, interval)
+        return drive_open_loop(connect()?, slice, config, interval);
+    }
+    // Closed loop: one line in flight. With `connect_per_request` each
+    // line gets a short-lived connection (connect, submit with the
+    // standard shed retries, read the response, drop the socket), so its
+    // latency includes the TCP setup and teardown — exactly the cost the
+    // persistent-connection default amortises away.
+    let mut persistent = if config.connect_per_request {
+        None
+    } else {
+        Some(connect()?)
+    };
+    let batched = config.batch > 1;
+    let mut tally = ClientTally::default();
+    for chunk in slice.chunks(config.batch) {
+        let begin = Instant::now();
+        let mut churned = None;
+        let client = match persistent.as_mut() {
+            Some(client) => client,
+            None => churned.insert(connect()?),
         };
-    }
-    let mut client = client;
-    let mut tally = ClientTally::default();
-    if config.batch > 1 {
-        for chunk in slice.chunks(config.batch) {
-            let begin = Instant::now();
-            let batch_id = chunk[0].id;
-            let sub = client.submit_batch_with_retry(
-                batch_id,
-                chunk,
-                config.budget_for(batch_id),
-                &config.retry,
-            )?;
-            let latency = begin.elapsed();
-            tally.retries += u64::from(sub.retries);
-            tally.account_batch(sub.response, chunk.len(), latency)?;
-        }
-        return Ok(tally);
-    }
-    for spec in slice {
-        let begin = Instant::now();
-        let sub = client.submit_with_retry(spec, config.budget_for(spec.id), &config.retry)?;
+        let (id, budget) = (chunk[0].id, config.budget_for(chunk[0].id));
+        let sub = if batched {
+            client.submit_batch_with_retry(id, chunk, budget, &config.retry)?
+        } else {
+            client.submit_with_retry(&chunk[0], budget, &config.retry)?
+        };
+        drop(churned);
         let latency = begin.elapsed();
         tally.retries += u64::from(sub.retries);
-        tally.account(sub.response, latency)?;
+        tally.account_line(sub.response, batched, chunk.len(), latency)?;
     }
     Ok(tally)
 }
 
-/// Closed-loop driving with one short-lived connection per request:
-/// connect, submit (with the standard shed retries on that same
-/// connection), read the response, drop the socket. The measured
-/// latency includes the TCP setup and teardown — exactly the cost the
-/// persistent-connection default amortises away.
-fn drive_churning(
-    addr: &str,
-    slice: &[JobSpec],
-    config: &LoadGenConfig,
-) -> Result<ClientTally, String> {
-    let mut tally = ClientTally::default();
-    if config.batch > 1 {
-        for chunk in slice.chunks(config.batch) {
-            let begin = Instant::now();
-            let mut client = Client::connect(addr)
-                .map_err(|e| format!("cannot connect to gateway at {addr}: {e}"))?;
-            let batch_id = chunk[0].id;
-            let sub = client.submit_batch_with_retry(
-                batch_id,
-                chunk,
-                config.budget_for(batch_id),
-                &config.retry,
-            )?;
-            drop(client);
-            let latency = begin.elapsed();
-            tally.retries += u64::from(sub.retries);
-            tally.account_batch(sub.response, chunk.len(), latency)?;
-        }
-        return Ok(tally);
-    }
-    for spec in slice {
-        let begin = Instant::now();
-        let mut client = Client::connect(addr)
-            .map_err(|e| format!("cannot connect to gateway at {addr}: {e}"))?;
-        let sub = client.submit_with_retry(spec, config.budget_for(spec.id), &config.retry)?;
-        drop(client);
-        let latency = begin.elapsed();
-        tally.retries += u64::from(sub.retries);
-        tally.account(sub.response, latency)?;
-    }
-    Ok(tally)
-}
-
-/// Open-loop driving: request *sends* are paced on this thread while a
+/// Open-loop driving: line *sends* are paced on this thread while a
 /// reaper thread drains responses concurrently, so a slow gateway
 /// cannot push back on the offered rate — the requests pipeline and the
 /// bounded queue (not the client) decides what gets shed. A blocking
 /// submit-then-wait loop here would silently turn the run into a
-/// closed loop capped at `clients` in-flight requests.
+/// closed loop capped at `clients` in-flight requests. A batch line
+/// goes out when its first job would have, so the *job* rate matches
+/// the configured RPS.
 fn drive_open_loop(
     client: Client,
     slice: &[JobSpec],
@@ -436,62 +398,10 @@ fn drive_open_loop(
     interval: Duration,
 ) -> Result<ClientTally, String> {
     let (mut reader, mut writer) = client.split();
-    // Send instants by job id, written by the pacer before each send
-    // and consumed by the reaper to measure send-to-response latency.
-    let sent: Mutex<HashMap<u64, Instant>> = Mutex::new(HashMap::with_capacity(slice.len()));
-    let expected = slice.len();
-
-    std::thread::scope(|scope| {
-        let pacer = scope.spawn(|| -> Result<(), String> {
-            let start = Instant::now();
-            for (index, spec) in slice.iter().enumerate() {
-                let next_start = start + config.send_offset(index as u64, interval);
-                let now = Instant::now();
-                if next_start > now {
-                    std::thread::sleep(next_start - now);
-                }
-                sent.lock()
-                    .expect("send-time map")
-                    .insert(spec.id, Instant::now());
-                writer.send(spec, config.budget_for(spec.id))?;
-            }
-            Ok(())
-        });
-
-        let mut tally = ClientTally::default();
-        for _ in 0..expected {
-            let response = reader.recv()?;
-            let begin = match &response {
-                Response::Result(result) => sent.lock().expect("send-time map").remove(&result.id),
-                Response::Error { id: Some(id), .. } => {
-                    sent.lock().expect("send-time map").remove(id)
-                }
-                _ => None,
-            };
-            let latency = begin.map_or(Duration::ZERO, |b| b.elapsed());
-            tally.account(response, latency)?;
-        }
-        pacer.join().expect("loadgen pacer panicked")?;
-        Ok(tally)
-    })
-}
-
-/// Open-loop driving with batched sends: the pacer offers whole
-/// chunks at the instant their first job would have been sent
-/// singleton (so the aggregate *job* rate matches the configured RPS),
-/// while the reaper unpacks each single-line batch response — or a
-/// flat whole-batch refusal — into per-item accounting.
-fn drive_open_loop_batched(
-    client: Client,
-    slice: &[JobSpec],
-    config: &LoadGenConfig,
-    interval: Duration,
-) -> Result<ClientTally, String> {
-    let (mut reader, mut writer) = client.split();
+    let batched = config.batch > 1;
     let chunks: Vec<&[JobSpec]> = slice.chunks(config.batch).collect();
-    // Send instants and item counts by batch id, written by the pacer
-    // before each send and consumed by the reaper to measure latency
-    // and to fan a flat refusal out across the batch's items.
+    // Send instants and item counts by line id, for the reaper's
+    // latencies and to fan a flat refusal out across a batch's items.
     let sent: Mutex<HashMap<u64, (Instant, usize)>> =
         Mutex::new(HashMap::with_capacity(chunks.len()));
 
@@ -505,11 +415,15 @@ fn drive_open_loop_batched(
                 if next_start > now {
                     std::thread::sleep(next_start - now);
                 }
-                let batch_id = chunk[0].id;
+                let id = chunk[0].id;
                 sent.lock()
                     .expect("send-time map")
-                    .insert(batch_id, (Instant::now(), chunk.len()));
-                writer.send_batch(batch_id, chunk, config.budget_for(batch_id))?;
+                    .insert(id, (Instant::now(), chunk.len()));
+                if batched {
+                    writer.send_batch(id, chunk, config.budget_for(id))?;
+                } else {
+                    writer.send(&chunk[0], config.budget_for(id))?;
+                }
             }
             Ok(())
         });
@@ -518,15 +432,16 @@ fn drive_open_loop_batched(
         for _ in 0..chunks.len() {
             let response = reader.recv()?;
             let id = match &response {
+                Response::Result(result) => Some(result.id),
                 Response::Batch { id, .. } => Some(*id),
                 Response::Error { id, .. } => *id,
-                _ => None,
+                Response::Control { .. } => None,
             };
             let entry = id.and_then(|id| sent.lock().expect("send-time map").remove(&id));
-            let (latency, expected) = entry.map_or((Duration::ZERO, config.batch), |(begin, n)| {
+            let (latency, items) = entry.map_or((Duration::ZERO, config.batch), |(begin, n)| {
                 (begin.elapsed(), n)
             });
-            tally.account_batch(response, expected, latency)?;
+            tally.account_line(response, batched, items, latency)?;
         }
         pacer.join().expect("loadgen pacer panicked")?;
         Ok(tally)
@@ -534,6 +449,22 @@ fn drive_open_loop_batched(
 }
 
 impl ClientTally {
+    /// Accounts the answer to one line of `items` jobs: a singleton's
+    /// response, or a batch's ([`ClientTally::account_batch`]).
+    fn account_line(
+        &mut self,
+        response: Response,
+        batched: bool,
+        items: usize,
+        latency: Duration,
+    ) -> Result<(), String> {
+        if batched {
+            self.account_batch(response, items, latency)
+        } else {
+            self.account(response, latency)
+        }
+    }
+
     /// Accounts one batch response: a [`Response::Batch`] item by
     /// item, or a flat whole-batch refusal fanned out across every
     /// submitted item (batch admission is all-or-shed, so one

@@ -40,6 +40,8 @@ use drift_obs::trace::{parse_span_id, span_id_hex};
 use drift_obs::{TraceContext, TraceDecision, TraceId};
 use drift_serve::job::{JobResult, JobSpec};
 use serde::{Deserialize, Serialize, Value};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Error code: the queue was full and the request was shed.
 pub const ERR_OVERLOADED: &str = "overloaded";
@@ -72,20 +74,33 @@ impl ControlOp {
     }
 }
 
+/// A parsed job line: one job in the `drift serve` JSONL format, or a
+/// `{"id":N,"batch":[spec,...]}` batch admitted as one unit and answered
+/// with one line (`docs/SERVING.md` § Batch requests). A singleton is a
+/// batch of one answered without the envelope.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobLine {
+    /// The singleton's job id, or the batch correlation id echoed on
+    /// the response (independent of the item job ids inside).
+    pub id: u64,
+    /// The jobs, in submission order; never empty.
+    pub specs: Vec<JobSpec>,
+    /// A singleton line: answered with its item's line, not a batch
+    /// envelope.
+    pub single: bool,
+    /// One latency budget in milliseconds shared by every item, measured
+    /// from admission; overrides the server's default.
+    pub deadline_ms: Option<u64>,
+    /// The upstream head-sampling decision carried on the wire
+    /// (`trace_id`/`trace_span` fields; absent → `Undecided`).
+    pub trace: TraceDecision,
+}
+
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// A job submission, with an optional per-request deadline budget
-    /// in milliseconds (measured from admission).
-    Job {
-        /// The job to run, in the `drift serve` JSONL format.
-        spec: JobSpec,
-        /// Overrides the server's default deadline when present.
-        deadline_ms: Option<u64>,
-        /// The upstream head-sampling decision carried on the wire
-        /// (`trace_id`/`trace_span` fields; absent → `Undecided`).
-        trace: TraceDecision,
-    },
+    /// A job line: a singleton or a batch.
+    Job(JobLine),
     /// A control line.
     Control(ControlOp),
     /// A `{"control":"prewarm","entries":[...]}` line carrying solved
@@ -94,25 +109,10 @@ pub enum Request {
     /// `docs/PERSISTENCE.md`). Prewarmed entries are inserted without
     /// counting hits/misses and are never re-appended to a store.
     Prewarm(Vec<(ScheduleKey, Schedule)>),
-    /// A `{"id":N,"batch":[spec,...]}` line submitting several jobs as
-    /// one atomically-admitted unit: all-or-shed at the queue, one
-    /// shared deadline budget, and exactly one response line carrying
-    /// the per-item payloads in submission order (see `docs/SERVING.md`
-    /// § Batch requests).
-    Batch {
-        /// The batch correlation id — the client's token for the whole
-        /// line, echoed on the single response. Independent of the
-        /// per-item job ids inside.
-        id: u64,
-        /// The jobs, each in the `drift serve` JSONL format. Never
-        /// empty: an empty batch is a `bad_request`.
-        specs: Vec<JobSpec>,
-        /// One latency budget shared by every item, measured from the
-        /// batch's admission.
-        deadline_ms: Option<u64>,
-        /// The upstream head-sampling decision for the whole batch.
-        trace: TraceDecision,
-    },
+    /// A `{"control":"reshard","shards":[...],"vnodes":K}` line, carried
+    /// as parsed: only the router acts on it, and it validates the
+    /// fields itself (`docs/SERVING.md` § Resharding).
+    Reshard(Value),
 }
 
 /// One parsed response line.
@@ -171,6 +171,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             "ping" => Ok(Request::Control(ControlOp::Ping)),
             "shutdown" => Ok(Request::Control(ControlOp::Shutdown)),
             "prewarm" => parse_prewarm_entries(&value).map(Request::Prewarm),
+            "reshard" => Ok(Request::Reshard(value)),
             other => Err(format!("unknown control operation '{other}'")),
         };
     }
@@ -179,36 +180,45 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some(v) => Some(u64::from_value(v).map_err(|e| format!("deadline_ms: {e}"))?),
     };
     let trace = parse_trace_fields(&value)?;
-    if let Some(batch) = value.get("batch") {
-        let items = match batch {
-            Value::Seq(items) => items,
-            other => return Err(format!("batch must be an array, got {}", other.kind())),
-        };
+    if let Some((id, items)) = batch_envelope(&value)? {
         if items.is_empty() {
             return Err("batch must contain at least one job".to_string());
         }
-        let id = match value.get("id") {
-            Some(v) => u64::from_value(v).map_err(|e| format!("batch id: {e}"))?,
-            None => return Err("batch requires an id".to_string()),
-        };
         let specs = items
             .iter()
             .enumerate()
             .map(|(i, item)| JobSpec::from_value(item).map_err(|e| format!("batch item {i}: {e}")))
             .collect::<Result<Vec<JobSpec>, String>>()?;
-        return Ok(Request::Batch {
+        return Ok(Request::Job(JobLine {
             id,
             specs,
+            single: false,
             deadline_ms,
             trace,
-        });
+        }));
     }
     let spec = JobSpec::from_value(&value).map_err(|e| e.to_string())?;
-    Ok(Request::Job {
-        spec,
+    Ok(Request::Job(JobLine {
+        id: spec.id,
+        specs: vec![spec],
+        single: true,
         deadline_ms,
         trace,
-    })
+    }))
+}
+
+/// The id and items of a `{"id":N,"batch":[...]}` envelope (a batch
+/// request or response line), or `None` when `value` has no `batch`.
+fn batch_envelope(value: &Value) -> Result<Option<(u64, &[Value])>, String> {
+    let Some(batch) = value.get("batch") else {
+        return Ok(None);
+    };
+    let Value::Seq(items) = batch else {
+        return Err(format!("batch must be an array, got {}", batch.kind()));
+    };
+    let id = value.get("id").ok_or("batch requires an id")?;
+    let id = u64::from_value(id).map_err(|e| format!("batch id: {e}"))?;
+    Ok(Some((id, items)))
 }
 
 /// Decodes the `entries` array of a prewarm control line: each element
@@ -283,23 +293,33 @@ pub fn request_line_traced(
 ) -> String {
     let mut value = spec.to_value();
     if let Value::Map(entries) = &mut value {
-        if let Some(ms) = deadline_ms {
-            entries.push(("deadline_ms".to_string(), ms.to_value()));
+        push_line_fields(entries, deadline_ms, trace);
+    }
+    render(&value)
+}
+
+/// Appends a job line's optional fields: the deadline budget and the
+/// sampling decision.
+fn push_line_fields(
+    entries: &mut Vec<(String, Value)>,
+    deadline_ms: Option<u64>,
+    trace: &TraceDecision,
+) {
+    if let Some(ms) = deadline_ms {
+        entries.push(("deadline_ms".to_string(), ms.to_value()));
+    }
+    match trace {
+        TraceDecision::Undecided => {}
+        TraceDecision::Unsampled => {
+            entries.push(("trace_id".to_string(), Value::Str(String::new())));
         }
-        match trace {
-            TraceDecision::Undecided => {}
-            TraceDecision::Unsampled => {
-                entries.push(("trace_id".to_string(), Value::Str(String::new())));
-            }
-            TraceDecision::Sampled(ctx) => {
-                entries.push(("trace_id".to_string(), Value::Str(ctx.trace_id.to_string())));
-                if let Some(parent) = ctx.parent_span {
-                    entries.push(("trace_span".to_string(), Value::Str(span_id_hex(parent))));
-                }
+        TraceDecision::Sampled(ctx) => {
+            entries.push(("trace_id".to_string(), Value::Str(ctx.trace_id.to_string())));
+            if let Some(parent) = ctx.parent_span {
+                entries.push(("trace_span".to_string(), Value::Str(span_id_hex(parent))));
             }
         }
     }
-    render(&value)
 }
 
 /// Renders a batch request line, e.g.
@@ -325,21 +345,7 @@ pub fn batch_request_line_traced(
             Value::Seq(specs.iter().map(|s| s.to_value()).collect()),
         ),
     ];
-    if let Some(ms) = deadline_ms {
-        entries.push(("deadline_ms".to_string(), ms.to_value()));
-    }
-    match trace {
-        TraceDecision::Undecided => {}
-        TraceDecision::Unsampled => {
-            entries.push(("trace_id".to_string(), Value::Str(String::new())));
-        }
-        TraceDecision::Sampled(ctx) => {
-            entries.push(("trace_id".to_string(), Value::Str(ctx.trace_id.to_string())));
-            if let Some(parent) = ctx.parent_span {
-                entries.push(("trace_span".to_string(), Value::Str(span_id_hex(parent))));
-            }
-        }
-    }
+    push_line_fields(&mut entries, deadline_ms, trace);
     render(&Value::Map(entries))
 }
 
@@ -361,6 +367,57 @@ pub fn batch_response_line(id: u64, items: &[String]) -> String {
     }
     line.push_str("]}");
     line
+}
+
+/// The response to one admitted job line, assembled from its items'
+/// rendered lines as they settle, in any order and from any thread, into
+/// the client's submission order: a singleton's item line, or a batch's
+/// [`batch_response_line`] envelope.
+#[derive(Debug)]
+pub struct ResponseAssembler {
+    /// The singleton's job id, or the batch id.
+    pub id: u64,
+    /// A singleton line: answered without the batch envelope.
+    pub single: bool,
+    slots: Mutex<Vec<Option<String>>>,
+    remaining: AtomicUsize,
+}
+
+impl ResponseAssembler {
+    /// An assembler for a line of `items` jobs (at least one).
+    pub fn new(id: u64, single: bool, items: usize) -> Self {
+        ResponseAssembler {
+            id,
+            single,
+            slots: Mutex::new(vec![None; items]),
+            remaining: AtomicUsize::new(items),
+        }
+    }
+
+    /// How many items the line carries.
+    pub fn items(&self) -> usize {
+        self.slots.lock().expect("response slots").len()
+    }
+
+    /// Fills item `pos` (its submission position) with its rendered
+    /// `line`. Whoever fills the last empty slot gets the response line.
+    pub fn settle(&self, pos: usize, line: String) -> Option<String> {
+        let mut slots = self.slots.lock().expect("response slots");
+        debug_assert!(slots[pos].is_none(), "response slot settled twice");
+        slots[pos] = Some(line);
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return None;
+        }
+        let mut items: Vec<String> = slots
+            .iter_mut()
+            .map(|slot| slot.take().expect("all response slots settled"))
+            .collect();
+        Some(if self.single {
+            items.swap_remove(0)
+        } else {
+            batch_response_line(self.id, &items)
+        })
+    }
 }
 
 /// Renders a protocol value tree; the protocol's values never contain
@@ -456,15 +513,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         };
         return Ok(Response::Control { op, ok, queue });
     }
-    if let Some(batch) = value.get("batch") {
-        let items = match batch {
-            Value::Seq(items) => items,
-            other => return Err(format!("batch must be an array, got {}", other.kind())),
-        };
-        let id = match value.get("id") {
-            Some(v) => u64::from_value(v).map_err(|e| format!("batch id: {e}"))?,
-            None => return Err("batch response requires an id".to_string()),
-        };
+    if let Some((id, items)) = batch_envelope(&value)? {
         let items = items
             .iter()
             .enumerate()
@@ -520,21 +569,25 @@ mod tests {
         assert_eq!(plain, serde_json::to_string(&spec()).unwrap());
         assert_eq!(
             parse_request(&plain).unwrap(),
-            Request::Job {
-                spec: spec(),
+            Request::Job(JobLine {
+                id: 7,
+                specs: vec![spec()],
+                single: true,
                 deadline_ms: None,
                 trace: TraceDecision::Undecided
-            }
+            })
         );
         let budgeted = request_line(&spec(), Some(250));
         assert!(budgeted.contains("\"deadline_ms\":250"));
         assert_eq!(
             parse_request(&budgeted).unwrap(),
-            Request::Job {
-                spec: spec(),
+            Request::Job(JobLine {
+                id: 7,
+                specs: vec![spec()],
+                single: true,
                 deadline_ms: Some(250),
                 trace: TraceDecision::Undecided
-            }
+            })
         );
     }
 
@@ -550,10 +603,10 @@ mod tests {
         assert!(unsampled.contains("\"trace_id\":\"\""));
         assert!(matches!(
             parse_request(&unsampled).unwrap(),
-            Request::Job {
+            Request::Job(JobLine {
                 trace: TraceDecision::Unsampled,
                 ..
-            }
+            })
         ));
         // Sampled carries the trace id and the sender's span id.
         let ctx = TraceContext {
@@ -564,7 +617,7 @@ mod tests {
         assert!(sampled.contains(&format!("\"trace_id\":\"{}\"", ctx.trace_id)));
         assert!(sampled.contains(&format!("\"trace_span\":\"{}\"", span_id_hex(0xfeed))));
         match parse_request(&sampled).unwrap() {
-            Request::Job { trace, .. } => assert_eq!(trace, TraceDecision::Sampled(ctx)),
+            Request::Job(job) => assert_eq!(job.trace, TraceDecision::Sampled(ctx)),
             other => panic!("expected a job, got {other:?}"),
         }
         // A sampled root (no parent yet) omits trace_span.
@@ -733,21 +786,23 @@ mod tests {
         }
         assert_eq!(
             parse_request(&line).unwrap(),
-            Request::Batch {
+            Request::Job(JobLine {
                 id: 3,
                 specs: specs.clone(),
+                single: false,
                 deadline_ms: Some(250),
                 trace: TraceDecision::Undecided
-            }
+            })
         );
         // Traced batches carry the decision for the whole line.
         let unsampled = batch_request_line_traced(3, &specs, None, &TraceDecision::Unsampled);
         assert!(matches!(
             parse_request(&unsampled).unwrap(),
-            Request::Batch {
+            Request::Job(JobLine {
+                single: false,
                 trace: TraceDecision::Unsampled,
                 ..
-            }
+            })
         ));
         // Empty batches, missing ids, and bad elements are rejected.
         assert!(parse_request("{\"id\":1,\"batch\":[]}").is_err());
@@ -787,6 +842,79 @@ mod tests {
             parse_response("{\"id\":9,\"batch\":[]}").unwrap(),
             Response::Batch { id: 9, items } if items.is_empty()
         ));
+    }
+
+    #[test]
+    fn reshard_lines_parse_to_their_value() {
+        let line = "{\"control\":\"reshard\",\"shards\":[\"a:1\"],\"vnodes\":8}";
+        match parse_request(line).unwrap() {
+            Request::Reshard(value) => {
+                assert_eq!(value, serde_json::from_str::<Value>(line).unwrap());
+            }
+            other => panic!("expected a reshard, got {other:?}"),
+        }
+        // The fields are the router's to check.
+        assert!(matches!(
+            parse_request("{\"control\":\"reshard\"}").unwrap(),
+            Request::Reshard(_)
+        ));
+        assert!(parse_request("{\"control\":5}").is_err());
+    }
+
+    fn item(id: u64) -> String {
+        result_line(&JobResult {
+            id,
+            outcome: JobOutcome::Schedule {
+                makespan: id * 10,
+                latencies: [1, 2, 3, 4],
+            },
+        })
+    }
+
+    #[test]
+    fn a_singleton_response_is_its_item_line() {
+        let assembler = ResponseAssembler::new(5, true, 1);
+        assert_eq!(assembler.items(), 1);
+        assert_eq!(assembler.settle(0, item(5)), Some(item(5)));
+    }
+
+    #[test]
+    fn a_batch_response_is_the_envelope_in_submission_order() {
+        let items: Vec<String> = (10..14).map(item).collect();
+        let assembler = ResponseAssembler::new(3, false, items.len());
+        // Settled out of order: only the last filler gets the line.
+        for pos in [2, 0, 3] {
+            assert_eq!(assembler.settle(pos, items[pos].clone()), None);
+        }
+        assert_eq!(
+            assembler.settle(1, items[1].clone()),
+            Some(batch_response_line(3, &items))
+        );
+    }
+
+    #[test]
+    fn concurrent_settles_finish_exactly_once() {
+        const N: usize = 16;
+        for round in 0..20u64 {
+            let assembler = ResponseAssembler::new(round, false, N);
+            // Every thread settles at once, so the last slots race.
+            let start = std::sync::Barrier::new(N);
+            let finished: Vec<Option<String>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..N)
+                    .map(|pos| {
+                        let (assembler, start) = (&assembler, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            assembler.settle(pos, item(pos as u64))
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let lines: Vec<&String> = finished.iter().flatten().collect();
+            let items: Vec<String> = (0..N as u64).map(item).collect();
+            assert_eq!(lines, [&batch_response_line(round, &items)]);
+        }
     }
 
     #[test]

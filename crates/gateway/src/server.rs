@@ -30,15 +30,16 @@
 //!   through its connection writer, and only then closes the queue and
 //!   joins the workers. No accepted job is lost.
 //!
-//! Stalled clients cannot pin threads: reads tick on a short timeout
-//! (so readers notice shutdown and idle expiry), and writes time out
-//! and degrade to discarding responses for that connection only.
+//! Connections run on the [`LineServer`] the router shares, so stalled
+//! clients cannot pin threads: reads tick, and a stalled write discards
+//! that connection's remaining responses only.
 
-use crate::framing::{LineEventRef, LineReader};
+use crate::framing::{LineHandler, LineServer, Reply};
 use crate::protocol::{
-    self, ControlOp, Request, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_OVERLOADED, ERR_UNMEETABLE,
+    self, ControlOp, Request, ResponseAssembler, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_OVERLOADED,
+    ERR_UNMEETABLE,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Sender;
 use drift_core::accelerator::DriftAccelerator;
 use drift_core::arch::paper_fabric;
 use drift_core::schedule::ScheduleKey;
@@ -48,19 +49,13 @@ use drift_serve::job::{result_line, JobOutcome, JobResult, JobSpec};
 use drift_serve::persist::{open_and_preload, StoreBinding};
 use drift_serve::queue::{job_queue_with_policy, Deadlined, JobQueue, QueuePolicy, WorkerHandle};
 use drift_serve::worker::{execute_traced, schedule_key_for};
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often blocked reads wake up to check shutdown and idle expiry.
-const READ_TICK: Duration = Duration::from_millis(100);
-/// A connection writer gives a slow client this long per response
-/// before treating the connection as stalled and discarding the rest.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Tunables for one gateway instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,40 +201,13 @@ impl ServiceEstimator {
     }
 }
 
-/// One queued response line. The answer to an admitted request has its
-/// write timed as a `response_write` stage, a span under the request's
-/// span when it is sampled; control acks and refusals are plain.
-#[derive(Debug, Clone)]
-struct Reply {
-    line: String,
-    timed: bool,
-    request_span: Option<SpanCtx>,
-}
-
-impl Reply {
-    fn plain(line: String) -> Reply {
-        Reply {
-            line,
-            timed: false,
-            request_span: None,
-        }
-    }
-}
-
 /// One admitted request line — a singleton job or a batch — shared by
-/// every schedule-key group it was split into: the response slots
-/// (indexed by submission position, so assembly order is the client's
-/// order no matter which worker finishes first) and the countdown that
-/// tells the last group to send the single response line.
+/// every schedule-key group it was split into: its response, assembled
+/// in the client's order no matter which worker finishes first, and
+/// the request's own accounting.
 #[derive(Debug)]
 struct RequestState {
-    /// The singleton's job id, or the batch id.
-    id: u64,
-    /// A singleton line: the response is its one item's line rather
-    /// than a batch envelope.
-    single: bool,
-    slots: Mutex<Vec<Option<String>>>,
-    remaining: AtomicUsize,
+    response: ResponseAssembler,
     reply: Sender<Reply>,
     /// This gateway's request span (the parent of every span the
     /// gateway records for the request), when sampled.
@@ -274,39 +242,19 @@ impl RequestState {
     }
 
     /// Fills one item's rendered payload; the filler of the last empty
-    /// slot sends the response. `outcome` (`ok` or
-    /// `deadline_exceeded`) labels a singleton's request span.
+    /// slot sends the response and settles the request's accounting.
+    /// `outcome` (`ok` or `deadline_exceeded`) labels a singleton's
+    /// request span.
     fn settle_item(&self, shared: &Shared, pos: usize, line: String, outcome: &str) {
-        {
-            let mut slots = self.slots.lock().expect("request slots");
-            debug_assert!(slots[pos].is_none(), "request slot settled twice");
-            slots[pos] = Some(line);
-        }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.finish(shared, outcome);
-        }
-    }
-
-    /// Sends the response and settles the request's accounting
-    /// (in-flight gauge, the `request` stage).
-    fn finish(&self, shared: &Shared, outcome: &str) {
-        let mut items: Vec<String> = {
-            let mut slots = self.slots.lock().expect("request slots");
-            slots
-                .iter_mut()
-                .map(|slot| slot.take().expect("all request slots settled"))
-                .collect()
+        let Some(line) = self.response.settle(pos, line) else {
+            return;
         };
-        let total = items.len();
-        let line = if self.single {
-            items.remove(0)
-        } else {
-            protocol::batch_response_line(self.id, &items)
-        };
-        let recorder = &shared.recorder;
-        recorder.gauge_add("drift_gateway_inflight_requests", &[], -(total as i64));
-        let outcome = if self.single { outcome } else { "ok" };
-        end_request(shared, self.span, self.id, self.admitted, outcome);
+        let total = self.response.items() as i64;
+        shared
+            .recorder
+            .gauge_add("drift_gateway_inflight_requests", &[], -total);
+        let outcome = if self.response.single { outcome } else { "ok" };
+        end_request(shared, self.span, self.response.id, self.admitted, outcome);
         let reply = Reply {
             line,
             timed: true,
@@ -314,8 +262,7 @@ impl RequestState {
         };
         if self.reply.send(reply).is_err() {
             // The connection is fully gone (reader and writer exited).
-            shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
-            recorder.counter_add("drift_gateway_responses_dropped_total", &[], 1);
+            shared.count_dropped();
         }
     }
 }
@@ -366,12 +313,218 @@ struct Shared {
 }
 
 impl Shared {
-    fn should_stop(&self) -> bool {
-        self.stop.load(Ordering::Relaxed) || self.drain.load(Ordering::Relaxed)
+    fn count_dropped(&self) {
+        self.tally.dropped.fetch_add(1, Ordering::Relaxed);
+        self.recorder
+            .counter_add("drift_gateway_responses_dropped_total", &[], 1);
     }
 }
 
-/// A running gateway: acceptor, connection threads, and worker pool.
+/// The gateway's [`LineHandler`]: admission. It owns the queue's submit
+/// side, so joining the server closes the queue and drains the workers.
+#[derive(Debug)]
+struct Admission {
+    shared: Arc<Shared>,
+    queue: JobQueue<GroupJob>,
+}
+
+impl LineHandler for Admission {
+    fn line(&self, line: &str, reply: &Sender<Reply>) -> bool {
+        let (shared, queue) = (&*self.shared, &self.queue);
+        let answer = |line: String| {
+            let _ = reply.send(Reply::plain(line));
+        };
+        let job = match protocol::parse_request(line) {
+            // Reshard is the router's control; to a gateway it is as
+            // unknown as any other.
+            Err(_) | Ok(Request::Reshard(_)) => {
+                // Lenient by design: a malformed request is answered and
+                // counted, never a reason to abort the stream.
+                shared.tally.rejected.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .recorder
+                    .counter_add("drift_serve_jobs_rejected_total", &[], 1);
+                answer(protocol::error_line(None, ERR_BAD_REQUEST));
+                return true;
+            }
+            Ok(Request::Control(ControlOp::Ping)) => {
+                // The ack advertises the queue discipline so router health
+                // probes learn each shard's policy (docs/SCHEDULING.md).
+                answer(protocol::ping_ack_line(true, shared.config.queue.as_str()));
+                return true;
+            }
+            Ok(Request::Control(ControlOp::Shutdown)) => {
+                answer(protocol::control_ack_line(ControlOp::Shutdown, true));
+                shared.drain.store(true, Ordering::SeqCst);
+                return false;
+            }
+            Ok(Request::Prewarm(entries)) => {
+                // Reshard prewarming: the router pushes schedules whose
+                // keys now hash here (docs/PERSISTENCE.md). Preloaded
+                // entries bypass hit/miss accounting and the store spill —
+                // they are transplants, not solves.
+                let inserted = shared.cache.preload(&entries);
+                shared.recorder.counter_add(
+                    "drift_gateway_prewarm_entries_total",
+                    &[],
+                    inserted as u64,
+                );
+                answer(protocol::prewarm_ack_line(true, inserted as u64));
+                return true;
+            }
+            Ok(Request::Job(job)) => job,
+        };
+        let admitted = Instant::now();
+        let total = job.specs.len();
+        // Resolve head sampling once per line (the whole line is one request
+        // to the trace tier): honor an upstream decision; when the request
+        // carries none, this gateway is the ingress edge and decides from
+        // its arrival sequence.
+        let decision = match job.trace {
+            TraceDecision::Undecided if shared.tracer.is_enabled() => shared
+                .tracer
+                .decide(shared.trace_seq.fetch_add(1, Ordering::Relaxed)),
+            other => other,
+        };
+        let span = match (decision.context(), shared.tracer.is_enabled()) {
+            (Some(ctx), true) => Some(SpanCtx {
+                trace: ctx.trace_id,
+                span: shared.tracer.new_span_id(),
+                parent: ctx.parent_span,
+            }),
+            _ => None,
+        };
+        // The deadline budget is shared: one absolute instant for every
+        // item, decremented once per hop upstream — never once per item.
+        let budget = job.deadline_ms.unwrap_or(shared.config.default_deadline_ms);
+        let deadline = (budget > 0).then(|| admitted + Duration::from_millis(budget));
+        // Infeasibility shed: once at least one job has completed, a budget
+        // below the observed single-job service-time estimate cannot be met
+        // even from an empty queue — refuse the whole line immediately
+        // instead of letting it occupy slots and expire later.
+        let estimate_us = shared.estimator.estimate_us();
+        if deadline.is_some() && estimate_us > 0 && budget.saturating_mul(1000) < estimate_us {
+            shared
+                .tally
+                .unmeetable
+                .fetch_add(total as u64, Ordering::Relaxed);
+            shared.recorder.counter_add(
+                "drift_gateway_deadline_outcomes_total",
+                &[("outcome", "unmeetable")],
+                total as u64,
+            );
+            end_request(shared, span, job.id, admitted, "unmeetable");
+            answer(protocol::error_line(Some(job.id), ERR_UNMEETABLE));
+            return true;
+        }
+        let request = Arc::new(RequestState {
+            response: ResponseAssembler::new(job.id, job.single, total),
+            reply: reply.clone(),
+            span,
+            admitted,
+            deadline,
+        });
+        let groups = if total == 1 {
+            // Nothing to amortise: the item resolves its own key as it
+            // executes, so admission does no key work.
+            vec![GroupJob {
+                key: None,
+                positions: vec![0],
+                specs: job.specs,
+                request,
+            }]
+        } else {
+            // Group by schedule key, preserving submission order within
+            // each group. Linear scan: batches carry at most a few distinct
+            // keys by construction (that is the amortization).
+            let fabric = paper_fabric();
+            let mut groups: Vec<GroupJob> = Vec::new();
+            for (pos, spec) in job.specs.into_iter().enumerate() {
+                let key = schedule_key_for(&spec, fabric);
+                match groups.iter_mut().find(|g| g.key == key) {
+                    Some(group) => {
+                        group.positions.push(pos);
+                        group.specs.push(spec);
+                    }
+                    None => groups.push(GroupJob {
+                        key,
+                        positions: vec![pos],
+                        specs: vec![spec],
+                        request: Arc::clone(&request),
+                    }),
+                }
+            }
+            groups
+        };
+        match queue.try_submit_batch(groups) {
+            Ok(()) => {
+                shared
+                    .tally
+                    .accepted
+                    .fetch_add(total as u64, Ordering::Relaxed);
+                shared.recorder.counter_add(
+                    "drift_gateway_requests_accepted_total",
+                    &[],
+                    total as u64,
+                );
+                shared
+                    .recorder
+                    .gauge_add("drift_gateway_inflight_requests", &[], total as i64);
+                if !job.single && shared.recorder.is_enabled() {
+                    shared.recorder.observe(
+                        "drift_gateway_batch_size",
+                        &[],
+                        drift_obs::contract::BATCH_SIZE_BUCKETS,
+                        total as u64,
+                    );
+                }
+            }
+            Err(_groups) => {
+                // All-or-shed: no group was enqueued, so dropping the groups
+                // (and the request state inside) is safe — nothing will
+                // ever settle a slot.
+                shared.tally.shed.fetch_add(total as u64, Ordering::Relaxed);
+                shared
+                    .recorder
+                    .counter_add("drift_gateway_requests_shed_total", &[], total as u64);
+                end_request(shared, span, job.id, admitted, "overloaded");
+                answer(protocol::error_line(Some(job.id), ERR_OVERLOADED));
+            }
+        }
+        true
+    }
+
+    fn stopping(&self) -> bool {
+        self.shared.stop.load(Ordering::Relaxed) || self.shared.drain.load(Ordering::Relaxed)
+    }
+
+    fn connections(&self, delta: i64) {
+        let shared = &self.shared;
+        if delta > 0 {
+            shared.tally.connections.fetch_add(1, Ordering::Relaxed);
+        }
+        shared
+            .recorder
+            .gauge_add("drift_gateway_connections", &[], delta);
+    }
+
+    fn dropped(&self) {
+        self.shared.count_dropped();
+    }
+
+    /// The answer to an admitted request has its write timed as a
+    /// `response_write` stage, a span under the request's span when it
+    /// is sampled; control acks and refusals are plain.
+    fn write_stage(&self, reply: &Reply) -> Option<Stage<'_>> {
+        let shared = &*self.shared;
+        let span = reply.request_span.map(|s| s.child(&shared.tracer));
+        reply
+            .timed
+            .then(|| stage(shared, "response_write", span).open())
+    }
+}
+
+/// A running gateway: line server and worker pool.
 ///
 /// Dropping the gateway performs the same graceful drain as
 /// [`Gateway::shutdown`].
@@ -379,13 +532,10 @@ impl Shared {
 pub struct Gateway {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    /// The submit side of the queue. Connection readers hold clones of
-    /// this `Arc`; after they are joined, dropping the slot here drops
-    /// the final strong reference, which closes the queue and lets the
-    /// workers drain out.
-    queue: Option<Arc<JobQueue<GroupJob>>>,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// The line server. Its handler owns the submit side of the queue,
+    /// so joining the server closes the queue and lets the workers
+    /// drain out.
+    server: Option<LineServer>,
     workers: Vec<JoinHandle<()>>,
     /// The persistent schedule store, when started with one. Finished
     /// (flushed, possibly compacted) during shutdown, after the workers
@@ -450,7 +600,6 @@ impl Gateway {
         store_path: Option<&Path>,
     ) -> io::Result<Gateway> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let config = GatewayConfig {
             workers: config.workers.max(1),
@@ -489,7 +638,6 @@ impl Gateway {
             .transpose()?;
 
         let (queue, handle) = job_queue_with_policy::<GroupJob>(config.queue, config.queue_depth);
-        let queue = Arc::new(queue);
         let workers = (0..config.workers)
             .map(|i| {
                 let handle = handle.clone();
@@ -501,22 +649,16 @@ impl Gateway {
             .collect::<io::Result<Vec<_>>>()?;
         drop(handle);
 
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let queue = Arc::clone(&queue);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("gateway-acceptor".to_string())
-                .spawn(move || acceptor_loop(&listener, &shared, &queue, &conns))?
+        let admission = Admission {
+            shared: Arc::clone(&shared),
+            queue,
         };
+        let server = LineServer::start(listener, "gateway", config.idle_timeout_ms, admission)?;
 
         Ok(Gateway {
             addr,
             shared,
-            queue: Some(queue),
-            acceptor: Some(acceptor),
-            conns,
+            server: Some(server),
             workers,
             store,
         })
@@ -548,20 +690,15 @@ impl Gateway {
 
     fn shutdown_in_place(&mut self) -> GatewaySummary {
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
         // Readers notice the stop flag at their next read tick and
         // exit; each joins its writer, which flushes the responses of
         // every job that connection had in flight (workers are still
-        // running here, so those jobs finish).
-        let conns = std::mem::take(&mut *self.conns.lock().expect("connection registry"));
-        for conn in conns {
-            let _ = conn.join();
+        // running here, so those jobs finish). Joining the server drops
+        // its handler and with it the queue's submit side: the queue
+        // closes, and workers drain whatever is still buffered and exit.
+        if let Some(server) = self.server.take() {
+            server.join();
         }
-        // All submitters are gone: dropping the last queue handle
-        // closes it, workers drain whatever is still buffered and exit.
-        self.queue.take();
         for worker in std::mem::take(&mut self.workers) {
             let _ = worker.join();
         }
@@ -580,283 +717,10 @@ impl Gateway {
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.workers.is_empty() {
+        if self.server.is_some() || !self.workers.is_empty() {
             self.shutdown_in_place();
         }
     }
-}
-
-fn acceptor_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    queue: &Arc<JobQueue<GroupJob>>,
-    conns: &Mutex<Vec<JoinHandle<()>>>,
-) {
-    while !shared.should_stop() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                let queue = Arc::clone(queue);
-                let handle = std::thread::Builder::new()
-                    .name("gateway-conn".to_string())
-                    .spawn(move || connection(stream, &shared, &queue));
-                if let Ok(handle) = handle {
-                    let mut conns = conns.lock().expect("connection registry");
-                    // Reap finished connections so a long-lived gateway
-                    // does not accumulate dead handles.
-                    conns.retain(|h| !h.is_finished());
-                    conns.push(handle);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(READ_TICK),
-            Err(_) => std::thread::sleep(READ_TICK),
-        }
-    }
-}
-
-/// One connection's reader: parses request lines, admits jobs, and
-/// owns the paired writer thread's lifetime.
-fn connection(stream: TcpStream, shared: &Arc<Shared>, queue: &JobQueue<GroupJob>) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    shared.tally.connections.fetch_add(1, Ordering::Relaxed);
-    shared
-        .recorder
-        .gauge_add("drift_gateway_connections", &[], 1);
-
-    let (reply_tx, reply_rx) = unbounded::<Reply>();
-    let writer = {
-        let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("gateway-writer".to_string())
-            .spawn(move || writer_loop(write_half, &reply_rx, &shared))
-    };
-
-    let mut lines = LineReader::new(stream);
-    let mut last_activity = Instant::now();
-    let idle = shared.config.idle_timeout_ms;
-    while !shared.should_stop() {
-        // The borrowed variant keeps each request line in the reader's
-        // reused scratch buffer: no per-line allocation even when batch
-        // lines carry hundreds of jobs.
-        match lines.next_line_ref() {
-            LineEventRef::Line(line) => {
-                last_activity = Instant::now();
-                if !handle_line(line, shared, queue, &reply_tx) {
-                    break;
-                }
-            }
-            LineEventRef::TimedOut => {
-                if idle > 0 && last_activity.elapsed() >= Duration::from_millis(idle) {
-                    break;
-                }
-            }
-            LineEventRef::Eof | LineEventRef::Failed => break,
-        }
-    }
-    // Dropping our sender lets the writer exit once every in-flight
-    // job's clone is gone — i.e. after all accepted work is answered.
-    drop(reply_tx);
-    if let Ok(writer) = writer {
-        let _ = writer.join();
-    }
-    shared
-        .recorder
-        .gauge_add("drift_gateway_connections", &[], -1);
-}
-
-/// Handles one request line. Returns `false` when the connection
-/// should stop reading (a shutdown control).
-fn handle_line(
-    line: &str,
-    shared: &Shared,
-    queue: &JobQueue<GroupJob>,
-    reply: &Sender<Reply>,
-) -> bool {
-    if line.trim().is_empty() {
-        return true;
-    }
-    let (id, specs, single, deadline_ms, trace) = match protocol::parse_request(line) {
-        Err(_) => {
-            // Lenient by design: a malformed request is answered and
-            // counted, never a reason to abort the stream.
-            shared.tally.rejected.fetch_add(1, Ordering::Relaxed);
-            shared
-                .recorder
-                .counter_add("drift_serve_jobs_rejected_total", &[], 1);
-            let _ = reply.send(Reply::plain(protocol::error_line(None, ERR_BAD_REQUEST)));
-            return true;
-        }
-        Ok(Request::Control(ControlOp::Ping)) => {
-            // The ack advertises the queue discipline so router health
-            // probes learn each shard's policy (docs/SCHEDULING.md).
-            let _ = reply.send(Reply::plain(protocol::ping_ack_line(
-                true,
-                shared.config.queue.as_str(),
-            )));
-            return true;
-        }
-        Ok(Request::Control(ControlOp::Shutdown)) => {
-            let _ = reply.send(Reply::plain(protocol::control_ack_line(
-                ControlOp::Shutdown,
-                true,
-            )));
-            shared.drain.store(true, Ordering::SeqCst);
-            return false;
-        }
-        Ok(Request::Prewarm(entries)) => {
-            // Reshard prewarming: the router pushes schedules whose
-            // keys now hash here (docs/PERSISTENCE.md). Preloaded
-            // entries bypass hit/miss accounting and the store spill —
-            // they are transplants, not solves.
-            let inserted = shared.cache.preload(&entries);
-            shared.recorder.counter_add(
-                "drift_gateway_prewarm_entries_total",
-                &[],
-                inserted as u64,
-            );
-            let _ = reply.send(Reply::plain(protocol::prewarm_ack_line(
-                true,
-                inserted as u64,
-            )));
-            return true;
-        }
-        Ok(Request::Job {
-            spec,
-            deadline_ms,
-            trace,
-        }) => (spec.id, vec![spec], true, deadline_ms, trace),
-        Ok(Request::Batch {
-            id,
-            specs,
-            deadline_ms,
-            trace,
-        }) => (id, specs, false, deadline_ms, trace),
-    };
-    let admitted = Instant::now();
-    let total = specs.len();
-    // Resolve head sampling once per line (the whole line is one request
-    // to the trace tier): honor an upstream decision; when the request
-    // carries none, this gateway is the ingress edge and decides from
-    // its arrival sequence.
-    let decision = match trace {
-        TraceDecision::Undecided if shared.tracer.is_enabled() => shared
-            .tracer
-            .decide(shared.trace_seq.fetch_add(1, Ordering::Relaxed)),
-        other => other,
-    };
-    let span = match (decision.context(), shared.tracer.is_enabled()) {
-        (Some(ctx), true) => Some(SpanCtx {
-            trace: ctx.trace_id,
-            span: shared.tracer.new_span_id(),
-            parent: ctx.parent_span,
-        }),
-        _ => None,
-    };
-    // The deadline budget is shared: one absolute instant for every
-    // item, decremented once per hop upstream — never once per item.
-    let budget = deadline_ms.unwrap_or(shared.config.default_deadline_ms);
-    let deadline = (budget > 0).then(|| admitted + Duration::from_millis(budget));
-    // Infeasibility shed: once at least one job has completed, a budget
-    // below the observed single-job service-time estimate cannot be met
-    // even from an empty queue — refuse the whole line immediately
-    // instead of letting it occupy slots and expire later.
-    let estimate_us = shared.estimator.estimate_us();
-    if deadline.is_some() && estimate_us > 0 && budget.saturating_mul(1000) < estimate_us {
-        shared
-            .tally
-            .unmeetable
-            .fetch_add(total as u64, Ordering::Relaxed);
-        shared.recorder.counter_add(
-            "drift_gateway_deadline_outcomes_total",
-            &[("outcome", "unmeetable")],
-            total as u64,
-        );
-        end_request(shared, span, id, admitted, "unmeetable");
-        let _ = reply.send(Reply::plain(protocol::error_line(Some(id), ERR_UNMEETABLE)));
-        return true;
-    }
-    let request = Arc::new(RequestState {
-        id,
-        single,
-        slots: Mutex::new(vec![None; total]),
-        remaining: AtomicUsize::new(total),
-        reply: reply.clone(),
-        span,
-        admitted,
-        deadline,
-    });
-    let groups = if total == 1 {
-        // Nothing to amortise: the item resolves its own key as it
-        // executes, so admission does no key work.
-        vec![GroupJob {
-            key: None,
-            positions: vec![0],
-            specs,
-            request,
-        }]
-    } else {
-        // Group by schedule key, preserving submission order within
-        // each group. Linear scan: batches carry at most a few distinct
-        // keys by construction (that is the amortization).
-        let fabric = paper_fabric();
-        let mut groups: Vec<GroupJob> = Vec::new();
-        for (pos, spec) in specs.into_iter().enumerate() {
-            let key = schedule_key_for(&spec, fabric);
-            match groups.iter_mut().find(|g| g.key == key) {
-                Some(group) => {
-                    group.positions.push(pos);
-                    group.specs.push(spec);
-                }
-                None => groups.push(GroupJob {
-                    key,
-                    positions: vec![pos],
-                    specs: vec![spec],
-                    request: Arc::clone(&request),
-                }),
-            }
-        }
-        groups
-    };
-    match queue.try_submit_batch(groups) {
-        Ok(()) => {
-            shared
-                .tally
-                .accepted
-                .fetch_add(total as u64, Ordering::Relaxed);
-            shared
-                .recorder
-                .counter_add("drift_gateway_requests_accepted_total", &[], total as u64);
-            shared
-                .recorder
-                .gauge_add("drift_gateway_inflight_requests", &[], total as i64);
-            if !single && shared.recorder.is_enabled() {
-                shared.recorder.observe(
-                    "drift_gateway_batch_size",
-                    &[],
-                    drift_obs::contract::BATCH_SIZE_BUCKETS,
-                    total as u64,
-                );
-            }
-        }
-        Err(_groups) => {
-            // All-or-shed: no group was enqueued, so dropping the groups
-            // (and the request state inside) is safe — nothing will
-            // ever settle a slot.
-            shared.tally.shed.fetch_add(total as u64, Ordering::Relaxed);
-            shared
-                .recorder
-                .counter_add("drift_gateway_requests_shed_total", &[], total as u64);
-            end_request(shared, span, id, admitted, "overloaded");
-            let _ = reply.send(Reply::plain(protocol::error_line(Some(id), ERR_OVERLOADED)));
-        }
-    }
-    true
 }
 
 /// A gateway-tier stage, written as a span under `span` when sampled.
@@ -871,42 +735,6 @@ fn end_request(shared: &Shared, span: Option<SpanCtx>, id: u64, admitted: Instan
         .job(id)
         .since(admitted)
         .end(outcome, &[("outcome", outcome)]);
-}
-
-/// Writes response lines until every sender is gone. A write failure
-/// (client gone or stalled past [`WRITE_TIMEOUT`]) flips the writer
-/// into discard mode: remaining responses are drained and counted as
-/// dropped so in-flight senders never block on a dead peer.
-fn writer_loop(mut stream: TcpStream, replies: &Receiver<Reply>, shared: &Shared) {
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut dead = false;
-    // Response scratch, reused across replies: after warm-up the writer
-    // performs zero allocations per response line (batch responses can
-    // run to hundreds of KiB, so recycling the capacity matters).
-    let mut buf: Vec<u8> = Vec::new();
-    for reply in replies.iter() {
-        if !dead {
-            let span = reply.request_span.map(|s| s.child(&shared.tracer));
-            let write = reply
-                .timed
-                .then(|| stage(shared, "response_write", span).open());
-            buf.clear();
-            buf.extend_from_slice(reply.line.as_bytes());
-            buf.push(b'\n');
-            dead = stream.write_all(&buf).is_err() || stream.flush().is_err();
-            if let Some(write) = write {
-                let outcome = if dead { "dropped" } else { "ok" };
-                write.end(outcome, &[("outcome", outcome)]);
-            }
-            if !dead {
-                continue;
-            }
-        }
-        shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
-        shared
-            .recorder
-            .counter_add("drift_gateway_responses_dropped_total", &[], 1);
-    }
 }
 
 /// One worker: pulls admitted work until the queue closes, enforcing
@@ -934,7 +762,7 @@ fn run_group(group: GroupJob, accel: &mut DriftAccelerator, shared: &Shared) {
     // `expired` = discarded as doomed.
     let waited = if doomed { "expired" } else { "ok" };
     stage(shared, "queue_wait", request.child_span(shared))
-        .job(request.id)
+        .job(request.response.id)
         .since(request.admitted)
         .end_at(dequeued, waited, &[("outcome", waited)]);
     if doomed {
@@ -953,7 +781,9 @@ fn run_group(group: GroupJob, accel: &mut DriftAccelerator, shared: &Shared) {
     // (cache_lookup/solve/execute), so its id is minted up front and
     // handed down through the executor.
     let exec_span = request.child_span(shared);
-    let exec = stage(shared, "execute", exec_span).job(request.id).open();
+    let exec = stage(shared, "execute", exec_span)
+        .job(request.response.id)
+        .open();
     let results = execute_traced(
         group.key.as_ref(),
         &group.specs,
@@ -1088,6 +918,33 @@ mod tests {
             other => panic!("unexpected response {other:?}"),
         }
         // The connection is still usable afterwards.
+        assert!(matches!(
+            client.submit(&small_spec(1), None).unwrap(),
+            protocol::Response::Result(_)
+        ));
+        assert_eq!(gw.shutdown().rejected, 1);
+    }
+
+    #[test]
+    fn reshard_lines_get_bad_request_responses() {
+        let gw = Gateway::start(
+            "127.0.0.1:0",
+            GatewayConfig::with_workers(1),
+            Recorder::disabled(),
+        )
+        .unwrap();
+        let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
+        // Resharding is the router's control: a gateway refuses it.
+        client
+            .send_raw("{\"control\":\"reshard\",\"shards\":[\"127.0.0.1:1\"]}")
+            .unwrap();
+        assert_eq!(
+            client.recv().unwrap(),
+            protocol::Response::Error {
+                id: None,
+                error: ERR_BAD_REQUEST.to_string()
+            }
+        );
         assert!(matches!(
             client.submit(&small_spec(1), None).unwrap(),
             protocol::Response::Result(_)

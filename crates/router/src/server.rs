@@ -48,16 +48,20 @@
 //!   many tracked schedule keys changed owner.
 //! * **graceful drain** — like the gateway: stop accepting, answer
 //!   everything in flight, then tear down.
+//!
+//! Client connections run on the gateway's [`LineServer`]; the router
+//! supplies only the handler.
 
 use crate::ring::{route_hash, HashRing};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Sender;
 use drift_accel::systolic::ArrayGeometry;
 use drift_core::arch::paper_fabric;
 use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_gateway::client::{Client, ClientReader, ClientWriter};
-use drift_gateway::framing::{LineEventRef, LineReader};
+use drift_gateway::framing::{LineHandler, LineServer, Reply, READ_TICK};
 use drift_gateway::protocol::{
-    self, ControlOp, Request, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_OVERLOADED,
+    self, ControlOp, JobLine, Request, ResponseAssembler, ERR_BAD_REQUEST, ERR_DEADLINE,
+    ERR_OVERLOADED,
 };
 use drift_gateway::Response;
 use drift_obs::{Recorder, SpanCtx, Stage, TraceContext, TraceDecision, Tracer};
@@ -65,18 +69,12 @@ use drift_serve::job::{result_line, JobSpec};
 use drift_serve::worker::schedule_key_for;
 use serde::Value;
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often blocked reads wake up to check shutdown and idle expiry.
-const READ_TICK: Duration = Duration::from_millis(100);
-/// A connection writer gives a slow client this long per response
-/// before treating the connection as stalled and discarding the rest.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Bounded wait for in-flight jobs to drain during a reshard quiesce.
 const QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
 /// Cap on the distinct-key set tracked for reshard moved-key counts.
@@ -283,21 +281,12 @@ fn stage<'a>(shared: &'a Shared, name: &'static str, span: Option<SpanCtx>) -> S
 }
 
 /// The client-visible state of one admitted request line — a singleton
-/// job or a batch: response slots indexed by submission position,
-/// filled as per-shard sub-batches settle. The filler of the last slot
-/// sends the single response line, so the client sees its items in
-/// submission order no matter how the line was split or which shard
-/// answered first.
+/// job or a batch: its response, filled as per-shard sub-batches
+/// settle, so the client sees its items in submission order no matter
+/// how the line was split or which shard answered first.
 #[derive(Debug)]
 struct ClientRequest {
-    /// The job or batch id the client used (what the response carries
-    /// back).
-    orig_id: u64,
-    /// A singleton line: the response is its one item's line rather
-    /// than a batch envelope.
-    single: bool,
-    slots: Mutex<Vec<Option<String>>>,
-    remaining: AtomicUsize,
+    response: ResponseAssembler,
     /// When the request was admitted (root request-span basis).
     admitted: Instant,
     /// The line-wide absolute deadline: the budget is shared, so each
@@ -306,7 +295,7 @@ struct ClientRequest {
     deadline: Option<Instant>,
     /// Sampling state decided once at admission for the whole line.
     trace: EntryTrace,
-    reply: Sender<String>,
+    reply: Sender<Reply>,
 }
 
 impl ClientRequest {
@@ -314,13 +303,20 @@ impl ClientRequest {
     /// slot sends the response. `outcome` (`ok`, a wire error name, or
     /// `unrouted`) labels a singleton's root `request` span.
     fn settle_slot(&self, shared: &Shared, pos: usize, line: String, outcome: &str) {
-        {
-            let mut slots = self.slots.lock().expect("request slots");
-            debug_assert!(slots[pos].is_none(), "request slot settled twice");
-            slots[pos] = Some(line);
-        }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.finish(shared, outcome);
+        let Some(line) = self.response.settle(pos, line) else {
+            return;
+        };
+        let outcome = if self.response.single { outcome } else { "ok" };
+        stage(shared, "request", self.trace.request_span())
+            .job(self.response.id)
+            .since(self.admitted)
+            .end(outcome, &[("outcome", outcome)]);
+        let total = self.response.items() as i64;
+        shared
+            .recorder
+            .gauge_add("drift_router_inflight_requests", &[], -total);
+        if self.reply.send(Reply::plain(line)).is_err() {
+            shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -330,33 +326,6 @@ impl ClientRequest {
         for (pos, spec) in items.positions.iter().zip(&items.specs) {
             let line = protocol::error_line(Some(spec.id), error);
             self.settle_slot(shared, *pos, line, outcome);
-        }
-    }
-
-    fn finish(&self, shared: &Shared, outcome: &str) {
-        let mut items: Vec<String> = {
-            let mut slots = self.slots.lock().expect("request slots");
-            slots
-                .iter_mut()
-                .map(|slot| slot.take().expect("all request slots settled"))
-                .collect()
-        };
-        let total = items.len();
-        let line = if self.single {
-            items.remove(0)
-        } else {
-            protocol::batch_response_line(self.orig_id, &items)
-        };
-        let outcome = if self.single { outcome } else { "ok" };
-        stage(shared, "request", self.trace.request_span())
-            .job(self.orig_id)
-            .since(self.admitted)
-            .end(outcome, &[("outcome", outcome)]);
-        shared
-            .recorder
-            .gauge_add("drift_router_inflight_requests", &[], -(total as i64));
-        if self.reply.send(line).is_err() {
-            shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -476,8 +445,71 @@ impl Shared {
     }
 }
 
-/// A running router: acceptor, client connection threads, one reader
-/// thread per backend connection, and a health-probe thread.
+/// The router's [`LineHandler`]: client request lines.
+#[derive(Debug)]
+struct Front(Arc<Shared>);
+
+impl LineHandler for Front {
+    fn line(&self, line: &str, reply: &Sender<Reply>) -> bool {
+        let shared = &self.0;
+        let answer = |line: String| {
+            let _ = reply.send(Reply::plain(line));
+        };
+        let job = match protocol::parse_request(line) {
+            // The router holds no schedule cache, so prewarm (which targets
+            // gateways directly) is as unknown here as a malformed line.
+            Err(_) | Ok(Request::Prewarm(_)) => {
+                shared.tally.rejected.fetch_add(1, Ordering::Relaxed);
+                answer(protocol::error_line(None, ERR_BAD_REQUEST));
+                return true;
+            }
+            Ok(Request::Control(op)) => {
+                answer(protocol::control_ack_line(op, true));
+                if op == ControlOp::Shutdown {
+                    shared.drain.store(true, Ordering::SeqCst);
+                    return false;
+                }
+                return true;
+            }
+            Ok(Request::Reshard(value)) => {
+                answer(reshard(shared, &value));
+                return true;
+            }
+            Ok(Request::Job(job)) => job,
+        };
+        // A reshard quiesce holds admissions at the door; jobs already in
+        // flight drain unhindered.
+        while shared.resharding.load(Ordering::SeqCst) {
+            if shared.should_stop() {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        admit(shared, job, reply);
+        true
+    }
+
+    fn stopping(&self) -> bool {
+        self.0.should_stop()
+    }
+
+    fn connections(&self, delta: i64) {
+        let shared = &self.0;
+        if delta > 0 {
+            shared.tally.connections.fetch_add(1, Ordering::Relaxed);
+        }
+        shared
+            .recorder
+            .gauge_add("drift_router_connections", &[], delta);
+    }
+
+    fn dropped(&self) {
+        self.0.tally.dropped.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A running router: line server, one reader thread per backend
+/// connection, and a health-probe thread.
 ///
 /// Dropping the router performs the same graceful drain as
 /// [`Router::shutdown`].
@@ -485,8 +517,7 @@ impl Shared {
 pub struct Router {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    server: Option<LineServer>,
     probe: Option<JoinHandle<()>>,
 }
 
@@ -547,7 +578,6 @@ impl Router {
             ..config
         };
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let links: Vec<Arc<ShardLink>> = unique.iter().map(|a| ShardLink::unconnected(a)).collect();
@@ -579,14 +609,8 @@ impl Router {
         }
         shared.refresh_healthy_gauge();
 
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("router-acceptor".to_string())
-                .spawn(move || acceptor_loop(&listener, &shared, &conns))?
-        };
+        let front = Front(Arc::clone(&shared));
+        let server = LineServer::start(listener, "router", config.idle_timeout_ms, front)?;
         let probe = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -597,8 +621,7 @@ impl Router {
         Ok(Router {
             addr,
             shared,
-            acceptor: Some(acceptor),
-            conns,
+            server: Some(server),
             probe: Some(probe),
         })
     }
@@ -628,17 +651,14 @@ impl Router {
 
     fn shutdown_in_place(&mut self) -> RouterSummary {
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
         // Client readers exit at their next tick; each then joins its
         // writer, which only finishes after every pending entry from
         // that connection has been settled by the shard readers (the
-        // entries hold the writer's senders). So after this loop the
-        // pending table is empty: accepted work has been answered.
-        let conns = std::mem::take(&mut *self.conns.lock().expect("connection registry"));
-        for conn in conns {
-            let _ = conn.join();
+        // entries hold the writer's senders). So once the server is
+        // joined the pending table is empty: accepted work has been
+        // answered.
+        if let Some(server) = self.server.take() {
+            server.join();
         }
         // Now the backend connections can go: close the sockets so the
         // shard readers unblock and exit (the stop flag suppresses
@@ -666,7 +686,7 @@ impl Router {
 
 impl Drop for Router {
     fn drop(&mut self) {
-        if self.acceptor.is_some() || self.probe.is_some() {
+        if self.server.is_some() || self.probe.is_some() {
             self.shutdown_in_place();
         }
     }
@@ -762,7 +782,7 @@ fn orphan_failover(shared: &Arc<Shared>, link: &Arc<ShardLink>) {
 /// ends calls this exactly once.
 fn end_hop(shared: &Shared, batch: &PendingBatch, outcome: &str) {
     stage(shared, "hop", batch.trace.hop_span())
-        .job(batch.request.orig_id)
+        .job(batch.request.response.id)
         .since(batch.sent)
         .end(
             outcome,
@@ -1016,158 +1036,6 @@ fn batch_remaining_budget_ms(deadline: Option<Instant>, now: Instant) -> Option<
     deadline.map(|d| remaining_budget_ms(d, now))
 }
 
-fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Mutex<Vec<JoinHandle<()>>>) {
-    while !shared.should_stop() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("router-conn".to_string())
-                    .spawn(move || connection(stream, &shared));
-                if let Ok(handle) = handle {
-                    let mut conns = conns.lock().expect("connection registry");
-                    conns.retain(|h| !h.is_finished());
-                    conns.push(handle);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(READ_TICK),
-            Err(_) => std::thread::sleep(READ_TICK),
-        }
-    }
-}
-
-/// One client connection's reader: parses request lines, admits and
-/// dispatches jobs, and owns the paired writer thread's lifetime.
-fn connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    shared.tally.connections.fetch_add(1, Ordering::Relaxed);
-    shared
-        .recorder
-        .gauge_add("drift_router_connections", &[], 1);
-
-    let (reply_tx, reply_rx) = unbounded::<String>();
-    let writer = {
-        let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("router-writer".to_string())
-            .spawn(move || writer_loop(write_half, &reply_rx, &shared))
-    };
-
-    let mut lines = LineReader::new(stream);
-    let mut last_activity = Instant::now();
-    let idle = shared.config.idle_timeout_ms;
-    while !shared.should_stop() {
-        // The borrowed variant keeps each request line in the reader's
-        // reused scratch buffer: no per-line allocation.
-        match lines.next_line_ref() {
-            LineEventRef::Line(line) => {
-                last_activity = Instant::now();
-                if !handle_client_line(line, shared, &reply_tx) {
-                    break;
-                }
-            }
-            LineEventRef::TimedOut => {
-                if idle > 0 && last_activity.elapsed() >= Duration::from_millis(idle) {
-                    break;
-                }
-            }
-            LineEventRef::Eof | LineEventRef::Failed => break,
-        }
-    }
-    // Dropping our sender lets the writer exit once every in-flight
-    // job's clone is gone — i.e. after all accepted work is answered.
-    drop(reply_tx);
-    if let Ok(writer) = writer {
-        let _ = writer.join();
-    }
-    shared
-        .recorder
-        .gauge_add("drift_router_connections", &[], -1);
-}
-
-/// Handles one request line from a client. Returns `false` when the
-/// connection should stop reading (a shutdown control).
-fn handle_client_line(line: &str, shared: &Arc<Shared>, reply: &Sender<String>) -> bool {
-    if line.trim().is_empty() {
-        return true;
-    }
-    // The router understands one control the gateway protocol does
-    // not — reshard — so controls are intercepted before parse_request
-    // (which would reject the unknown op).
-    if let Ok(value) = serde_json::from_str::<Value>(line) {
-        if let Some(Value::Str(op)) = value.get("control") {
-            let op = op.as_str();
-            return match op {
-                "ping" => {
-                    let _ = reply.send(protocol::control_ack_line(ControlOp::Ping, true));
-                    true
-                }
-                "shutdown" => {
-                    let _ = reply.send(protocol::control_ack_line(ControlOp::Shutdown, true));
-                    shared.drain.store(true, Ordering::SeqCst);
-                    false
-                }
-                "reshard" => {
-                    let ack = reshard(shared, &value);
-                    let _ = reply.send(ack);
-                    true
-                }
-                _ => {
-                    shared.tally.rejected.fetch_add(1, Ordering::Relaxed);
-                    let _ = reply.send(protocol::error_line(None, ERR_BAD_REQUEST));
-                    true
-                }
-            };
-        }
-    }
-    let (id, specs, single, deadline_ms, trace) = match protocol::parse_request(line) {
-        Err(_) => {
-            shared.tally.rejected.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(protocol::error_line(None, ERR_BAD_REQUEST));
-            return true;
-        }
-        // Controls were handled above; this arm is unreachable but
-        // keeps the match total if the protocol grows.
-        Ok(Request::Control(op)) => {
-            let _ = reply.send(protocol::control_ack_line(op, true));
-            return !matches!(op, ControlOp::Shutdown);
-        }
-        // Also intercepted above (prewarm is a control): the router
-        // holds no schedule cache — prewarm targets gateways directly.
-        Ok(Request::Prewarm(_)) => {
-            let _ = reply.send(protocol::prewarm_ack_line(false, 0));
-            return true;
-        }
-        Ok(Request::Job {
-            spec,
-            deadline_ms,
-            trace,
-        }) => (spec.id, vec![spec], true, deadline_ms, trace),
-        Ok(Request::Batch {
-            id,
-            specs,
-            deadline_ms,
-            trace,
-        }) => (id, specs, false, deadline_ms, trace),
-    };
-    // A reshard quiesce holds admissions at the door; jobs already in
-    // flight drain unhindered.
-    while shared.resharding.load(Ordering::SeqCst) {
-        if shared.should_stop() {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    admit(shared, id, specs, single, deadline_ms, trace, reply);
-    true
-}
-
 /// Resolves the per-request distributed-trace state at admission: the
 /// router is usually the ingress edge, so absent an upstream decision
 /// it makes one; an upstream decision is honored and forwarded.
@@ -1201,22 +1069,16 @@ fn resolve_entry_trace(shared: &Shared, trace_wire: TraceDecision) -> EntryTrace
 /// decision and one shared deadline for the whole line, each item's
 /// routing key computed once, then the items are split by owning shard
 /// and dispatched as per-shard sub-batches ([`route`]).
-fn admit(
-    shared: &Arc<Shared>,
-    id: u64,
-    specs: Vec<JobSpec>,
-    single: bool,
-    deadline_ms: Option<u64>,
-    trace_wire: TraceDecision,
-    reply: &Sender<String>,
-) {
+fn admit(shared: &Arc<Shared>, job: JobLine, reply: &Sender<Reply>) {
     let admitted = Instant::now();
-    let trace = resolve_entry_trace(shared, trace_wire);
-    let deadline = deadline_ms
+    let trace = resolve_entry_trace(shared, job.trace);
+    let deadline = job
+        .deadline_ms
         .filter(|&budget| budget > 0)
         .map(|budget| admitted + Duration::from_millis(budget));
-    let total = specs.len();
-    let keyed: Vec<(u64, Option<ScheduleKey>)> = specs
+    let total = job.specs.len();
+    let keyed: Vec<(u64, Option<ScheduleKey>)> = job
+        .specs
         .iter()
         .map(|spec| {
             let schedule_key = schedule_key_for(spec, shared.fabric);
@@ -1241,10 +1103,7 @@ fn admit(
         .recorder
         .gauge_add("drift_router_inflight_requests", &[], total as i64);
     let request = Arc::new(ClientRequest {
-        orig_id: id,
-        single,
-        slots: Mutex::new(vec![None; total]),
-        remaining: AtomicUsize::new(total),
+        response: ResponseAssembler::new(job.id, job.single, total),
         admitted,
         deadline,
         trace,
@@ -1253,7 +1112,7 @@ fn admit(
     let items = Routing {
         positions: (0..total).collect(),
         keys: keyed.into_iter().map(|(key, _)| key).collect(),
-        specs,
+        specs: job.specs,
         tried: Vec::new(),
         hops: 0,
     };
@@ -1434,25 +1293,6 @@ fn prewarm_moved_keys(shared: &Shared, moving: Vec<(ScheduleKey, String)>) -> u6
             .counter_add("drift_router_prewarm_keys_total", &[], prewarmed);
     }
     prewarmed
-}
-
-/// Writes response lines until every sender is gone; a write failure
-/// flips to discard mode so in-flight senders never block on a dead
-/// peer (same contract as the gateway's writer).
-fn writer_loop(mut stream: TcpStream, replies: &Receiver<String>, shared: &Shared) {
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut dead = false;
-    for line in replies.iter() {
-        if !dead {
-            let mut bytes = line.into_bytes();
-            bytes.push(b'\n');
-            dead = stream.write_all(&bytes).is_err() || stream.flush().is_err();
-            if !dead {
-                continue;
-            }
-        }
-        shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// The health-probe thread: pings healthy shards over a fresh

@@ -4,6 +4,49 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# wait_for_port_files MESSAGE "PIDS" FILE...: waits up to 10 s for every
+# FILE to be non-empty (a server writes its port file once it listens).
+# On timeout prints MESSAGE, kills PIDS and fails the run.
+wait_for_port_files() {
+  local message="$1" pids="$2" ready file
+  shift 2
+  for _ in $(seq 1 100); do
+    ready=1
+    for file in "$@"; do
+      [ -s "$file" ] || ready=0
+    done
+    [ "$ready" -eq 1 ] && return 0
+    sleep 0.1
+  done
+  echo "$message" >&2
+  # shellcheck disable=SC2086 # PIDS is a space-separated list
+  kill $pids 2>/dev/null || true
+  exit 1
+}
+
+# wait_for_exit MESSAGE "PIDS" PID...: waits up to 10 s for every PID to
+# exit after its drain, then reaps them. On timeout prints MESSAGE,
+# kills PIDS and fails the run.
+wait_for_exit() {
+  local message="$1" pids="$2" alive pid
+  shift 2
+  for _ in $(seq 1 100); do
+    alive=0
+    for pid in "$@"; do
+      if kill -0 "$pid" 2>/dev/null; then alive=1; fi
+    done
+    [ "$alive" -eq 0 ] && break
+    sleep 0.1
+  done
+  if [ "$alive" -ne 0 ]; then
+    echo "$message" >&2
+    # shellcheck disable=SC2086 # PIDS is a space-separated list
+    kill $pids 2>/dev/null || true
+    exit 1
+  fi
+  wait "$@"
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -18,6 +61,16 @@ echo "== one stage-timing primitive =="
 if grep -rnE 'SpanRecord|(LATENCY|SOLVE)_[A-Z]+_BUCKETS|\bspan!' \
   --include='*.rs' crates src tests examples | grep -v '^crates/obs/'; then
   echo "stage lint: time stages with drift_obs::Stage, not by hand" >&2
+  exit 1
+fi
+
+echo "== one line server =="
+# Both tiers serve the line protocol through drift_gateway::framing's
+# LineServer, which owns the accept loop, the read tick and the write
+# timeout. Neither tier may accept or time its own sockets.
+if grep -rnE 'listener\.accept\(\)|set_read_timeout|set_write_timeout' \
+  crates/gateway/src/server.rs crates/router/src; then
+  echo "line server lint: serve connections through drift_gateway::framing::LineServer" >&2
   exit 1
 fi
 
@@ -61,29 +114,14 @@ rm -f "$PORT_FILE"
 ./target/release/drift gateway --addr 127.0.0.1:0 --workers 4 \
   --port-file "$PORT_FILE" &
 GW_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE" ] && break
-  sleep 0.1
-done
-if ! [ -s "$PORT_FILE" ]; then
-  echo "gateway smoke: server never wrote its port file" >&2
-  kill "$GW_PID" 2>/dev/null || true
-  exit 1
-fi
+wait_for_port_files "gateway smoke: server never wrote its port file" \
+  "$GW_PID" "$PORT_FILE"
 GW_ADDR="$(cat "$PORT_FILE")"
 ./target/release/drift loadgen --addr "$GW_ADDR" --clients 4 --jobs 200 \
   > /dev/null
 ./target/release/drift gateway-stop --addr "$GW_ADDR"
-for _ in $(seq 1 100); do
-  kill -0 "$GW_PID" 2>/dev/null || break
-  sleep 0.1
-done
-if kill -0 "$GW_PID" 2>/dev/null; then
-  echo "gateway smoke: server did not exit within 10s of the drain" >&2
-  kill "$GW_PID" 2>/dev/null || true
-  exit 1
-fi
-wait "$GW_PID"
+wait_for_exit "gateway smoke: server did not exit within 10s of the drain" \
+  "$GW_PID" "$GW_PID"
 rm -f "$PORT_FILE"
 echo "gateway smoke: ok"
 
@@ -96,29 +134,14 @@ rm -f "$PORT_FILE"
 ./target/release/drift gateway --addr 127.0.0.1:0 --workers 4 \
   --queue edf --port-file "$PORT_FILE" &
 GW_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE" ] && break
-  sleep 0.1
-done
-if ! [ -s "$PORT_FILE" ]; then
-  echo "gateway EDF smoke: server never wrote its port file" >&2
-  kill "$GW_PID" 2>/dev/null || true
-  exit 1
-fi
+wait_for_port_files "gateway EDF smoke: server never wrote its port file" \
+  "$GW_PID" "$PORT_FILE"
 GW_ADDR="$(cat "$PORT_FILE")"
 ./target/release/drift loadgen --addr "$GW_ADDR" --clients 4 --jobs 200 \
   --deadline-ms 2000 --deadline-jitter-ms 2000 > /dev/null
 ./target/release/drift gateway-stop --addr "$GW_ADDR"
-for _ in $(seq 1 100); do
-  kill -0 "$GW_PID" 2>/dev/null || break
-  sleep 0.1
-done
-if kill -0 "$GW_PID" 2>/dev/null; then
-  echo "gateway EDF smoke: server did not exit within 10s of the drain" >&2
-  kill "$GW_PID" 2>/dev/null || true
-  exit 1
-fi
-wait "$GW_PID"
+wait_for_exit "gateway EDF smoke: server did not exit within 10s of the drain" \
+  "$GW_PID" "$GW_PID"
 rm -f "$PORT_FILE"
 echo "gateway EDF smoke: ok"
 
@@ -137,44 +160,22 @@ GW1_PID=$!
 ./target/release/drift gateway --addr 127.0.0.1:0 --workers 2 \
   --port-file "$GW2_PORT_FILE" &
 GW2_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$GW1_PORT_FILE" ] && [ -s "$GW2_PORT_FILE" ] && break
-  sleep 0.1
-done
-if ! [ -s "$GW1_PORT_FILE" ] || ! [ -s "$GW2_PORT_FILE" ]; then
-  echo "router smoke: a shard gateway never wrote its port file" >&2
-  kill "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
+wait_for_port_files "router smoke: a shard gateway never wrote its port file" \
+  "$GW1_PID $GW2_PID" "$GW1_PORT_FILE" "$GW2_PORT_FILE"
 GW1_ADDR="$(cat "$GW1_PORT_FILE")"
 GW2_ADDR="$(cat "$GW2_PORT_FILE")"
 ./target/release/drift router --addr 127.0.0.1:0 \
   --shards "$GW1_ADDR,$GW2_ADDR" \
   --port-file "$RT_PORT_FILE" --metrics-out "$RT_METRICS" &
 RT_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$RT_PORT_FILE" ] && break
-  sleep 0.1
-done
-if ! [ -s "$RT_PORT_FILE" ]; then
-  echo "router smoke: router never wrote its port file" >&2
-  kill "$RT_PID" "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
+wait_for_port_files "router smoke: router never wrote its port file" \
+  "$RT_PID $GW1_PID $GW2_PID" "$RT_PORT_FILE"
 RT_ADDR="$(cat "$RT_PORT_FILE")"
 ./target/release/drift loadgen --addr "$RT_ADDR" --clients 4 --jobs 200 \
   > /dev/null
 ./target/release/drift router-stop --addr "$RT_ADDR"
-for _ in $(seq 1 100); do
-  kill -0 "$RT_PID" 2>/dev/null || break
-  sleep 0.1
-done
-if kill -0 "$RT_PID" 2>/dev/null; then
-  echo "router smoke: router did not exit within 10s of the drain" >&2
-  kill "$RT_PID" "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
-wait "$RT_PID"
+wait_for_exit "router smoke: router did not exit within 10s of the drain" \
+  "$RT_PID $GW1_PID $GW2_PID" "$RT_PID"
 # The drained router's snapshot must show every shard took traffic.
 ROUTED_SERIES="$(grep -c 'drift_router_requests_routed_total' "$RT_METRICS" || true)"
 if [ "$ROUTED_SERIES" -ne 2 ]; then
@@ -190,18 +191,8 @@ if grep 'drift_router_requests_routed_total' "$RT_METRICS" \
 fi
 ./target/release/drift gateway-stop --addr "$GW1_ADDR"
 ./target/release/drift gateway-stop --addr "$GW2_ADDR"
-for _ in $(seq 1 100); do
-  if ! kill -0 "$GW1_PID" 2>/dev/null && ! kill -0 "$GW2_PID" 2>/dev/null; then
-    break
-  fi
-  sleep 0.1
-done
-if kill -0 "$GW1_PID" 2>/dev/null || kill -0 "$GW2_PID" 2>/dev/null; then
-  echo "router smoke: a shard gateway did not exit within 10s of the drain" >&2
-  kill "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
-wait "$GW1_PID" "$GW2_PID"
+wait_for_exit "router smoke: a shard gateway did not exit within 10s of the drain" \
+  "$GW1_PID $GW2_PID" "$GW1_PID" "$GW2_PID"
 rm -f "$GW1_PORT_FILE" "$GW2_PORT_FILE" "$RT_PORT_FILE" "$RT_METRICS"
 echo "router smoke: ok"
 
@@ -219,15 +210,8 @@ GW_PORT_FILE="$(mktemp)"; rm -f "$GW_PORT_FILE"
 ./target/release/drift gateway --addr 127.0.0.1:0 --workers 4 \
   --port-file "$GW_PORT_FILE" &
 GW_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$GW_PORT_FILE" ] && break
-  sleep 0.1
-done
-if ! [ -s "$GW_PORT_FILE" ]; then
-  echo "batch smoke: gateway never wrote its port file" >&2
-  kill "$GW_PID" 2>/dev/null || true
-  exit 1
-fi
+wait_for_port_files "batch smoke: gateway never wrote its port file" \
+  "$GW_PID" "$GW_PORT_FILE"
 GW_ADDR="$(cat "$GW_PORT_FILE")"
 ./target/release/drift loadgen --addr "$GW_ADDR" --clients 4 --jobs 200 \
   > "$BATCH_DIR/gw-singleton.jsonl" 2> /dev/null
@@ -240,16 +224,8 @@ if ! diff -q "$BATCH_DIR/gw-singleton.jsonl" "$BATCH_DIR/gw-batch.jsonl" \
   exit 1
 fi
 ./target/release/drift gateway-stop --addr "$GW_ADDR"
-for _ in $(seq 1 100); do
-  kill -0 "$GW_PID" 2>/dev/null || break
-  sleep 0.1
-done
-if kill -0 "$GW_PID" 2>/dev/null; then
-  echo "batch smoke: gateway did not exit within 10s of the drain" >&2
-  kill "$GW_PID" 2>/dev/null || true
-  exit 1
-fi
-wait "$GW_PID"
+wait_for_exit "batch smoke: gateway did not exit within 10s of the drain" \
+  "$GW_PID" "$GW_PID"
 rm -f "$GW_PORT_FILE"
 # The same pass through the sharding tier: mixed-key batches force the
 # router to split into per-shard sub-batches and reassemble.
@@ -262,29 +238,15 @@ GW1_PID=$!
 ./target/release/drift gateway --addr 127.0.0.1:0 --workers 2 \
   --port-file "$GW2_PORT_FILE" &
 GW2_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$GW1_PORT_FILE" ] && [ -s "$GW2_PORT_FILE" ] && break
-  sleep 0.1
-done
-if ! [ -s "$GW1_PORT_FILE" ] || ! [ -s "$GW2_PORT_FILE" ]; then
-  echo "batch smoke: a shard gateway never wrote its port file" >&2
-  kill "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
+wait_for_port_files "batch smoke: a shard gateway never wrote its port file" \
+  "$GW1_PID $GW2_PID" "$GW1_PORT_FILE" "$GW2_PORT_FILE"
 GW1_ADDR="$(cat "$GW1_PORT_FILE")"
 GW2_ADDR="$(cat "$GW2_PORT_FILE")"
 ./target/release/drift router --addr 127.0.0.1:0 \
   --shards "$GW1_ADDR,$GW2_ADDR" --port-file "$RT_PORT_FILE" &
 RT_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$RT_PORT_FILE" ] && break
-  sleep 0.1
-done
-if ! [ -s "$RT_PORT_FILE" ]; then
-  echo "batch smoke: router never wrote its port file" >&2
-  kill "$RT_PID" "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
+wait_for_port_files "batch smoke: router never wrote its port file" \
+  "$RT_PID $GW1_PID $GW2_PID" "$RT_PORT_FILE"
 RT_ADDR="$(cat "$RT_PORT_FILE")"
 ./target/release/drift loadgen --addr "$RT_ADDR" --clients 4 --jobs 200 \
   > "$BATCH_DIR/rt-singleton.jsonl" 2> /dev/null
@@ -307,20 +269,8 @@ fi
 ./target/release/drift router-stop --addr "$RT_ADDR"
 ./target/release/drift gateway-stop --addr "$GW1_ADDR"
 ./target/release/drift gateway-stop --addr "$GW2_ADDR"
-for _ in $(seq 1 100); do
-  if ! kill -0 "$RT_PID" 2>/dev/null && ! kill -0 "$GW1_PID" 2>/dev/null \
-    && ! kill -0 "$GW2_PID" 2>/dev/null; then
-    break
-  fi
-  sleep 0.1
-done
-if kill -0 "$RT_PID" 2>/dev/null || kill -0 "$GW1_PID" 2>/dev/null \
-  || kill -0 "$GW2_PID" 2>/dev/null; then
-  echo "batch smoke: a process did not exit within 10s of the drain" >&2
-  kill "$RT_PID" "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
-wait "$RT_PID" "$GW1_PID" "$GW2_PID"
+wait_for_exit "batch smoke: a process did not exit within 10s of the drain" \
+  "$RT_PID $GW1_PID $GW2_PID" "$RT_PID" "$GW1_PID" "$GW2_PID"
 rm -f "$GW1_PORT_FILE" "$GW2_PORT_FILE" "$RT_PORT_FILE"
 rm -rf "$BATCH_DIR"
 echo "batch smoke: ok"
@@ -345,50 +295,24 @@ GW1_PID=$!
 ./target/release/drift gateway --addr 127.0.0.1:0 --workers 2 \
   --port-file "$GW2_PORT_FILE" --trace-out "$GW2_TRACE" &
 GW2_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$GW1_PORT_FILE" ] && [ -s "$GW2_PORT_FILE" ] && break
-  sleep 0.1
-done
-if ! [ -s "$GW1_PORT_FILE" ] || ! [ -s "$GW2_PORT_FILE" ]; then
-  echo "trace smoke: a shard gateway never wrote its port file" >&2
-  kill "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
+wait_for_port_files "trace smoke: a shard gateway never wrote its port file" \
+  "$GW1_PID $GW2_PID" "$GW1_PORT_FILE" "$GW2_PORT_FILE"
 GW1_ADDR="$(cat "$GW1_PORT_FILE")"
 GW2_ADDR="$(cat "$GW2_PORT_FILE")"
 ./target/release/drift router --addr 127.0.0.1:0 \
   --shards "$GW1_ADDR,$GW2_ADDR" --port-file "$RT_PORT_FILE" \
   --trace-out "$RT_TRACE" --trace-sample 1/1 --trace-seed 7 &
 RT_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$RT_PORT_FILE" ] && break
-  sleep 0.1
-done
-if ! [ -s "$RT_PORT_FILE" ]; then
-  echo "trace smoke: router never wrote its port file" >&2
-  kill "$RT_PID" "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
+wait_for_port_files "trace smoke: router never wrote its port file" \
+  "$RT_PID $GW1_PID $GW2_PID" "$RT_PORT_FILE"
 RT_ADDR="$(cat "$RT_PORT_FILE")"
 ./target/release/drift loadgen --addr "$RT_ADDR" --clients 4 --jobs 200 \
   > /dev/null
 ./target/release/drift router-stop --addr "$RT_ADDR"
 ./target/release/drift gateway-stop --addr "$GW1_ADDR"
 ./target/release/drift gateway-stop --addr "$GW2_ADDR"
-for _ in $(seq 1 100); do
-  if ! kill -0 "$RT_PID" 2>/dev/null && ! kill -0 "$GW1_PID" 2>/dev/null \
-    && ! kill -0 "$GW2_PID" 2>/dev/null; then
-    break
-  fi
-  sleep 0.1
-done
-if kill -0 "$RT_PID" 2>/dev/null || kill -0 "$GW1_PID" 2>/dev/null \
-  || kill -0 "$GW2_PID" 2>/dev/null; then
-  echo "trace smoke: a process did not exit within 10s of the drain" >&2
-  kill "$RT_PID" "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
-wait "$RT_PID" "$GW1_PID" "$GW2_PID"
+wait_for_exit "trace smoke: a process did not exit within 10s of the drain" \
+  "$RT_PID $GW1_PID $GW2_PID" "$RT_PID" "$GW1_PID" "$GW2_PID"
 ./target/release/drift trace "$RT_TRACE" "$GW1_TRACE" "$GW2_TRACE" \
   --expect-traces 200 \
   --check-services router,gateway,serve \
