@@ -526,16 +526,17 @@ pub fn loadgen(opts: &Opts) -> Result<(), String> {
     report.verify_complete()
 }
 
-/// `drift gateway-stop`
-pub fn gateway_stop(opts: &Opts) -> Result<(), String> {
-    let addr = opt_str(opts, "addr", "127.0.0.1:7077");
+/// `drift gateway-stop` and `drift router-stop`: ask the `tier`
+/// server at `--addr` (default `default_addr`) to drain and exit.
+pub fn stop(opts: &Opts, tier: &str, default_addr: &str) -> Result<(), String> {
+    let addr = opt_str(opts, "addr", default_addr);
     let mut client = drift_gateway::Client::connect(addr)
-        .map_err(|e| format!("cannot connect to gateway at {addr}: {e}"))?;
+        .map_err(|e| format!("cannot connect to {tier} at {addr}: {e}"))?;
     if client.shutdown_server()? {
-        eprintln!("gateway at {addr} acknowledged the drain");
+        eprintln!("{tier} at {addr} acknowledged the drain");
         Ok(())
     } else {
-        Err(format!("gateway at {addr} refused the shutdown"))
+        Err(format!("{tier} at {addr} refused the shutdown"))
     }
 }
 
@@ -589,19 +590,6 @@ pub fn router(opts: &Opts) -> Result<(), String> {
     eprintln!("{}", summary.render());
     tracer.close();
     metrics.finish()
-}
-
-/// `drift router-stop`
-pub fn router_stop(opts: &Opts) -> Result<(), String> {
-    let addr = opt_str(opts, "addr", "127.0.0.1:7177");
-    let mut client = drift_gateway::Client::connect(addr)
-        .map_err(|e| format!("cannot connect to router at {addr}: {e}"))?;
-    if client.shutdown_server()? {
-        eprintln!("router at {addr} acknowledged the drain");
-        Ok(())
-    } else {
-        Err(format!("router at {addr} refused the shutdown"))
-    }
 }
 
 /// `drift store` — inspect / verify / compact / merge persistent
@@ -725,23 +713,11 @@ pub fn report(args: &[String]) -> Result<(), String> {
 /// Lives here rather than in `drift-obs` so the obs crate stays
 /// dependency-free; the CLI already carries `serde_json`.
 fn parse_snapshot(text: &str) -> Result<drift_obs::Snapshot, String> {
+    use crate::trace_cmd::{v_str, v_u64};
     use drift_obs::export::{HistogramSample, Sample};
     use drift_obs::registry::MetricId;
     use serde_json::Value;
 
-    fn v_str(v: &Value) -> Option<&str> {
-        match v {
-            Value::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-    fn v_u64(v: &Value) -> Option<u64> {
-        match v {
-            Value::U64(n) => Some(*n),
-            Value::I64(n) => u64::try_from(*n).ok(),
-            _ => None,
-        }
-    }
     fn v_i64(v: &Value) -> Option<i64> {
         match v {
             Value::I64(n) => Some(*n),

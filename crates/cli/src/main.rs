@@ -62,8 +62,8 @@ fn main() -> ExitCode {
             "gateway" => commands::gateway(&opts),
             "router" => commands::router(&opts),
             "loadgen" => commands::loadgen(&opts),
-            "gateway-stop" => commands::gateway_stop(&opts),
-            "router-stop" => commands::router_stop(&opts),
+            "gateway-stop" => commands::stop(&opts, "gateway", "127.0.0.1:7077"),
+            "router-stop" => commands::stop(&opts, "router", "127.0.0.1:7177"),
             "area" => commands::area(),
             "help" | "--help" | "-h" => {
                 println!("{}", usage());

@@ -105,14 +105,16 @@ fn parse_args(args: &[String]) -> Result<TraceArgs, String> {
     Ok(parsed)
 }
 
-fn v_str(value: &Value) -> Option<&str> {
+/// The string a JSON value holds, if it is one.
+pub(crate) fn v_str(value: &Value) -> Option<&str> {
     match value {
         Value::Str(s) => Some(s.as_str()),
         _ => None,
     }
 }
 
-fn v_u64(value: &Value) -> Option<u64> {
+/// The unsigned integer a JSON value holds, if it is one.
+pub(crate) fn v_u64(value: &Value) -> Option<u64> {
     match value {
         Value::U64(n) => Some(*n),
         Value::I64(n) => u64::try_from(*n).ok(),

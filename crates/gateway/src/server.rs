@@ -43,7 +43,7 @@ use crossbeam::channel::Sender;
 use drift_core::accelerator::DriftAccelerator;
 use drift_core::arch::paper_fabric;
 use drift_core::schedule::ScheduleKey;
-use drift_obs::{Recorder, SpanCtx, Stage, TraceDecision, Tracer};
+use drift_obs::{Recorder, SpanCtx, Stage, Tracer};
 use drift_serve::cache::ScheduleCache;
 use drift_serve::job::{result_line, JobOutcome, JobResult, JobSpec};
 use drift_serve::persist::{open_and_preload, StoreBinding};
@@ -380,20 +380,9 @@ impl LineHandler for Admission {
         // to the trace tier): honor an upstream decision; when the request
         // carries none, this gateway is the ingress edge and decides from
         // its arrival sequence.
-        let decision = match job.trace {
-            TraceDecision::Undecided if shared.tracer.is_enabled() => shared
-                .tracer
-                .decide(shared.trace_seq.fetch_add(1, Ordering::Relaxed)),
-            other => other,
-        };
-        let span = match (decision.context(), shared.tracer.is_enabled()) {
-            (Some(ctx), true) => Some(SpanCtx {
-                trace: ctx.trace_id,
-                span: shared.tracer.new_span_id(),
-                parent: ctx.parent_span,
-            }),
-            _ => None,
-        };
+        let span = shared.tracer.ingress_span(job.trace, || {
+            shared.trace_seq.fetch_add(1, Ordering::Relaxed)
+        });
         // The deadline budget is shared: one absolute instant for every
         // item, decremented once per hop upstream — never once per item.
         let budget = job.deadline_ms.unwrap_or(shared.config.default_deadline_ms);

@@ -11,6 +11,7 @@ use drift_gateway::server::{Gateway, GatewayConfig};
 use drift_obs::Recorder;
 use drift_serve::job::{JobKind, JobOutcome, JobResult, JobSpec};
 use std::collections::BTreeSet;
+use std::time::{Duration, Instant};
 
 /// A job small enough to stay fast in debug builds.
 fn quick_spec(id: u64) -> JobSpec {
@@ -201,6 +202,19 @@ fn mid_stream_disconnect_does_not_kill_the_server() {
         other => panic!("unexpected response {other:?}"),
     }
 
+    // Nothing orders the doomed connection's reader before this point:
+    // a shutdown stops a reader at its next check, before it reads the
+    // two lines already in its socket. Wait (bounded) for them to be
+    // admitted, so the drain below is tested with them in flight.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while gw.summary().accepted < 3 {
+        assert!(
+            Instant::now() < deadline,
+            "the doomed lines were never admitted: {}",
+            gw.summary().render()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let summary = gw.shutdown();
     assert_eq!(summary.connections, 2);
     assert_eq!(summary.accepted, 3, "{}", summary.render());

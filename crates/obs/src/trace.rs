@@ -30,6 +30,7 @@
 
 use crate::export::json_str;
 use crate::recorder::Recorder;
+use crate::stage::SpanCtx;
 use std::fmt;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -275,6 +276,31 @@ impl Tracer {
         }
     }
 
+    /// The root span of a request entering this tier with the wire
+    /// decision `wire`: an undecided request takes its arrival number
+    /// from `next_seq` and is head-sampled here ([`Tracer::decide`]); a
+    /// sampled one gets a fresh span under the carried parent. `None`
+    /// when unsampled, and always when disabled (`next_seq` is then
+    /// never called).
+    pub fn ingress_span(
+        &self,
+        wire: TraceDecision,
+        next_seq: impl FnOnce() -> u64,
+    ) -> Option<SpanCtx> {
+        if !self.is_enabled() {
+            return None;
+        }
+        let decision = match wire {
+            TraceDecision::Undecided => self.decide(next_seq()),
+            decided => decided,
+        };
+        decision.context().map(|ctx| SpanCtx {
+            trace: ctx.trace_id,
+            span: self.new_span_id(),
+            parent: ctx.parent_span,
+        })
+    }
+
     /// The deterministic trace id assigned to arrival `seq` under
     /// `seed` — the pure function behind [`Tracer::decide`], exposed
     /// so tests (and operators) can predict sampled ids.
@@ -446,6 +472,36 @@ mod tests {
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    #[test]
+    fn ingress_span_takes_an_arrival_number_only_when_it_decides() {
+        let taken = std::cell::Cell::new(0);
+        let next_seq = || {
+            taken.set(taken.get() + 1);
+            0
+        };
+        let undecided = TraceDecision::Undecided;
+        assert_eq!(Tracer::disabled().ingress_span(undecided, next_seq), None);
+        let tracer = Tracer::to_writer(Box::new(io::sink()), "gw", 1, 7, Recorder::disabled());
+        assert_eq!(
+            tracer.ingress_span(TraceDecision::Unsampled, next_seq),
+            None
+        );
+        let upstream = TraceContext {
+            trace_id: TraceId(5),
+            parent_span: Some(9),
+        };
+        let span = tracer.ingress_span(TraceDecision::Sampled(upstream), next_seq);
+        assert_eq!(
+            span.map(|s| (s.trace, s.parent)),
+            Some((TraceId(5), Some(9)))
+        );
+        assert_eq!(taken.get(), 0);
+        let span = tracer.ingress_span(undecided, next_seq);
+        let root = (Tracer::trace_id_for(7, 0), None);
+        assert_eq!(span.map(|s| (s.trace, s.parent)), Some(root));
+        assert_eq!(taken.get(), 1);
     }
 
     fn counter(rec: &Recorder, name: &str) -> u64 {

@@ -1040,28 +1040,19 @@ fn batch_remaining_budget_ms(deadline: Option<Instant>, now: Instant) -> Option<
 /// router is usually the ingress edge, so absent an upstream decision
 /// it makes one; an upstream decision is honored and forwarded.
 fn resolve_entry_trace(shared: &Shared, trace_wire: TraceDecision) -> EntryTrace {
-    if shared.tracer.is_enabled() {
-        let decision = match trace_wire {
-            TraceDecision::Undecided => shared
-                .tracer
-                .decide(shared.trace_seq.fetch_add(1, Ordering::Relaxed)),
-            other => other,
+    if !shared.tracer.is_enabled() {
+        return match trace_wire {
+            TraceDecision::Undecided => EntryTrace::Off,
+            decided => EntryTrace::Forward(decided),
         };
-        match decision.context() {
-            Some(ctx) => EntryTrace::Sampled {
-                request: SpanCtx {
-                    trace: ctx.trace_id,
-                    span: shared.tracer.new_span_id(),
-                    parent: ctx.parent_span,
-                },
-                hop_span: 0,
-            },
-            None => EntryTrace::Forward(TraceDecision::Unsampled),
-        }
-    } else if matches!(trace_wire, TraceDecision::Undecided) {
-        EntryTrace::Off
-    } else {
-        EntryTrace::Forward(trace_wire)
+    }
+    let next_seq = || shared.trace_seq.fetch_add(1, Ordering::Relaxed);
+    match shared.tracer.ingress_span(trace_wire, next_seq) {
+        Some(request) => EntryTrace::Sampled {
+            request,
+            hop_span: 0,
+        },
+        None => EntryTrace::Forward(TraceDecision::Unsampled),
     }
 }
 

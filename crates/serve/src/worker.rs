@@ -21,7 +21,7 @@ use drift_core::accelerator::DriftAccelerator;
 use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_core::selector::{record_policy_run, DriftPolicy};
 use drift_nn::datagen::TokenProfile;
-use drift_obs::{Recorder, SpanCtx, Stage, Tracer};
+use drift_obs::{Recorder, SpanCtx, Stage, TraceDecision, Tracer};
 use drift_quant::Precision;
 use drift_tensor::rng::{derive_seed, seeded};
 use rand::Rng;
@@ -326,11 +326,7 @@ pub(crate) fn worker_loop(
         // Offline serve is its own ingress edge: the submission
         // sequence number is the sampling input, and each sampled job
         // gets a root `job` span with cache/solve/execute children.
-        let span = tracer.decide(seq).context().map(|c| SpanCtx {
-            trace: c.trace_id,
-            span: tracer.new_span_id(),
-            parent: None,
-        });
+        let span = tracer.ingress_span(TraceDecision::Undecided, || seq);
         let start = Instant::now();
         let (outcome, cache_hit) = execute_traced(
             None,

@@ -74,6 +74,15 @@ if grep -rnE 'listener\.accept\(\)|set_read_timeout|set_write_timeout' \
   exit 1
 fi
 
+echo "== one real-process smoke =="
+# The serving smoke below is the one test of real processes; every other
+# test runs in process (router failover: a seeded fake shard in
+# crates/router/tests/failover.rs). No test or library spawns a process.
+if grep -rnE 'CARGO_BIN_EXE|Command::new' crates/*/tests tests crates/*/src; then
+  echo "smoke lint: test in process; ci.sh's serving smoke is the one real-process test" >&2
+  exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
@@ -103,266 +112,97 @@ echo "== perfbench build and self-tests =="
 # benchmark. Writes only to the git-ignored perfbench/target.
 cargo test --release --locked --manifest-path perfbench/Cargo.toml
 
-echo "== gateway smoke test =="
-# End-to-end over a real socket: start the gateway on an ephemeral port,
-# drive it with the closed-loop load generator (which fails on any lost,
-# shed-without-retry-success, or duplicated response), then drain it and
-# require a clean exit within a bounded wait.
+echo "== serving smoke test =="
+# One topology of real processes: gateway A (EDF queue, schedule store,
+# span file), gateway B (span file) and the router over both (1-in-1
+# trace sampling, metrics snapshot). loadgen, which fails on any lost,
+# duplicated or unretried-shed id, drives the same 200 jobs through the
+# router as singleton, 50-job batch and deadline-carrying lines. The
+# 30-60 s deadlines only carry budgets into the EDF shard and never
+# expire, so every job is traced; expiry and EDF order are covered by
+# crates/gateway/tests/robustness.rs and the serve queue tests.
 cargo build --release -p drift-cli
-PORT_FILE="$(mktemp)"
-rm -f "$PORT_FILE"
-./target/release/drift gateway --addr 127.0.0.1:0 --workers 4 \
-  --port-file "$PORT_FILE" &
-GW_PID=$!
-wait_for_port_files "gateway smoke: server never wrote its port file" \
-  "$GW_PID" "$PORT_FILE"
-GW_ADDR="$(cat "$PORT_FILE")"
-./target/release/drift loadgen --addr "$GW_ADDR" --clients 4 --jobs 200 \
-  > /dev/null
-./target/release/drift gateway-stop --addr "$GW_ADDR"
-wait_for_exit "gateway smoke: server did not exit within 10s of the drain" \
-  "$GW_PID" "$GW_PID"
-rm -f "$PORT_FILE"
-echo "gateway smoke: ok"
-
-echo "== gateway smoke test (EDF queue) =="
-# Same end-to-end pass with the earliest-deadline-first discipline and
-# jittered per-job deadlines: verifies --queue edf admission, ordering,
-# and drain over a real socket (docs/SCHEDULING.md).
-PORT_FILE="$(mktemp)"
-rm -f "$PORT_FILE"
-./target/release/drift gateway --addr 127.0.0.1:0 --workers 4 \
-  --queue edf --port-file "$PORT_FILE" &
-GW_PID=$!
-wait_for_port_files "gateway EDF smoke: server never wrote its port file" \
-  "$GW_PID" "$PORT_FILE"
-GW_ADDR="$(cat "$PORT_FILE")"
-./target/release/drift loadgen --addr "$GW_ADDR" --clients 4 --jobs 200 \
-  --deadline-ms 2000 --deadline-jitter-ms 2000 > /dev/null
-./target/release/drift gateway-stop --addr "$GW_ADDR"
-wait_for_exit "gateway EDF smoke: server did not exit within 10s of the drain" \
-  "$GW_PID" "$GW_PID"
-rm -f "$PORT_FILE"
-echo "gateway EDF smoke: ok"
-
-echo "== router smoke test =="
-# Two gateway shards plus the consistent-hash router, all on ephemeral
-# ports: drive the router with the closed-loop load generator (which
-# fails on any lost or duplicated response), check both shards actually
-# received traffic, then drain everything within a bounded wait.
-GW1_PORT_FILE="$(mktemp)"; rm -f "$GW1_PORT_FILE"
-GW2_PORT_FILE="$(mktemp)"; rm -f "$GW2_PORT_FILE"
-RT_PORT_FILE="$(mktemp)";  rm -f "$RT_PORT_FILE"
-RT_METRICS="$(mktemp)"
-./target/release/drift gateway --addr 127.0.0.1:0 --workers 2 \
-  --port-file "$GW1_PORT_FILE" &
-GW1_PID=$!
-./target/release/drift gateway --addr 127.0.0.1:0 --workers 2 \
-  --port-file "$GW2_PORT_FILE" &
-GW2_PID=$!
-wait_for_port_files "router smoke: a shard gateway never wrote its port file" \
-  "$GW1_PID $GW2_PID" "$GW1_PORT_FILE" "$GW2_PORT_FILE"
-GW1_ADDR="$(cat "$GW1_PORT_FILE")"
-GW2_ADDR="$(cat "$GW2_PORT_FILE")"
-./target/release/drift router --addr 127.0.0.1:0 \
-  --shards "$GW1_ADDR,$GW2_ADDR" \
-  --port-file "$RT_PORT_FILE" --metrics-out "$RT_METRICS" &
-RT_PID=$!
-wait_for_port_files "router smoke: router never wrote its port file" \
-  "$RT_PID $GW1_PID $GW2_PID" "$RT_PORT_FILE"
-RT_ADDR="$(cat "$RT_PORT_FILE")"
-./target/release/drift loadgen --addr "$RT_ADDR" --clients 4 --jobs 200 \
-  > /dev/null
-./target/release/drift router-stop --addr "$RT_ADDR"
-wait_for_exit "router smoke: router did not exit within 10s of the drain" \
-  "$RT_PID $GW1_PID $GW2_PID" "$RT_PID"
-# The drained router's snapshot must show every shard took traffic.
-ROUTED_SERIES="$(grep -c 'drift_router_requests_routed_total' "$RT_METRICS" || true)"
-if [ "$ROUTED_SERIES" -ne 2 ]; then
-  echo "router smoke: expected 2 per-shard routed series, got $ROUTED_SERIES" >&2
-  kill "$GW1_PID" "$GW2_PID" 2>/dev/null || true
+DRIFT=./target/release/drift
+S="$(mktemp -d)"
+$DRIFT gateway --addr 127.0.0.1:0 --workers 2 --port-file "$S/a.port" \
+  --queue edf --store "$S/a.drift" --trace-out "$S/a.spans" &
+A_PID=$!
+$DRIFT gateway --addr 127.0.0.1:0 --workers 2 --port-file "$S/b.port" \
+  --trace-out "$S/b.spans" &
+B_PID=$!
+wait_for_port_files "serving smoke: a gateway never wrote its port file" \
+  "$A_PID $B_PID" "$S/a.port" "$S/b.port"
+A_ADDR="$(cat "$S/a.port")"
+B_ADDR="$(cat "$S/b.port")"
+$DRIFT router --addr 127.0.0.1:0 --shards "$A_ADDR,$B_ADDR" \
+  --port-file "$S/r.port" --trace-out "$S/r.spans" --trace-sample 1/1 \
+  --trace-seed 7 --metrics-out "$S/r.json" &
+R_PID=$!
+wait_for_port_files "serving smoke: the router never wrote its port file" \
+  "$R_PID $A_PID $B_PID" "$S/r.port"
+R_ADDR="$(cat "$S/r.port")"
+LOAD=(loadgen --addr "$R_ADDR" --clients 4 --jobs 200)
+$DRIFT "${LOAD[@]}" > "$S/singleton.jsonl" 2> /dev/null
+$DRIFT "${LOAD[@]}" --batch 50 > "$S/batch.jsonl" 2> /dev/null
+$DRIFT "${LOAD[@]}" --deadline-ms 30000 --deadline-jitter-ms 30000 \
+  > "$S/deadline.jsonl" 2> /dev/null
+for run in batch deadline; do
+  if ! diff -q "$S/singleton.jsonl" "$S/$run.jsonl" > /dev/null; then
+    echo "serving smoke: $run results differ from singleton results" >&2
+    kill "$R_PID" "$A_PID" "$B_PID" 2>/dev/null || true
+    exit 1
+  fi
+done
+$DRIFT router-stop --addr "$R_ADDR"
+$DRIFT gateway-stop --addr "$A_ADDR"
+$DRIFT gateway-stop --addr "$B_ADDR"
+wait_for_exit "serving smoke: a process did not exit within 10s of the drain" \
+  "$R_PID $A_PID $B_PID" "$R_PID" "$A_PID" "$B_PID"
+# The drained router's snapshot must show both shards took traffic.
+ROUTED="$(grep 'drift_router_requests_routed_total' "$S/r.json" || true)"
+if [ "$(echo "$ROUTED" | grep -c .)" -ne 2 ] || echo "$ROUTED" | grep -q '"value": 0'; then
+  echo "serving smoke: expected 2 per-shard routed series, none zero: $ROUTED" >&2
   exit 1
 fi
-if grep 'drift_router_requests_routed_total' "$RT_METRICS" \
-  | grep -q '"value": 0'; then
-  echo "router smoke: a shard received zero routed requests" >&2
-  kill "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
-./target/release/drift gateway-stop --addr "$GW1_ADDR"
-./target/release/drift gateway-stop --addr "$GW2_ADDR"
-wait_for_exit "router smoke: a shard gateway did not exit within 10s of the drain" \
-  "$GW1_PID $GW2_PID" "$GW1_PID" "$GW2_PID"
-rm -f "$GW1_PORT_FILE" "$GW2_PORT_FILE" "$RT_PORT_FILE" "$RT_METRICS"
-echo "router smoke: ok"
-
-echo "== batch smoke test =="
-# Batched wire protocol end to end (docs/SERVING.md): the same 200-job
-# stream driven singleton and as 4 clients x 50-job batches — first
-# through a gateway, then through the router over two shards — must
-# produce byte-identical result JSONL. loadgen itself fails the run on
-# any lost, duplicated, or unretried-shed id, so a clean diff proves
-# batch framing, all-or-shed admission, per-batch schedule
-# amortization, and router sub-batch splitting/reassembly all preserve
-# the singleton bytes.
-BATCH_DIR="$(mktemp -d)"
-GW_PORT_FILE="$(mktemp)"; rm -f "$GW_PORT_FILE"
-./target/release/drift gateway --addr 127.0.0.1:0 --workers 4 \
-  --port-file "$GW_PORT_FILE" &
-GW_PID=$!
-wait_for_port_files "batch smoke: gateway never wrote its port file" \
-  "$GW_PID" "$GW_PORT_FILE"
-GW_ADDR="$(cat "$GW_PORT_FILE")"
-./target/release/drift loadgen --addr "$GW_ADDR" --clients 4 --jobs 200 \
-  > "$BATCH_DIR/gw-singleton.jsonl" 2> /dev/null
-./target/release/drift loadgen --addr "$GW_ADDR" --clients 4 --jobs 200 \
-  --batch 50 > "$BATCH_DIR/gw-batch.jsonl" 2> /dev/null
-if ! diff -q "$BATCH_DIR/gw-singleton.jsonl" "$BATCH_DIR/gw-batch.jsonl" \
-  > /dev/null; then
-  echo "batch smoke: gateway batch results differ from singleton results" >&2
-  kill "$GW_PID" 2>/dev/null || true
-  exit 1
-fi
-./target/release/drift gateway-stop --addr "$GW_ADDR"
-wait_for_exit "batch smoke: gateway did not exit within 10s of the drain" \
-  "$GW_PID" "$GW_PID"
-rm -f "$GW_PORT_FILE"
-# The same pass through the sharding tier: mixed-key batches force the
-# router to split into per-shard sub-batches and reassemble.
-GW1_PORT_FILE="$(mktemp)"; rm -f "$GW1_PORT_FILE"
-GW2_PORT_FILE="$(mktemp)"; rm -f "$GW2_PORT_FILE"
-RT_PORT_FILE="$(mktemp)";  rm -f "$RT_PORT_FILE"
-./target/release/drift gateway --addr 127.0.0.1:0 --workers 2 \
-  --port-file "$GW1_PORT_FILE" &
-GW1_PID=$!
-./target/release/drift gateway --addr 127.0.0.1:0 --workers 2 \
-  --port-file "$GW2_PORT_FILE" &
-GW2_PID=$!
-wait_for_port_files "batch smoke: a shard gateway never wrote its port file" \
-  "$GW1_PID $GW2_PID" "$GW1_PORT_FILE" "$GW2_PORT_FILE"
-GW1_ADDR="$(cat "$GW1_PORT_FILE")"
-GW2_ADDR="$(cat "$GW2_PORT_FILE")"
-./target/release/drift router --addr 127.0.0.1:0 \
-  --shards "$GW1_ADDR,$GW2_ADDR" --port-file "$RT_PORT_FILE" &
-RT_PID=$!
-wait_for_port_files "batch smoke: router never wrote its port file" \
-  "$RT_PID $GW1_PID $GW2_PID" "$RT_PORT_FILE"
-RT_ADDR="$(cat "$RT_PORT_FILE")"
-./target/release/drift loadgen --addr "$RT_ADDR" --clients 4 --jobs 200 \
-  > "$BATCH_DIR/rt-singleton.jsonl" 2> /dev/null
-./target/release/drift loadgen --addr "$RT_ADDR" --clients 4 --jobs 200 \
-  --batch 50 > "$BATCH_DIR/rt-batch.jsonl" 2> /dev/null
-if ! diff -q "$BATCH_DIR/rt-singleton.jsonl" "$BATCH_DIR/rt-batch.jsonl" \
-  > /dev/null; then
-  echo "batch smoke: router batch results differ from singleton results" >&2
-  kill "$RT_PID" "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
-# The gateway and router runs offered the same stream, so all four
-# result files must agree byte for byte.
-if ! diff -q "$BATCH_DIR/gw-singleton.jsonl" "$BATCH_DIR/rt-batch.jsonl" \
-  > /dev/null; then
-  echo "batch smoke: routed batch results differ from direct gateway results" >&2
-  kill "$RT_PID" "$GW1_PID" "$GW2_PID" 2>/dev/null || true
-  exit 1
-fi
-./target/release/drift router-stop --addr "$RT_ADDR"
-./target/release/drift gateway-stop --addr "$GW1_ADDR"
-./target/release/drift gateway-stop --addr "$GW2_ADDR"
-wait_for_exit "batch smoke: a process did not exit within 10s of the drain" \
-  "$RT_PID $GW1_PID $GW2_PID" "$RT_PID" "$GW1_PID" "$GW2_PID"
-rm -f "$GW1_PORT_FILE" "$GW2_PORT_FILE" "$RT_PORT_FILE"
-rm -rf "$BATCH_DIR"
-echo "batch smoke: ok"
-
-echo "== trace smoke test =="
-# End-to-end distributed tracing: loadgen through the router and two
-# gateway shards, every tier writing a JSONL span file, with 1-in-1
-# sampling decided at the router (the ingress edge). `drift trace`
-# merges the three files and asserts every sampled trace reconstructs
-# a full waterfall — all router and gateway hops plus a serve-tier
-# span, exactly one trace per job, zero orphaned spans (the default
-# failure mode; no --allow-orphans here). docs/OBSERVABILITY.md.
-GW1_PORT_FILE="$(mktemp)"; rm -f "$GW1_PORT_FILE"
-GW2_PORT_FILE="$(mktemp)"; rm -f "$GW2_PORT_FILE"
-RT_PORT_FILE="$(mktemp)";  rm -f "$RT_PORT_FILE"
-GW1_TRACE="$(mktemp)"
-GW2_TRACE="$(mktemp)"
-RT_TRACE="$(mktemp)"
-./target/release/drift gateway --addr 127.0.0.1:0 --workers 2 \
-  --port-file "$GW1_PORT_FILE" --trace-out "$GW1_TRACE" &
-GW1_PID=$!
-./target/release/drift gateway --addr 127.0.0.1:0 --workers 2 \
-  --port-file "$GW2_PORT_FILE" --trace-out "$GW2_TRACE" &
-GW2_PID=$!
-wait_for_port_files "trace smoke: a shard gateway never wrote its port file" \
-  "$GW1_PID $GW2_PID" "$GW1_PORT_FILE" "$GW2_PORT_FILE"
-GW1_ADDR="$(cat "$GW1_PORT_FILE")"
-GW2_ADDR="$(cat "$GW2_PORT_FILE")"
-./target/release/drift router --addr 127.0.0.1:0 \
-  --shards "$GW1_ADDR,$GW2_ADDR" --port-file "$RT_PORT_FILE" \
-  --trace-out "$RT_TRACE" --trace-sample 1/1 --trace-seed 7 &
-RT_PID=$!
-wait_for_port_files "trace smoke: router never wrote its port file" \
-  "$RT_PID $GW1_PID $GW2_PID" "$RT_PORT_FILE"
-RT_ADDR="$(cat "$RT_PORT_FILE")"
-./target/release/drift loadgen --addr "$RT_ADDR" --clients 4 --jobs 200 \
-  > /dev/null
-./target/release/drift router-stop --addr "$RT_ADDR"
-./target/release/drift gateway-stop --addr "$GW1_ADDR"
-./target/release/drift gateway-stop --addr "$GW2_ADDR"
-wait_for_exit "trace smoke: a process did not exit within 10s of the drain" \
-  "$RT_PID $GW1_PID $GW2_PID" "$RT_PID" "$GW1_PID" "$GW2_PID"
-./target/release/drift trace "$RT_TRACE" "$GW1_TRACE" "$GW2_TRACE" \
-  --expect-traces 200 \
+# Each request line the router admits is one sampled trace: 200
+# singleton lines + 4 batch lines (one per client's 50 jobs) + 200
+# deadline lines = 404, each with every hop and no orphaned span.
+$DRIFT trace "$S/r.spans" "$S/a.spans" "$S/b.spans" --expect-traces 404 \
   --check-services router,gateway,serve \
   --check-hops router.request,router.hop,gateway.request,gateway.queue_wait,gateway.execute,gateway.response_write \
   > /dev/null
-rm -f "$GW1_PORT_FILE" "$GW2_PORT_FILE" "$RT_PORT_FILE" \
-  "$GW1_TRACE" "$GW2_TRACE" "$RT_TRACE"
-echo "trace smoke: ok"
-
-echo "== store smoke test =="
-# Schedule-store persistence end to end (docs/PERSISTENCE.md): serve a
-# job stream cold with --store, then re-serve the same stream warm from
-# the store file. The warm run must produce byte-identical results with
-# zero schedule solves (a ~100% cache hit rate from the warm start),
-# and the store tooling must verify and compact the file in place.
-STORE_DIR="$(mktemp -d)"
-STORE_FILE="$STORE_DIR/sched.drift"
-STORE_JOBS="$STORE_DIR/jobs.jsonl"
+# Gateway A spilled every schedule it solved to its store.
+$DRIFT store verify "$S/a.drift" --deep > /dev/null
+$DRIFT store compact "$S/a.drift" > /dev/null
+$DRIFT store verify "$S/a.drift" --deep > /dev/null
+# drift serve's own --store wiring (docs/PERSISTENCE.md): a warm run
+# gives the cold run's bytes, loads the 10 stored schedules, solves none.
 for i in $(seq 0 99); do
-  s=$((i % 10))
   printf '{"id":%d,"seed":%d,"kind":{"Schedule":{"m":%d,"k":128,"n":64,"fa":0.25,"fw":0.5}}}\n' \
-    "$i" "$((i + 1))" "$((64 + 16 * s))"
-done > "$STORE_JOBS"
-./target/release/drift serve --jobs "$STORE_JOBS" --workers 2 \
-  --store "$STORE_FILE" --metrics-out "$STORE_DIR/cold.json" \
-  > "$STORE_DIR/cold.out" 2> /dev/null
-./target/release/drift serve --jobs "$STORE_JOBS" --workers 2 \
-  --store "$STORE_FILE" --metrics-out "$STORE_DIR/warm.json" \
-  > "$STORE_DIR/warm.out" 2> /dev/null
-if ! diff -q "$STORE_DIR/cold.out" "$STORE_DIR/warm.out" > /dev/null; then
-  echo "store smoke: warm-started results differ from cold results" >&2
+    "$i" "$((i + 1))" "$((64 + 16 * (i % 10)))"
+done > "$S/jobs.jsonl"
+for run in cold warm; do
+  $DRIFT serve --jobs "$S/jobs.jsonl" --workers 2 --store "$S/serve.drift" \
+    --metrics-out "$S/$run.json" > "$S/$run.out" 2> /dev/null
+done
+if ! diff -q "$S/cold.out" "$S/warm.out" > /dev/null; then
+  echo "serving smoke: warm-started results differ from cold results" >&2
   exit 1
 fi
-if ! grep '"drift_store_records_loaded_total"' "$STORE_DIR/warm.json" \
+if ! grep '"drift_store_records_loaded_total"' "$S/warm.json" \
   | grep -q '"value": 10'; then
-  echo "store smoke: warm start did not load the 10 stored schedules" >&2
+  echo "serving smoke: warm start did not load the 10 stored schedules" >&2
   exit 1
 fi
 # A never-incremented counter is absent from the snapshot, so the warm
 # run passes iff the miss counter is missing or explicitly zero.
-if grep '"drift_schedule_cache_misses_total"' "$STORE_DIR/warm.json" \
+if grep '"drift_schedule_cache_misses_total"' "$S/warm.json" \
   | grep -v '"value": 0' | grep -q .; then
-  echo "store smoke: warm-started run still solved schedules (cache misses != 0)" >&2
+  echo "serving smoke: warm-started run still solved schedules (cache misses != 0)" >&2
   exit 1
 fi
-./target/release/drift store verify "$STORE_FILE" --deep > /dev/null
-./target/release/drift store compact "$STORE_FILE" > /dev/null
-./target/release/drift store verify "$STORE_FILE" --deep > /dev/null
-rm -rf "$STORE_DIR"
-echo "store smoke: ok"
+rm -rf "$S"
+echo "serving smoke: ok"
 
 echo "== doc links =="
 # Every relative markdown link in README.md and docs/*.md must point at
