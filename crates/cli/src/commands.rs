@@ -473,9 +473,7 @@ pub fn gateway(opts: &Opts) -> Result<(), String> {
 
     // No signal handling within the dependency budget: the drain
     // request arrives over the wire as {"control":"shutdown"}.
-    while !gw.draining() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
+    gw.wait_for_drain();
     let summary = gw.shutdown();
     eprintln!("{}", summary.render());
     tracer.close();
@@ -583,9 +581,7 @@ pub fn router(opts: &Opts) -> Result<(), String> {
 
     // As with the gateway: no signal handling, the drain request
     // arrives over the wire as {"control":"shutdown"}.
-    while !router.draining() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
+    router.wait_for_drain();
     let summary = router.shutdown();
     eprintln!("{}", summary.render());
     tracer.close();

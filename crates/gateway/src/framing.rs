@@ -16,7 +16,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use drift_obs::{SpanCtx, Stage};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -132,6 +133,38 @@ impl Reply {
             line,
             timed: false,
             request_span: None,
+        }
+    }
+}
+
+/// A tier's drain request: set by a `{"control":"shutdown"}` line, read
+/// by every connection without a lock, and awaited by the tier's owner
+/// without polling.
+#[derive(Debug, Default)]
+pub struct DrainSignal {
+    requested: AtomicBool,
+    lock: Mutex<()>,
+    woken: Condvar,
+}
+
+impl DrainSignal {
+    /// Records the request and wakes every [`DrainSignal::wait`]er.
+    pub fn request(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        let _guard = self.lock.lock().expect("drain signal");
+        self.woken.notify_all();
+    }
+
+    /// True once a drain has been requested.
+    pub fn is_requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until a drain has been requested.
+    pub fn wait(&self) {
+        let mut guard = self.lock.lock().expect("drain signal");
+        while !self.is_requested() {
+            guard = self.woken.wait(guard).expect("drain signal");
         }
     }
 }

@@ -34,7 +34,7 @@
 //! clients cannot pin threads: reads tick, and a stalled write discards
 //! that connection's remaining responses only.
 
-use crate::framing::{LineHandler, LineServer, Reply};
+use crate::framing::{DrainSignal, LineHandler, LineServer, Reply};
 use crate::protocol::{
     self, ControlOp, Request, ResponseAssembler, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_OVERLOADED,
     ERR_UNMEETABLE,
@@ -305,9 +305,9 @@ struct Shared {
     /// Hard stop: acceptor and readers exit at their next tick.
     stop: AtomicBool,
     /// A client requested a drain (`{"control":"shutdown"}`); the
-    /// gateway's owner observes this via [`Gateway::draining`] and
+    /// gateway's owner observes this via [`Gateway::wait_for_drain`] and
     /// calls [`Gateway::shutdown`].
-    drain: AtomicBool,
+    drain: DrainSignal,
     tally: Tally,
     estimator: ServiceEstimator,
 }
@@ -355,7 +355,7 @@ impl LineHandler for Admission {
             }
             Ok(Request::Control(ControlOp::Shutdown)) => {
                 answer(protocol::control_ack_line(ControlOp::Shutdown, true));
-                shared.drain.store(true, Ordering::SeqCst);
+                shared.drain.request();
                 return false;
             }
             Ok(Request::Prewarm(entries)) => {
@@ -484,7 +484,7 @@ impl LineHandler for Admission {
     }
 
     fn stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::Relaxed) || self.shared.drain.load(Ordering::Relaxed)
+        self.shared.stop.load(Ordering::Relaxed) || self.shared.drain.is_requested()
     }
 
     fn connections(&self, delta: i64) {
@@ -608,7 +608,7 @@ impl Gateway {
             trace_seq: AtomicU64::new(0),
             config,
             stop: AtomicBool::new(false),
-            drain: AtomicBool::new(false),
+            drain: DrainSignal::default(),
             tally: Tally::default(),
             estimator: ServiceEstimator::default(),
         });
@@ -662,7 +662,13 @@ impl Gateway {
     /// `{"control":"shutdown"}`. The owner should then call
     /// [`Gateway::shutdown`].
     pub fn draining(&self) -> bool {
-        self.shared.drain.load(Ordering::Relaxed)
+        self.shared.drain.is_requested()
+    }
+
+    /// Blocks until a client has requested a drain. The owner should
+    /// then call [`Gateway::shutdown`].
+    pub fn wait_for_drain(&self) {
+        self.shared.drain.wait();
     }
 
     /// Lifetime request totals so far.

@@ -236,11 +236,7 @@ impl StreamStats {
     /// Feeds the next sub-tensor, whose values follow the previous
     /// sub-tensor's in the tensor's row-major order.
     pub fn push_subtensor(&mut self, values: &[f32]) {
-        let mut stats = AbsStats::new();
-        for &v in values {
-            self.global.push(v);
-            stats.push(v);
-        }
+        let stats = self.global.push_slice(values);
         self.subtensors.push(stats);
     }
 

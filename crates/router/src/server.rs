@@ -58,7 +58,7 @@ use drift_accel::systolic::ArrayGeometry;
 use drift_core::arch::paper_fabric;
 use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_gateway::client::{Client, ClientReader, ClientWriter};
-use drift_gateway::framing::{LineHandler, LineServer, Reply, READ_TICK};
+use drift_gateway::framing::{DrainSignal, LineHandler, LineServer, Reply, READ_TICK};
 use drift_gateway::protocol::{
     self, ControlOp, JobLine, Request, ResponseAssembler, ERR_BAD_REQUEST, ERR_DEADLINE,
     ERR_OVERLOADED,
@@ -386,7 +386,7 @@ struct Shared {
     trace_seq: AtomicU64,
     fabric: ArrayGeometry,
     stop: AtomicBool,
-    drain: AtomicBool,
+    drain: DrainSignal,
     /// Blocks new admissions while a reshard quiesces.
     resharding: AtomicBool,
     /// Serialises reshard operations across client connections.
@@ -407,7 +407,7 @@ struct Shared {
 
 impl Shared {
     fn should_stop(&self) -> bool {
-        self.stop.load(Ordering::Relaxed) || self.drain.load(Ordering::Relaxed)
+        self.stop.load(Ordering::Relaxed) || self.drain.is_requested()
     }
 
     fn healthy_count(&self) -> i64 {
@@ -466,7 +466,7 @@ impl LineHandler for Front {
             Ok(Request::Control(op)) => {
                 answer(protocol::control_ack_line(op, true));
                 if op == ControlOp::Shutdown {
-                    shared.drain.store(true, Ordering::SeqCst);
+                    shared.drain.request();
                     return false;
                 }
                 return true;
@@ -588,7 +588,7 @@ impl Router {
             trace_seq: AtomicU64::new(0),
             fabric: paper_fabric(),
             stop: AtomicBool::new(false),
-            drain: AtomicBool::new(false),
+            drain: DrainSignal::default(),
             resharding: AtomicBool::new(false),
             reshard_gate: Mutex::new(()),
             table: RwLock::new(Table {
@@ -635,7 +635,13 @@ impl Router {
     /// `{"control":"shutdown"}`. The owner should then call
     /// [`Router::shutdown`].
     pub fn draining(&self) -> bool {
-        self.shared.drain.load(Ordering::Relaxed)
+        self.shared.drain.is_requested()
+    }
+
+    /// Blocks until a client has requested a drain. The owner should
+    /// then call [`Router::shutdown`].
+    pub fn wait_for_drain(&self) {
+        self.shared.drain.wait();
     }
 
     /// Lifetime request totals so far.
@@ -723,15 +729,20 @@ fn connect_shard(shared: &Arc<Shared>, link: &Arc<ShardLink>) -> Result<(), Stri
 /// Marks `link` unhealthy and force-closes its connection. Exactly one
 /// caller wins the transition and does the accounting; the closed
 /// socket wakes the shard's reader, whose exit path re-dispatches the
-/// orphaned jobs.
+/// orphaned jobs. A link lost after a drain was requested, with nothing
+/// in flight on it, is a shard stopping with its router, not a fault:
+/// it closes the same way but counts no ejection.
 fn eject(shared: &Shared, link: &ShardLink) {
+    let clean = shared.drain.is_requested() && !in_flight_on(shared, link);
     if link.healthy.swap(false, Ordering::SeqCst) {
-        shared.tally.ejections.fetch_add(1, Ordering::Relaxed);
-        shared.recorder.counter_add(
-            "drift_router_shard_ejections_total",
-            &[("shard", &link.addr)],
-            1,
-        );
+        if !clean {
+            shared.tally.ejections.fetch_add(1, Ordering::Relaxed);
+            shared.recorder.counter_add(
+                "drift_router_shard_ejections_total",
+                &[("shard", &link.addr)],
+                1,
+            );
+        }
         shared.refresh_healthy_gauge();
     }
     *link.writer.lock().expect("shard writer") = None;
@@ -752,6 +763,14 @@ fn shard_reader(shared: &Arc<Shared>, link: &Arc<ShardLink>, mut reader: ClientR
         eject(shared, link);
         orphan_failover(shared, link);
     }
+}
+
+/// True if a sub-batch dispatched to `link` awaits its response.
+fn in_flight_on(shared: &Shared, link: &ShardLink) -> bool {
+    let pending = shared.pending.lock().expect("pending table");
+    pending
+        .values()
+        .any(|e| std::ptr::eq(Arc::as_ptr(&e.shard), link))
 }
 
 /// Re-dispatches every sub-batch in flight on `link` (which just
@@ -1308,10 +1327,12 @@ fn probe_loop(shared: &Arc<Shared>) {
             if link.retired.load(Ordering::Relaxed) {
                 continue;
             }
+            // Health and readmission both take a ping: a shard that
+            // accepts connections and then drops them stays out.
+            let ack = Client::connect_with_timeout(&link.addr, timeout)
+                .ok()
+                .and_then(|mut c| c.ping_queue().ok());
             if link.healthy.load(Ordering::SeqCst) {
-                let ack = Client::connect_with_timeout(&link.addr, timeout)
-                    .ok()
-                    .and_then(|mut c| c.ping_queue().ok());
                 match ack {
                     Some((true, queue)) => {
                         // Record the shard's advertised discipline so
@@ -1333,7 +1354,7 @@ fn probe_loop(shared: &Arc<Shared>) {
                         eject(shared, &link);
                     }
                 }
-            } else if connect_shard(shared, &link).is_ok() {
+            } else if matches!(ack, Some((true, _))) && connect_shard(shared, &link).is_ok() {
                 shared.tally.readmissions.fetch_add(1, Ordering::Relaxed);
                 shared.recorder.counter_add(
                     "drift_router_shard_readmissions_total",

@@ -10,6 +10,35 @@
 //! [`SummaryStats`] adds min/max, the signed sum and Welford mean/variance
 //! for profiling and verification; [`SummaryStats::abs`] projects it onto
 //! the [`AbsStats`] the same values give.
+//!
+//! # One pass, the same bits
+//!
+//! [`AbsStats::push_slice`] folds a whole sub-tensor into a running
+//! accumulator and returns the sub-tensor's own statistics, in one pass
+//! whose cost is one `f64` add latency per value. Its bits equal those of
+//! one [`AbsStats::push`] per value into both, for every input:
+//!
+//! * `count` is the slice length.
+//! * `max|Y|` does not depend on order, so it is taken across `f32`
+//!   lanes. Widening `f32 → f64` is exact and monotone, and `|·|` commutes
+//!   with it, so the widest `f32` magnitude widens to the widest `f64`
+//!   one. [`f64::max`] returns its other operand when one is NaN, and the
+//!   running maximum starts at `0.0`, so a push never lets a NaN in: the
+//!   maximum is that of the non-NaN values, or `0.0`. The lanes keep a
+//!   value only when `|v| > lane`, which is false for NaN, so they ignore
+//!   NaN the same way. Signed zeros and subnormals need no rule: `|·|`
+//!   maps `-0` to `+0`, and subnormal `f32`s widen to normal `f64`s
+//!   exactly.
+//! * The two `Σ|Y|` chains (the slice's, from `0.0`, and the running one)
+//!   add the same widened magnitudes in stream order, one add per value
+//!   each, exactly as the pushes do. They do not depend on each other, so
+//!   the loop runs them side by side and a value costs one add latency,
+//!   not two. One caveat holds for any two compiled copies of the same
+//!   sum, the per-value pushes included: when NaNs with different
+//!   payloads meet in a sum, Rust leaves open which payload survives
+//!   (a NaN result's payload is unspecified), so those sums agree only
+//!   in being NaN. A stream holding one NaN bit pattern has one answer.
+//!   Sampled tensors hold no NaN.
 
 use serde::{Deserialize, Serialize};
 
@@ -49,11 +78,7 @@ impl AbsStats {
     /// Builds statistics from anything that can be viewed as a `[f32]`
     /// slice.
     pub fn from_slice(values: impl AsRef<[f32]>) -> Self {
-        let mut stats = AbsStats::new();
-        for &v in values.as_ref() {
-            stats.push(v);
-        }
-        stats
+        AbsStats::new().push_slice(values.as_ref())
     }
 
     /// Feeds one value into the accumulator.
@@ -63,6 +88,44 @@ impl AbsStats {
         self.count += 1;
         self.abs_max = self.abs_max.max(a);
         self.sum_abs += a;
+    }
+
+    /// Feeds every value of `values`, in order, into the accumulator and
+    /// returns the statistics of `values` alone: the same bits as a
+    /// [`push`](Self::push) per value into both (see the module doc).
+    ///
+    /// `max|Y|` is taken across 16 `f32` lanes, whatever the order;
+    /// the two `Σ|Y|` chains advance side by side in stream order, so a
+    /// value costs one `f64` add latency.
+    pub fn push_slice(&mut self, values: &[f32]) -> AbsStats {
+        let mut lanes = [0.0f32; LANES];
+        let (mut row_sum, mut sum) = (0.0f64, self.sum_abs);
+        let mut chunks = values.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            for (lane, &v) in lanes.iter_mut().zip(chunk) {
+                *lane = max_ignoring_nan(*lane, v.abs());
+            }
+            for &v in chunk {
+                let a = f64::from(v).abs();
+                row_sum += a;
+                sum += a;
+            }
+        }
+        for &v in chunks.remainder() {
+            lanes[0] = max_ignoring_nan(lanes[0], v.abs());
+            let a = f64::from(v).abs();
+            row_sum += a;
+            sum += a;
+        }
+        let row = AbsStats {
+            count: values.len() as u64,
+            abs_max: f64::from(lanes.into_iter().fold(0.0, max_ignoring_nan)),
+            sum_abs: row_sum,
+        };
+        self.count += row.count;
+        self.abs_max = self.abs_max.max(row.abs_max);
+        self.sum_abs = sum;
+        row
     }
 
     /// Merges another accumulator into this one (parallel reduction),
@@ -91,6 +154,11 @@ impl AbsStats {
         self.abs_max
     }
 
+    /// `Σ|Y|`, summed in stream order. Zero when empty.
+    pub fn sum_abs(&self) -> f64 {
+        self.sum_abs
+    }
+
     /// `avg(|Y|)`: the statistic driving Drift's representation-density
     /// test (paper Eq. 6). Zero when empty.
     pub fn mean_abs(&self) -> f64 {
@@ -99,6 +167,22 @@ impl AbsStats {
         } else {
             self.sum_abs / self.count as f64
         }
+    }
+}
+
+/// `f32` lanes of [`AbsStats::push_slice`]'s `max|Y|`: one 512-bit
+/// vector, or four 128-bit ones.
+const LANES: usize = 16;
+
+/// `max(acc, a)` for `acc` never NaN: a NaN `a` compares false and
+/// leaves `acc`, as [`f64::max`] ignores a NaN operand. Written as a
+/// compare and select so that it maps onto one vector `max` per lane.
+#[inline(always)]
+fn max_ignoring_nan(acc: f32, a: f32) -> f32 {
+    if a > acc {
+        a
+    } else {
+        acc
     }
 }
 

@@ -258,3 +258,84 @@ proptest! {
         }
     }
 }
+
+/// `count`, `max|Y|` and `Σ|Y|` as bits: NaN sums compare by payload.
+fn raw_bits(stats: &AbsStats) -> (u64, u64, u64) {
+    (
+        stats.count(),
+        stats.abs_max().to_bits(),
+        stats.sum_abs().to_bits(),
+    )
+}
+
+/// The NaNs of the kernel test: quiet and signalling, of both signs,
+/// with and without a payload.
+const KERNEL_NANS: [u32; 4] = [0x7fc0_0000, 0xffc1_2345, 0x7f80_0001, 0xff80_4321];
+
+/// A value for the statistics kernel: mostly ordinary, otherwise one of
+/// the specials `|·|`, `max` and the sums must treat as a push does, or
+/// the NaN `nan` (when given; most rows keep a finite sum).
+fn kernel_value(rng: &mut impl RngCore, nan: Option<u32>) -> f32 {
+    const SPECIALS: [u32; 10] = [
+        0x0000_0000, // +0
+        0x8000_0000, // -0
+        0x0000_0001, // smallest subnormal
+        0x8020_0000, // negative subnormal
+        0x007f_ffff, // largest subnormal
+        0x7f7f_ffff, // f32::MAX
+        0xff7f_ffff, // -f32::MAX
+        0x7f80_0000, // +inf
+        0xff80_0000, // -inf
+        0x3f40_0000, // 0.75
+    ];
+    let pick = rng.next_u32();
+    if !pick.is_multiple_of(4) {
+        return (pick >> 8) as f32 / (1u32 << 20) as f32 - 8.0;
+    }
+    match (nan, (pick >> 2) as usize % (SPECIALS.len() + 2)) {
+        (Some(bits), i) if i >= SPECIALS.len() => f32::from_bits(bits),
+        (_, i) => f32::from_bits(SPECIALS[i % SPECIALS.len()]),
+    }
+}
+
+/// `AbsStats::push_slice` equals one `push` per value into both the
+/// running accumulator and a fresh one, bit for bit, at every length up
+/// to 70 and at 1024 (every lane width and remainder), after prefixes
+/// that may already hold a NaN sum.
+///
+/// A case holds at most one NaN bit pattern: where two NaN payloads meet
+/// in a sum, which one survives is left open by Rust's float semantics,
+/// and two copies of the per-value loop already disagree on it.
+#[test]
+fn push_slice_equals_per_value_pushes_bit_for_bit() {
+    for seed in [3u64, 17, 29] {
+        let mut rng = seeded(seed);
+        for len in (0..=70).chain([1024]) {
+            let pick = rng.next_u32() as usize;
+            let nan = pick
+                .is_multiple_of(3)
+                .then(|| KERNEL_NANS[pick / 3 % KERNEL_NANS.len()]);
+            let prefix: Vec<f32> = (0..rng.next_u32() % 5)
+                .map(|_| kernel_value(&mut rng, nan))
+                .collect();
+            let row: Vec<f32> = (0..len).map(|_| kernel_value(&mut rng, nan)).collect();
+
+            let mut want_total = AbsStats::new();
+            prefix.iter().for_each(|&v| want_total.push(v));
+            let mut got_total = want_total;
+            let mut want_row = AbsStats::new();
+            for &v in &row {
+                want_total.push(v);
+                want_row.push(v);
+            }
+            let got_row = got_total.push_slice(&row);
+
+            let ctx =
+                format!("seed {seed}, len {len}, nan {nan:x?}, prefix {prefix:?}, row {row:?}");
+            assert_eq!(raw_bits(&got_row), raw_bits(&want_row), "row: {ctx}");
+            assert_eq!(raw_bits(&got_total), raw_bits(&want_total), "total: {ctx}");
+            let from_slice = AbsStats::from_slice(&row);
+            assert_eq!(raw_bits(&from_slice), raw_bits(&want_row), "{ctx}");
+        }
+    }
+}
