@@ -792,66 +792,6 @@ fn parse_snapshot(text: &str) -> Result<drift_obs::Snapshot, String> {
     Ok(snapshot)
 }
 
-/// `drift bench-serve`
-pub fn bench_serve(opts: &Opts) -> Result<(), String> {
-    let count: usize = opt_parse(opts, "jobs", 1000)?;
-    let shapes: usize = opt_parse(opts, "shapes", 4)?;
-    let seed: u64 = opt_parse(opts, "seed", 42)?;
-    let worker_counts: Vec<usize> = opt_str(opts, "workers", "1,2,4,8")
-        .split(',')
-        .map(|w| {
-            w.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("--workers: cannot parse '{w}'"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    println!("bench-serve: {count} jobs over {shapes} shapes (seed {seed})");
-    println!(
-        "{:>7} {:>10} {:>10} {:>9} {:>9} {:>10}",
-        "workers", "wall(ms)", "jobs/s", "p50(us)", "p99(us)", "hit-rate"
-    );
-    let mut baseline = None;
-    for &workers in &worker_counts {
-        let jobs = drift_serve::synthetic_jobs(count, shapes, seed);
-        let outcome = drift_serve::serve(jobs, &drift_serve::ServeConfig::with_workers(workers));
-        if outcome.report.errors > 0 {
-            return Err(format!("{} jobs failed", outcome.report.errors));
-        }
-        // Worst worker percentiles stand in for the pool's tail.
-        let p50 = outcome
-            .report
-            .workers
-            .iter()
-            .map(|w| w.p50_us)
-            .fold(0.0f64, f64::max);
-        let p99 = outcome
-            .report
-            .workers
-            .iter()
-            .map(|w| w.p99_us)
-            .fold(0.0f64, f64::max);
-        let speedup = match baseline {
-            None => {
-                baseline = Some(outcome.report.jobs_per_sec);
-                String::new()
-            }
-            Some(base) => format!("  ({:.2}x)", outcome.report.jobs_per_sec / base),
-        };
-        println!(
-            "{:>7} {:>10.1} {:>10.0} {:>9.0} {:>9.0} {:>9.1}%{}",
-            workers,
-            outcome.report.wall.as_secs_f64() * 1e3,
-            outcome.report.jobs_per_sec,
-            p50,
-            p99,
-            outcome.report.cache.hit_rate() * 100.0,
-            speedup,
-        );
-    }
-    Ok(())
-}
-
 /// `drift area`
 pub fn area() -> Result<(), String> {
     let model = AreaModel::default();

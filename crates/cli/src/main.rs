@@ -7,7 +7,6 @@
 //! drift simulate [--model BERT] [--accel drift] [--delta 0.027] [--seed 42]
 //! drift serve    [--jobs jobs.jsonl|-] [--workers 8] [--queue fifo|edf] [--lenient]
 //!                [--store sched.drift] [--metrics-addr 127.0.0.1:9109] [--metrics-out run.json]
-//! drift bench-serve [--jobs 1000] [--workers "1,2,4,8"]
 //! drift gateway  [--addr 127.0.0.1:7077] [--workers 8] [--deadline-ms 250] [--queue edf]
 //! drift router   --shards addr1,addr2,... [--addr 127.0.0.1:7177] [--vnodes 64]
 //! drift loadgen  [--addr 127.0.0.1:7077] [--clients 4] [--jobs 200] [--open-loop 500]
@@ -58,7 +57,6 @@ fn main() -> ExitCode {
             "schedule" => commands::schedule(&opts),
             "simulate" => commands::simulate(&opts),
             "serve" => commands::serve(&opts),
-            "bench-serve" => commands::bench_serve(&opts),
             "gateway" => commands::gateway(&opts),
             "router" => commands::router(&opts),
             "loadgen" => commands::loadgen(&opts),
@@ -102,8 +100,6 @@ fn usage() -> String {
      \x20                                 store, appending new schedules (docs/PERSISTENCE.md)\n\
      \x20          [--metrics-addr A]     serve Prometheus text on http://A/metrics\n\
      \x20          [--metrics-out FILE]   write the final metrics snapshot as JSON\n\
-     \x20 bench-serve [--jobs N] [--shapes S] [--workers \"1,2,4,8\"] [--seed S]\n\
-     \x20                                 throughput of the serve runtime per worker count\n\
      \x20 gateway  [--addr A] [--workers N] [--queue-depth Q] [--deadline-ms D]\n\
      \x20          [--idle-timeout-ms T]  serve jobs over TCP (newline-delimited JSON,\n\
      \x20                                 see docs/SERVING.md); drains on\n\

@@ -102,12 +102,15 @@ impl PrecisionController {
     }
 
     /// Looks up the decision for a sub-tensor (what the dispatcher does
-    /// per tile).
+    /// per tile). The buffer is addressed by position, as in hardware
+    /// (§4.1): the selector records sub-tensor `i` as entry `i`, so the
+    /// lookup is one indexed read, checked against the entry's id. An
+    /// entry recorded out of order is not found.
     pub fn lookup(&self, subtensor: usize) -> Option<IndexEntry> {
         self.entries
-            .iter()
+            .get(subtensor)
             .copied()
-            .find(|e| e.subtensor == subtensor)
+            .filter(|e| e.subtensor == subtensor)
     }
 
     /// Comparator operations performed so far.
@@ -168,6 +171,10 @@ mod tests {
         let k = c.lookup(0).unwrap();
         assert!(!k.low);
         assert!(c.lookup(99).is_none());
+        // Entry 2 holds sub-tensor 5: position and id disagree.
+        c.record(5, Decision::Keep).unwrap();
+        assert!(c.lookup(2).is_none());
+        assert!(c.lookup(5).is_none());
     }
 
     #[test]

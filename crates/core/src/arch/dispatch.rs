@@ -130,10 +130,12 @@ impl DispatchPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::controller::INDEX_ENTRY_BITS;
     use drift_accel::gemm::GemmShape;
     use drift_quant::convert::ConversionChoice;
     use drift_quant::policy::Decision;
     use drift_quant::precision::Precision;
+    use proptest::prelude::*;
 
     fn workload() -> GemmWorkload {
         let shape = GemmShape::new(8, 16, 6).unwrap();
@@ -222,5 +224,63 @@ mod tests {
         let mut plan = DispatchPlan::build(&w, None).unwrap();
         plan.high_rows.push(1); // duplicate with low_rows
         assert!(!plan.is_consistent(8, 6));
+    }
+
+    /// The plan the dispatcher built when it found each row's entry by
+    /// scanning the whole index buffer: the oracle for the addressed
+    /// lookup.
+    fn scan_plan(workload: &GemmWorkload, controller: &PrecisionController) -> DispatchPlan {
+        let mut plan = DispatchPlan::build(workload, None).unwrap();
+        let (mut high_rows, mut low_rows) = (Vec::new(), Vec::new());
+        for i in 0..workload.act_high().len() {
+            let entry = controller
+                .entries()
+                .iter()
+                .find(|e| e.subtensor == i)
+                .expect("every row recorded");
+            if entry.low {
+                low_rows.push(i);
+            } else {
+                high_rows.push(i);
+            }
+        }
+        plan.high_rows = high_rows;
+        plan.low_rows = low_rows;
+        plan.lookups = workload.act_high().len() as u64;
+        plan
+    }
+
+    proptest! {
+        /// Over random masks up to the index buffer's capacity, the
+        /// addressed lookup dispatches exactly as the scan did, with
+        /// the same lookup and comparator counts. Densities outside
+        /// [0, 1] give all-low and all-high masks.
+        #[test]
+        fn addressed_dispatch_matches_the_scan(
+            log2_m in 0u32..=14,
+            extra in 0usize..(1 << 14),
+            density in -0.2f64..1.2,
+            seed in any::<u64>(),
+        ) {
+            let capacity = (PrecisionController::default().capacity_bits()
+                / INDEX_ENTRY_BITS) as usize;
+            let m = ((1usize << log2_m) + extra % (1 << log2_m)).min(capacity);
+            let mut state = seed | 1;
+            let act_high: Vec<bool> = (0..m)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 11) as f64 * 2f64.powi(-53) < density
+                })
+                .collect();
+            let w = GemmWorkload::new("p", GemmShape::new(m, 8, 3).unwrap(), act_high, vec![true, false, true])
+                .unwrap();
+            let c = filled_controller(&w);
+            let plan = DispatchPlan::build(&w, Some(&c)).unwrap();
+            prop_assert_eq!(&plan, &scan_plan(&w, &c));
+            prop_assert_eq!(plan.lookups, m as u64);
+            prop_assert_eq!(c.comparisons(), 2 * m as u64);
+        }
     }
 }

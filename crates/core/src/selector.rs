@@ -152,6 +152,40 @@ impl DriftPolicy {
         let laplace_variance = 2.0 * mean_abs * mean_abs;
         capability.density_ratio(laplace_variance) >= self.delta
     }
+
+    /// The decision [`PrecisionPolicy::decide`] takes for a sub-tensor
+    /// whose `max|Y|` is `abs_max` and whose `avg|Y|` lies somewhere in
+    /// `[mean_lo, mean_hi]` (`0 ≤ mean_lo ≤ mean_hi`), under `params`;
+    /// `None` when the interval straddles the density threshold.
+    ///
+    /// The mean enters the decision only through [`density_ok`](Self::density_ok),
+    /// which is monotone in it: for `m ≥ 0`, `2·m·m` is a product of
+    /// nondecreasing nonnegative factors, dividing by the positive
+    /// density (or taking `+inf` for a zero one) and comparing against δ
+    /// are monotone too, and each step rounds correctly, so rounding
+    /// keeps the order. When both ends agree, so does every mean between
+    /// them.
+    pub fn decide_bounded(
+        &self,
+        params: &QuantParams,
+        abs_max: f64,
+        mean_lo: f64,
+        mean_hi: f64,
+    ) -> Option<Decision> {
+        let Some(choice) = self.range_choice(abs_max, params) else {
+            return Some(Decision::Keep);
+        };
+        // All-zero sub-tensors are exactly representable at any width.
+        if abs_max <= 0.0 || params.scale == 0.0 {
+            return Some(Decision::Convert(choice));
+        }
+        let dense = self.density_ok(&choice, mean_lo, params);
+        (dense == self.density_ok(&choice, mean_hi, params)).then_some(if dense {
+            Decision::Convert(choice)
+        } else {
+            Decision::Keep
+        })
+    }
 }
 
 /// Records a selector run's per-sub-tensor decisions into `recorder`:
@@ -206,18 +240,9 @@ impl PrecisionPolicy for DriftPolicy {
     }
 
     fn decide(&self, ctx: &TensorContext, stats: &AbsStats) -> Decision {
-        let Some(choice) = self.range_choice(stats.abs_max(), &ctx.params) else {
-            return Decision::Keep;
-        };
-        // All-zero sub-tensors are exactly representable at any width.
-        if stats.abs_max() <= 0.0 || ctx.params.scale == 0.0 {
-            return Decision::Convert(choice);
-        }
-        if self.density_ok(&choice, stats.mean_abs(), &ctx.params) {
-            Decision::Convert(choice)
-        } else {
-            Decision::Keep
-        }
+        let mean = stats.mean_abs();
+        self.decide_bounded(&ctx.params, stats.abs_max(), mean, mean)
+            .expect("a one-point interval never straddles the threshold")
     }
 
     fn low_precision(&self) -> Precision {
@@ -414,6 +439,35 @@ mod tests {
         );
         // A disabled recorder records nothing and does not panic.
         record_policy_run(&Recorder::disabled(), &run.decisions);
+    }
+
+    #[test]
+    fn bounded_decision_is_the_point_decision_or_none() {
+        // Means on a grid around each choice's threshold: every interval
+        // whose ends decide alike decides as every mean inside it does,
+        // and one that straddles the threshold is refused.
+        let params = QuantParams::from_abs_max(2.0, Precision::INT8);
+        for delta in [0.0, 0.01, 0.3, 3.0] {
+            let policy = DriftPolicy::new(delta).unwrap();
+            for abs_max in [0.0, 0.01, 0.2, 1.3, 2.0] {
+                let means: Vec<f64> = (0..=60).map(|i| abs_max * i as f64 / 60.0).collect();
+                let point = |m: f64| policy.decide_bounded(&params, abs_max, m, m).unwrap();
+                for (i, &lo) in means.iter().enumerate() {
+                    for &hi in &means[i..] {
+                        let inside: Vec<Decision> = means
+                            .iter()
+                            .filter(|&&m| lo <= m && m <= hi)
+                            .map(|&m| point(m))
+                            .collect();
+                        let same = inside.windows(2).all(|w| w[0] == w[1]);
+                        match policy.decide_bounded(&params, abs_max, lo, hi) {
+                            Some(d) => assert!(same && inside[0] == d, "[{lo}, {hi}]"),
+                            None => assert_ne!(point(lo), point(hi), "[{lo}, {hi}]"),
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

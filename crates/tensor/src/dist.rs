@@ -31,6 +31,65 @@
 //! chunk loop is compiled twice, for the baseline target and for
 //! AVX-512, and picked at run time; Rust never fuses a multiply and an
 //! add, so both compilations give the same bits.
+//!
+//! # A row's `max|Y|` and a bracket on its `Σ|Y|`, without its values
+//!
+//! [`Laplace::abs_bracket`] reads a zero-mean row's keystream words and
+//! returns what [`AbsStats::push_slice`](crate::stats::AbsStats::push_slice)
+//! of [`Laplace::fill_f32`]'s values would: the count and `max|Y|`
+//! exactly, and `Σ|Y|` inside a proven interval, at one multiply per
+//! value and no logarithm. A word's draw `u = k·2⁻⁵³` (`k = word >> 11`)
+//! gives `w = 1 − 2|u − ½| = j·2⁻⁵²` with `j = min(k, 2⁵³ − k)`, exactly
+//! (every step of `inverse_cdf` before the `ln` is exact), and for `μ = 0`
+//! the value's magnitude is `a = fl32(fl64(b·|ln w|))`. `j = 0` is the
+//! one draw whose `w` is floored at `MIN_POSITIVE`; the method returns
+//! `None` for it, so `j ∈ [1, 2⁵²]` below.
+//!
+//! **`max|Y|`.** `a` is a monotone function of libm's `|ln w|`, which is
+//! within `2u·|ln w|` (`u = 2⁻⁵³`, one ulp) of the true value. A draw
+//! with `j > j_min·(1 + 2⁻⁴⁰)` has a true `|ln w|` smaller than the
+//! smallest draw's by more than `ln(1 + 2⁻⁴⁰) > 2⁻⁴¹`, while both errors
+//! together stay below `2u·2·52·ln 2 < 2⁻⁴⁵`: libm cannot rank it above
+//! the smallest draw, monotone or not. So `max|Y|` is the largest exact
+//! `inverse_cdf` value over the draws with `j ≤ j_min + ⌊j_min·2⁻⁴⁰⌋`,
+//! an integer test. Almost always only the smallest draw passes it.
+//!
+//! **`Σ|Y|`.** With `Λ = Σ −ln w_i = −ln Π w_i`, the exact sum is close
+//! to `b·Λ`, and `Π w_i` costs one multiply per value: eight `f64` lanes
+//! multiply the integers `j` (each `≤ 2⁵²`, so sixteen of them on a lane
+//! mantissa in `[1, 2)` stay below `2⁸³³`), and every sixteen values per
+//! lane each lane's exponent moves into an integer, exactly. The half
+//! width `H` of the returned interval `[Σ̂ − H, Σ̂ + H]` covers:
+//!
+//! 1. each value's rounding: `a_i = b·ℓ_i·(1 + θ_i) + β_i` with
+//!    `ℓ_i = −ln w_i`, `|θ_i| ≤ 2⁻²⁴ + 4u` (libm's `ln`, the product by
+//!    `b`, the narrowing) and `|β_i| ≤ 2⁻¹⁴⁹` (an `f32` or `f64`
+//!    subnormal result);
+//! 2. the stream-order `f64` sum `Σ_x` of `n` nonnegative terms, within
+//!    `γ_{n−1} = (n−1)u/(1 − (n−1)u)` of their real sum;
+//! 3. the product: at most `n + 7` roundings (`n` multiplies, 7 to join
+//!    the lanes), each moving `ln Π` by at most `u/(1 − u)`;
+//! 4. the finish `Σ̂ = b·(−(ln M + E·ln 2))` with lane product `M < 2⁸`
+//!    and integer exponent `E`: libm's `ln M` (at most `2u·ln 2⁸ < 12u`),
+//!    the rounded `ln 2` and `E·ln 2` (at most `2.01u·|E|·ln 2`, where
+//!    `|E|·ln 2 ≤ Λ + 6`), the add and the product by `b` (`u` each).
+//!
+//! Items 3 and 4 give `|Σ̂ − b·Λ| ≤ b·(n + 41)·u + 6u·b·Λ`, and items 1
+//! and 2 give `|Σ_x − b·Λ| ≤ b·Λ·(γ_{n−1}(1 + 2⁻²³) + 2⁻²⁴ + 4u) +
+//! 2n·2⁻¹⁴⁹`. Writing `A = b·(n + 41)·u`, so that `b·Λ ≤ (Σ̂ + A)/(1 − 6u)`:
+//!
+//! ```text
+//! |Σ_x − Σ̂| ≤ (Σ̂ + A)·(2⁻²⁴ + γ_{n−1}(1 + 2⁻²³) + 10u)/(1 − 6u) + A + n·2⁻¹⁴⁸
+//! ```
+//!
+//! The code takes `A' = b·(n + 64)·2⁻⁵² ≥ 2A` and the relative factor
+//! `2⁻²³ + n·2⁻⁵⁰`, which exceeds the one above by more than `2⁻²⁵`
+//! whenever `n·u < ½` (then `γ_{n−1} < 2n·u`); that margin absorbs the
+//! rounding of `H`'s own arithmetic and of `Σ̂ ± H`. The lower end is
+//! clamped at 0, which the exact sum never undercuts. Relative to `Σ̂`
+//! the interval is about `2⁻²²` wide for rows of a few thousand values,
+//! so a decision that reads `Σ|Y|` only through a monotone threshold is
+//! decided by it unless the exact mean lies that close to the threshold.
 
 use crate::rng::DriftRng;
 use crate::{Result, TensorError};
@@ -153,10 +212,207 @@ impl Laplace {
             }
         }
     }
+
+    /// The `|sample as f32|` of the draw with scaled weight `j` (module
+    /// doc): `unit = j·2⁻⁵³` gives `w = j·2⁻⁵²`, as every draw with that
+    /// `j` does, and for `μ = 0` the draws sharing a `w` differ only in
+    /// sign.
+    fn abs_at(&self, j: u64) -> f64 {
+        f64::from((self.inverse_cdf(j as f64 * UNIT) as f32).abs())
+    }
+
+    /// Draws into `words` exactly the keystream words
+    /// [`Sampler::fill_f32`] on a slice of `words.len()` values draws,
+    /// and returns, without computing those values, what
+    /// [`AbsStats::push_slice`](crate::stats::AbsStats::push_slice) of
+    /// them would: the count and `max|Y|` exactly, and an interval around
+    /// `Σ|Y|` (module doc).
+    ///
+    /// Returns `None` when the bracket does not apply: for `μ ≠ 0`
+    /// (nothing is drawn then), when a draw's `w` is floored at
+    /// `f64::MIN_POSITIVE` (`word >> 11 == 0`), or when `max|Y|` is not
+    /// finite. `rng` has then moved by an unspecified number of words.
+    pub fn abs_bracket(&self, rng: &mut DriftRng, words: &mut [u64]) -> Option<AbsBracket> {
+        if self.mu != 0.0 {
+            return None;
+        }
+        rng.fill_u64(words);
+        self.bracket_words(words)
+    }
+
+    /// [`Laplace::abs_bracket`] over words already drawn, for `μ = 0`.
+    fn bracket_words(&self, words: &[u64]) -> Option<AbsBracket> {
+        debug_assert_eq!(self.mu, 0.0);
+        let n = words.len();
+        let pass = log_product(words);
+        if pass.j_min == 0 {
+            return None;
+        }
+        let abs_max = if pass.candidates == 1 {
+            self.abs_at(pass.j_min)
+        } else {
+            let limit = margin_limit(pass.j_min);
+            words
+                .iter()
+                .map(|&word| scaled_w(word))
+                .filter(|&j| j <= limit)
+                .map(|j| self.abs_at(j))
+                .fold(0.0, f64::max)
+        };
+        if !abs_max.is_finite() {
+            return None;
+        }
+        // Σ −ln w = −ln Π j + 52·n·ln 2, as −(ln M + E·ln 2).
+        let mantissa = pass.lanes.iter().product::<f64>();
+        let exponent = pass.exponent - 52 * n as i64;
+        let sum = self.b * -(mantissa.ln() + exponent as f64 * std::f64::consts::LN_2);
+        let n = n as f64;
+        let absolute = self.b * (n + 64.0) * 2f64.powi(-52) + n * 2f64.powi(-148);
+        let half = (sum + absolute) * (2f64.powi(-23) + n * 2f64.powi(-50)) + absolute;
+        Some(AbsBracket {
+            count: words.len() as u64,
+            abs_max,
+            sum_lo: (sum - half).max(0.0),
+            sum_hi: sum + half,
+        })
+    }
+}
+
+/// What [`Laplace::abs_bracket`] knows of a row from its keystream words:
+/// the row's [`AbsStats`](crate::stats::AbsStats) count and `max|Y|`
+/// exactly, and an interval holding its `Σ|Y|`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AbsBracket {
+    /// Values in the row.
+    pub count: u64,
+    /// The row's `max|Y|`, bit for bit.
+    pub abs_max: f64,
+    /// A lower bound on the row's stream-order `Σ|Y|` (never negative).
+    pub sum_lo: f64,
+    /// An upper bound on the row's stream-order `Σ|Y|`.
+    pub sum_hi: f64,
 }
 
 /// Values per chunk of [`Laplace::fill_f32`].
 const CHUNK: usize = 256;
+
+/// `2⁻⁵³`, the weight of a draw's lowest bit.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// `f64` lanes of [`log_product_body`]'s product and minimum.
+const PRODUCT_LANES: usize = 8;
+
+/// Values per lane between two exponent moves of [`log_product_body`]:
+/// sixteen factors `≤ 2⁵²` on a mantissa in `[1, 2)` stay below `2⁸³³`.
+const RENORMALISE: usize = 16;
+
+/// The scaled weight `j = w·2⁵²` of a keystream word (module doc):
+/// `min(k, 2⁵³ − k)` for `k = word >> 11`, 0 only where `w` is floored.
+#[inline(always)]
+fn scaled_w(word: u64) -> u64 {
+    let k = word >> 11;
+    k.min((1u64 << 53) - k)
+}
+
+/// The largest scaled weight within the `max|Y|` margin of `j_min`:
+/// `j_min + ⌊j_min·2⁻⁴⁰⌋` (module doc).
+#[inline(always)]
+fn margin_limit(j_min: u64) -> u64 {
+    j_min.saturating_add(j_min >> 40)
+}
+
+/// [`log_product_body`]'s result for one row.
+#[derive(Debug, PartialEq)]
+struct LogProduct {
+    /// The smallest scaled weight.
+    j_min: u64,
+    /// Words whose scaled weight is within the `max|Y|` margin of `j_min`.
+    candidates: usize,
+    /// Per-lane mantissas in `[1, 2)`; with `exponent`, `Π j` (rounded).
+    lanes: [f64; PRODUCT_LANES],
+    /// The power of two the lane mantissas were divided by.
+    exponent: i64,
+}
+
+/// Moves each lane's binary exponent into `exponents`, leaving a
+/// mantissa in `[1, 2)`: exact for the positive normal lanes a row with
+/// every `j ≥ 1` keeps (a zero lane only arises for a row that is
+/// refused anyway).
+#[inline(always)]
+fn renormalise(lanes: &mut [f64; PRODUCT_LANES], exponents: &mut [i64; PRODUCT_LANES]) {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    const ONE: u64 = 1023 << 52;
+    for (lane, exponent) in lanes.iter_mut().zip(exponents.iter_mut()) {
+        let bits = lane.to_bits();
+        *exponent += (bits >> 52) as i64 - 1023;
+        *lane = f64::from_bits((bits & MANTISSA) | ONE);
+    }
+}
+
+/// Folds up to one word per lane into the lane minima and products.
+#[inline(always)]
+fn fold_group(mins: &mut [u64; PRODUCT_LANES], lanes: &mut [f64; PRODUCT_LANES], group: &[u64]) {
+    for ((min, lane), &word) in mins.iter_mut().zip(lanes.iter_mut()).zip(group) {
+        let j = scaled_w(word);
+        *min = (*min).min(j);
+        *lane *= j as f64;
+    }
+}
+
+/// The two vector passes of [`Laplace::abs_bracket`]: the minimum and
+/// the lane products of the scaled weights, then the count of words
+/// within the `max|Y|` margin of that minimum.
+#[inline(always)]
+fn log_product_body(words: &[u64]) -> LogProduct {
+    let mut mins = [u64::MAX; PRODUCT_LANES];
+    let mut lanes = [1.0f64; PRODUCT_LANES];
+    let mut exponents = [0i64; PRODUCT_LANES];
+    let mut blocks = words.chunks_exact(PRODUCT_LANES * RENORMALISE);
+    for block in &mut blocks {
+        for group in block.chunks_exact(PRODUCT_LANES) {
+            fold_group(&mut mins, &mut lanes, group);
+        }
+        renormalise(&mut lanes, &mut exponents);
+    }
+    // Fewer than sixteen values per lane remain.
+    for group in blocks.remainder().chunks(PRODUCT_LANES) {
+        fold_group(&mut mins, &mut lanes, group);
+    }
+    renormalise(&mut lanes, &mut exponents);
+    let j_min = mins.into_iter().min().unwrap_or(u64::MAX);
+    let limit = margin_limit(j_min);
+    let candidates = words
+        .iter()
+        .filter(|&&word| scaled_w(word) <= limit)
+        .count();
+    LogProduct {
+        j_min,
+        candidates,
+        lanes,
+        exponent: exponents.iter().sum(),
+    }
+}
+
+/// [`log_product_body`] in AVX-512 vectors.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, AVX-512DQ and AVX-512VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+unsafe fn log_product_avx512(words: &[u64]) -> LogProduct {
+    log_product_body(words)
+}
+
+/// [`log_product_body`] in the widest build this CPU runs.
+fn log_product(words: &[u64]) -> LogProduct {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx512() {
+        // SAFETY: the CPU has AVX-512F, DQ and VL, checked just above.
+        return unsafe { log_product_avx512(words) };
+    }
+    log_product_body(words)
+}
 
 /// Relative half-width of the bracket around fdlibm's `ln` (module doc).
 const BRACKET: f64 = 1.0 / (1u64 << 36) as f64;
@@ -165,7 +421,7 @@ const BRACKET: f64 = 1.0 / (1u64 << 36) as f64;
 /// value `word`: its top 53 bits, scaled by `2⁻⁵³`.
 #[inline(always)]
 fn unit(word: u64) -> f64 {
-    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    (word >> 11) as f64 * UNIT
 }
 
 /// fdlibm's `e_log.c` natural logarithm, < 1 ulp from the true value,
@@ -853,6 +1109,140 @@ mod tests {
             let fallbacks = reference.iter().filter(|x| x.is_nan()).count();
             let rate = fallbacks as f64 / words.len() as f64;
             assert!(rate < 2e-3, "fallback rate {rate} for mu {mu}, b {b}");
+        }
+    }
+
+    /// The statistics `push_slice` gives `words`' exact values.
+    fn exact_abs_stats(lap: &Laplace, words: &[u64]) -> crate::stats::AbsStats {
+        let values: Vec<f32> = words
+            .iter()
+            .map(|&w| lap.inverse_cdf(unit(w)) as f32)
+            .collect();
+        crate::stats::AbsStats::from_slice(values)
+    }
+
+    /// `bracket` holds `exact`: the same count and `max|Y|` bits, and
+    /// `Σ|Y|` inside the interval.
+    fn assert_brackets(bracket: &AbsBracket, exact: &crate::stats::AbsStats, what: &str) {
+        assert_eq!(bracket.count, exact.count(), "{what}");
+        assert_eq!(
+            bracket.abs_max.to_bits(),
+            exact.abs_max().to_bits(),
+            "{what}: max {} vs {}",
+            bracket.abs_max,
+            exact.abs_max()
+        );
+        assert!(
+            bracket.sum_lo <= exact.sum_abs() && exact.sum_abs() <= bracket.sum_hi,
+            "{what}: sum {} outside [{}, {}]",
+            exact.sum_abs(),
+            bracket.sum_lo,
+            bracket.sum_hi
+        );
+    }
+
+    #[test]
+    fn scaled_w_is_the_samplers_w() {
+        let half = 1u64 << 63;
+        let step = 1u64 << 11;
+        let mut rng = seeded(41);
+        let mut words = vec![0u64; 4096];
+        rng.fill_u64(&mut words);
+        words.extend([0, 2047, step, half - step, half, half + step, u64::MAX]);
+        for word in words {
+            let v = unit(word) - 0.5;
+            let w = 1.0 - 2.0 * v.abs();
+            assert_eq!(scaled_w(word) as f64 * 2f64.powi(-52), w, "word {word:#x}");
+        }
+    }
+
+    #[test]
+    fn abs_bracket_holds_push_slice_of_fill_f32() {
+        for (seed, b) in [(1, 1e-6), (2, 0.03), (3, 1.0), (4, 700.0), (5, 2.5e30)] {
+            let lap = Laplace::new(0.0, b).unwrap();
+            let mut rng = seeded(seed);
+            for n in [0, 1, 7, 8, 127, 128, 129, 257, 768, 1000, 4096] {
+                let (mut exact_rng, mut bracket_rng) = (rng.clone(), rng.clone());
+                let values = lap.sample_f32(&mut exact_rng, n);
+                let exact = crate::stats::AbsStats::from_slice(&values);
+                let mut words = vec![0u64; n];
+                let bracket = lap.abs_bracket(&mut bracket_rng, &mut words).unwrap();
+                assert_brackets(&bracket, &exact, &format!("b {b}, n {n}"));
+                let width = bracket.sum_hi - bracket.sum_lo;
+                assert!(
+                    width <= exact.sum_abs() * 2e-6 + b * 1e-9,
+                    "b {b}, n {n}: width {width}"
+                );
+                // Both drew the same words, so the streams stay in step.
+                assert_eq!(exact_rng.gen::<u64>(), bracket_rng.gen::<u64>());
+                rng.gen::<u64>();
+            }
+        }
+    }
+
+    #[test]
+    fn abs_bracket_edge_words() {
+        let half = 1u64 << 63;
+        let step = 1u64 << 11;
+        let lap = Laplace::new(0.0, 1.0).unwrap();
+        // The draw u = 0 (any word below 2^11) floors w at MIN_POSITIVE.
+        for floor in [0, 1, 2047] {
+            assert_eq!(lap.bracket_words(&[half, floor, 12345 << 11]), None);
+        }
+        // u = 1/2 gives w = 1 and |Y| = 0; a row of them is all zeros.
+        let ones = [half; 9];
+        let bracket = lap.bracket_words(&ones).unwrap();
+        assert_brackets(&bracket, &exact_abs_stats(&lap, &ones), "w = 1");
+        assert_eq!((bracket.abs_max, bracket.sum_lo), (0.0, 0.0));
+        // The two draws u = 2^-53 and u = 1 − 2^-53 share the smallest
+        // w, so two words pass the max|Y| margin and the exact candidate
+        // loop runs. So it does when the row's smallest w is the largest
+        // below 1 (u = 1/2 ± 2^-53): every w = 1 draw lies in its margin.
+        let mut rng = seeded(8);
+        let mut words = vec![0u64; 300];
+        rng.fill_u64(&mut words);
+        let near_half = {
+            let mut row = vec![half; 300];
+            row[17] = half - step;
+            row[250] = half + step;
+            row
+        };
+        let mut extremes = words.clone();
+        extremes[17] = step;
+        extremes[250] = u64::MAX;
+        for (row, candidates) in [(&near_half, 300), (&extremes, 2)] {
+            assert_eq!(log_product(row).candidates, candidates);
+            for b in [1e-6, 1.0, 1e3] {
+                let lap = Laplace::new(0.0, b).unwrap();
+                let bracket = lap.bracket_words(row).unwrap();
+                assert_brackets(&bracket, &exact_abs_stats(&lap, row), "two smallest w");
+            }
+        }
+        // b at the profile's 1e-6 floor, and b large enough that the
+        // smallest w's magnitude overflows f32.
+        let tiny = Laplace::new(0.0, 1e-6).unwrap();
+        let bracket = tiny.bracket_words(&words).unwrap();
+        assert_brackets(&bracket, &exact_abs_stats(&tiny, &words), "b = 1e-6");
+        let huge = Laplace::new(0.0, 1e38).unwrap();
+        assert!(exact_abs_stats(&huge, &[step]).abs_max().is_infinite());
+        assert_eq!(huge.bracket_words(&[half, step, half + step]), None);
+        // A nonzero location has no bracket, and nothing is drawn.
+        let shifted = Laplace::new(0.5, 1.0).unwrap();
+        let mut rng = seeded(9);
+        let before = rng.clone().gen::<u64>();
+        assert_eq!(shifted.abs_bracket(&mut rng, &mut [0u64; 4]), None);
+        assert_eq!(rng.gen::<u64>(), before);
+    }
+
+    #[test]
+    fn log_product_builds_agree() {
+        let mut rng = seeded(77);
+        let mut words = vec![0u64; 5000];
+        rng.fill_u64(&mut words);
+        for n in [1, 9, 128, 1000, 5000] {
+            let words = &words[..n];
+            let reference = log_product_body(words);
+            assert_eq!(log_product(words), reference, "n {n}");
         }
     }
 
