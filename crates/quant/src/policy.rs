@@ -157,32 +157,50 @@ pub struct Selection {
 }
 
 impl Selection {
-    /// The decision step every policy run shares: fixes the initial
-    /// quantization parameters from the whole tensor's `max|X|` (Eq. 1,
-    /// the same fold [`crate::linear::quantize_slice`] does), then asks
-    /// `policy` once per sub-tensor. `subtensors` holds each view's
-    /// statistics in view order; a view's id is its index.
+    /// Builds a selection view by view: fixes the initial quantization
+    /// parameters from the whole tensor's `max|X|` (Eq. 1, the same fold
+    /// [`crate::linear::quantize_slice`] does), then asks `decide` once
+    /// per view, in view order, for that view's element count and
+    /// decision; a view's id is its index. `None` if any view returns
+    /// `None`.
+    pub fn from_views<V>(
+        global_abs_max: f64,
+        hp: Precision,
+        views: impl IntoIterator<Item = V>,
+        mut decide: impl FnMut(&QuantParams, V) -> Option<(usize, Decision)>,
+    ) -> Option<Self> {
+        let params = QuantParams::from_abs_max(global_abs_max, hp);
+        let decisions = views
+            .into_iter()
+            .enumerate()
+            .map(|(view_id, view)| {
+                let (len, decision) = decide(&params, view)?;
+                Some(SubTensorDecision {
+                    view_id,
+                    len,
+                    decision,
+                })
+            })
+            .collect::<Option<_>>()?;
+        Some(Selection { params, decisions })
+    }
+
+    /// The decision step every policy run shares: [`Selection::from_views`]
+    /// over each view's statistics, in view order, asking `policy`.
     fn decide(
         global: &AbsStats,
         subtensors: &[AbsStats],
         hp: Precision,
         policy: &dyn PrecisionPolicy,
     ) -> Self {
-        let params = QuantParams::from_abs_max(global.abs_max(), hp);
-        let ctx = TensorContext {
-            global: *global,
-            params,
-        };
-        let decisions = subtensors
-            .iter()
-            .enumerate()
-            .map(|(view_id, stats)| SubTensorDecision {
-                view_id,
-                len: stats.count() as usize,
-                decision: policy.decide(&ctx, stats),
-            })
-            .collect();
-        Selection { params, decisions }
+        Selection::from_views(global.abs_max(), hp, subtensors, |&params, stats| {
+            let ctx = TensorContext {
+                global: *global,
+                params,
+            };
+            Some((stats.count() as usize, policy.decide(&ctx, stats)))
+        })
+        .expect("every view decides")
     }
 
     /// Fraction of *elements* that compute at low precision.
