@@ -148,11 +148,23 @@ impl LatencyReport {
 /// [`simulate_stream_stepped`] reproduces the same number by explicit
 /// cycle stepping and is used to cross-verify in tests.
 pub fn simulate_stream(occupancies: &[u32], geo: ArrayGeometry, passes: u64) -> LatencyReport {
-    if occupancies.is_empty() || passes == 0 {
+    let work = occupancies.iter().map(|&c| u64::from(c)).sum();
+    stream_report(occupancies.len() as u64, work, geo, passes)
+}
+
+/// [`simulate_stream`] of `m` single-cycle elements, as a split Drift
+/// array streams them, without building the all-ones stream: its work
+/// `Σc` is `m`, so it never stalls.
+pub fn simulate_uniform_stream(m: usize, geo: ArrayGeometry, passes: u64) -> LatencyReport {
+    stream_report(m as u64, m as u64, geo, passes)
+}
+
+/// [`simulate_stream`]'s closed form for `m` elements of total
+/// occupancy `work`.
+fn stream_report(m: u64, work: u64, geo: ArrayGeometry, passes: u64) -> LatencyReport {
+    if m == 0 || passes == 0 {
         return LatencyReport::empty();
     }
-    let m = occupancies.len() as u64;
-    let work: u64 = occupancies.iter().map(|&c| u64::from(c)).sum();
     let t_pre = geo.rows as u64;
     let t_exe = work + geo.rows as u64 + geo.cols as u64 - 2;
     let ideal_exe = m + geo.rows as u64 + geo.cols as u64 - 2;

@@ -7,7 +7,8 @@ use drift_accel::drq::DrqAccelerator;
 use drift_accel::eyeriss::Eyeriss;
 use drift_accel::gemm::{GemmShape, GemmWorkload};
 use drift_accel::systolic::{
-    analytical_cycles, fused_occupancy, pass_count, simulate_stream, ArrayGeometry,
+    analytical_cycles, fused_occupancy, pass_count, simulate_stream, simulate_stream_stepped,
+    simulate_uniform_stream, ArrayGeometry,
 };
 use drift_quant::Precision;
 use proptest::prelude::*;
@@ -31,6 +32,27 @@ proptest! {
         prop_assert_eq!(more.total_cycles, base.total_cycles + 1);
         prop_assert_eq!(more.stall_cycles, base.stall_cycles + 1);
         prop_assert!(more.busy_bg_cycles > base.busy_bg_cycles);
+    }
+
+    /// The all-ones stream's closed form is the general stream model of
+    /// that stream, whose one-pass latency the cycle-stepped oracle
+    /// reproduces.
+    #[test]
+    fn uniform_stream_matches_the_stepped_oracle(
+        m in 0usize..300,
+        rows in 1usize..16,
+        cols in 1usize..16,
+        passes in 0u64..5,
+    ) {
+        let geo = ArrayGeometry::new(rows, cols).unwrap();
+        let ones = vec![1u32; m];
+        let uniform = simulate_uniform_stream(m, geo, passes);
+        prop_assert_eq!(uniform, simulate_stream(&ones, geo, passes));
+        prop_assert_eq!(uniform.stall_cycles, 0);
+        prop_assert_eq!(
+            simulate_uniform_stream(m, geo, 1).total_cycles,
+            simulate_stream_stepped(&ones, geo)
+        );
     }
 
     /// Pass counts and Eq. 7 latency are monotone in every GEMM

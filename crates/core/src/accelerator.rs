@@ -22,7 +22,9 @@ use crate::schedule::{balanced_schedule, equal_schedule, Schedule};
 use drift_accel::accelerator::{finish_report, Accelerator, ExecReport, MemorySubsystem};
 use drift_accel::energy::EnergyModel;
 use drift_accel::gemm::GemmWorkload;
-use drift_accel::systolic::{pass_count, simulate_stream, ArrayGeometry, BG_WEIGHT_BIT_LANES};
+use drift_accel::systolic::{
+    pass_count, simulate_uniform_stream, ArrayGeometry, BG_WEIGHT_BIT_LANES,
+};
 use drift_accel::{AccelError, Result};
 use drift_obs::{Recorder, Stage};
 use drift_quant::convert::ConversionChoice;
@@ -231,7 +233,7 @@ impl DriftAccelerator {
             };
             array_units[slot] = geo.units() as u64;
             let passes = pass_count(shape, q.pair.activation, q.pair.weight, geo);
-            let report = simulate_stream(&vec![1u32; shape.m], geo, passes);
+            let report = simulate_uniform_stream(shape.m, geo, passes);
             debug_assert_eq!(report.stall_cycles, 0);
             array_busy[slot] = report.busy_bg_cycles;
             busy_bg_cycles += report.busy_bg_cycles;

@@ -245,10 +245,9 @@ impl TokenProfile {
         seed: u64,
         policy: &DriftPolicy,
     ) -> Result<Option<Selection>> {
-        let (mut words, mut rows) = (Vec::new(), Vec::new());
+        let mut rows = Vec::new();
         self.for_each_row(tokens, hidden, seed, |lap, rng| {
-            words.resize(hidden, 0);
-            rows.push(lap.abs_bracket(rng, &mut words));
+            rows.push(lap.abs_bracket(rng, hidden));
         })?;
         let Some(rows) = rows.into_iter().collect::<Option<Vec<_>>>() else {
             return Ok(None);
@@ -718,10 +717,10 @@ mod tests {
                     exact_rows.push(AbsStats::from_slice(values))
                 })
                 .unwrap();
-            let (mut words, mut brackets) = (vec![0u64; hidden], Vec::new());
+            let mut brackets = Vec::new();
             profile
                 .for_each_row(tokens, hidden, seed, |lap, rng| {
-                    brackets.push(lap.abs_bracket(rng, &mut words).unwrap())
+                    brackets.push(lap.abs_bracket(rng, hidden).unwrap())
                 })
                 .unwrap();
             for row in [3, 11] {

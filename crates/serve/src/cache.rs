@@ -12,15 +12,21 @@
 //! shard. Within a shard, entries are stamped on use and the
 //! least-recently-used one is evicted when the shard outgrows its
 //! capacity slice.
+//!
+//! A cold key is solved once: the first caller to miss it solves it
+//! outside the shard lock, and callers that miss it meanwhile wait for
+//! that solve and count as hits. So a miss always means "ran the
+//! scheduler".
 
 use crossbeam::channel::Sender;
 use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_obs::{Recorder, SpanCtx, Stage, Tracer};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Aggregate cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +60,81 @@ struct Entry {
 
 struct Shard {
     entries: HashMap<ScheduleKey, Entry>,
+    /// Keys being solved now, each with the flight its waiters wait on.
+    solving: HashMap<ScheduleKey, Arc<Flight>>,
     /// Monotonic use counter; larger = more recently used.
     tick: u64,
+}
+
+/// How a solve in flight ended, as its waiters see it.
+enum Landing {
+    /// Still solving.
+    Airborne,
+    /// The solve's outcome.
+    Solved(drift_core::Result<Schedule>),
+    /// The solver unwound without an outcome.
+    Abandoned,
+}
+
+/// One solve in progress, which callers that miss its key wait on.
+struct Flight {
+    landing: Mutex<Landing>,
+    landed: Condvar,
+}
+
+impl Flight {
+    fn new() -> Self {
+        Flight {
+            landing: Mutex::new(Landing::Airborne),
+            landed: Condvar::new(),
+        }
+    }
+
+    /// Blocks until the solve ends: its outcome, or `None` if the
+    /// solver unwound.
+    fn wait(&self) -> Option<drift_core::Result<Schedule>> {
+        let mut landing = self.landing.lock();
+        loop {
+            match &*landing {
+                Landing::Airborne => self.landed.wait(&mut landing),
+                Landing::Solved(outcome) => return Some(outcome.clone()),
+                Landing::Abandoned => return None,
+            }
+        }
+    }
+}
+
+/// The solving caller's hold on a flight. Dropping it takes the key off
+/// its shard's solving list, then lands the flight with `outcome`, or
+/// as abandoned if the solver unwound before setting one.
+struct Pilot<'a> {
+    cache: &'a ScheduleCache,
+    key: ScheduleKey,
+    flight: Arc<Flight>,
+    outcome: Option<drift_core::Result<Schedule>>,
+}
+
+impl Drop for Pilot<'_> {
+    fn drop(&mut self) {
+        self.cache
+            .shard_for(&self.key)
+            .lock()
+            .solving
+            .remove(&self.key);
+        *self.flight.landing.lock() = match self.outcome.take() {
+            Some(outcome) => Landing::Solved(outcome),
+            None => Landing::Abandoned,
+        };
+        self.flight.landed.notify_all();
+    }
+}
+
+/// What a lookup that may join a solve in flight found.
+enum Lookup {
+    /// A cached schedule, or the outcome of the solve it waited for.
+    Hit(drift_core::Result<Schedule>),
+    /// A miss: the caller solves the key and lands this flight.
+    Solve(Arc<Flight>),
 }
 
 /// A thread-safe schedule cache shared by all workers.
@@ -101,6 +180,7 @@ impl ScheduleCache {
                 .map(|_| {
                     Mutex::new(Shard {
                         entries: HashMap::new(),
+                        solving: HashMap::new(),
                         tick: 0,
                     })
                 })
@@ -134,23 +214,56 @@ impl ScheduleCache {
 
     /// Looks up `key`, counting a hit or miss.
     pub fn get(&self, key: &ScheduleKey) -> Option<Schedule> {
-        let mut shard = self.shard_for(key).lock();
+        let found = Self::stamp(&mut self.shard_for(key).lock(), key);
+        self.count(found.is_some());
+        found
+    }
+
+    /// `key`'s resident schedule, marked most recently used.
+    fn stamp(shard: &mut Shard, key: &ScheduleKey) -> Option<Schedule> {
         shard.tick += 1;
         let tick = shard.tick;
-        match shard.entries.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.recorder
-                    .counter_add("drift_schedule_cache_hits_total", &[], 1);
-                Some(entry.schedule)
+        let entry = shard.entries.get_mut(key)?;
+        entry.last_used = tick;
+        Some(entry.schedule)
+    }
+
+    /// Counts one lookup as a hit or a miss.
+    fn count(&self, hit: bool) {
+        let (counter, name) = if hit {
+            (&self.hits, "drift_schedule_cache_hits_total")
+        } else {
+            (&self.misses, "drift_schedule_cache_misses_total")
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.recorder.counter_add(name, &[], 1);
+    }
+
+    /// Looks up `key`, waiting for its solve if one is in flight; on a
+    /// miss, registers the caller's solve of it.
+    fn lookup(&self, key: &ScheduleKey) -> Lookup {
+        loop {
+            let flight = {
+                let mut shard = self.shard_for(key).lock();
+                if let Some(schedule) = Self::stamp(&mut shard, key) {
+                    self.count(true);
+                    return Lookup::Hit(Ok(schedule));
+                }
+                match shard.solving.get(key) {
+                    Some(flight) => Arc::clone(flight),
+                    None => {
+                        let flight = Arc::new(Flight::new());
+                        shard.solving.insert(*key, Arc::clone(&flight));
+                        self.count(false);
+                        return Lookup::Solve(flight);
+                    }
+                }
+            };
+            if let Some(outcome) = flight.wait() {
+                self.count(true);
+                return Lookup::Hit(outcome);
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.recorder
-                    .counter_add("drift_schedule_cache_misses_total", &[], 1);
-                None
-            }
+            // The solver unwound: look again, and solve if still cold.
         }
     }
 
@@ -238,10 +351,9 @@ impl ScheduleCache {
     }
 
     /// Returns `key`'s schedule, running the Eq. 8 sweep on a miss.
-    /// The `bool` is true on a hit. Because [`ScheduleKey::solve`] is
-    /// pure, concurrent misses on one key may both compute — they
-    /// insert identical schedules, trading that rare duplicated sweep
-    /// for never holding a shard lock across the sweep.
+    /// The `bool` is true on a hit. The sweep runs outside the shard
+    /// lock, once per cold key: a caller that misses a key another is
+    /// solving waits for that solve and counts a hit.
     ///
     /// # Errors
     ///
@@ -270,22 +382,32 @@ impl ScheduleCache {
                 .open()
         };
         let lookup = stage("cache_lookup");
-        let got = self.get(&key);
-        let hit = got.is_some();
-        lookup.end(
-            if hit { "hit" } else { "miss" },
-            &[("hit", if hit { "true" } else { "false" })],
-        );
-        if let Some(schedule) = got {
-            return Ok((schedule, true));
-        }
+        let flight = match self.lookup(&key) {
+            Lookup::Hit(outcome) => {
+                lookup.end("hit", &[("hit", "true")]);
+                return outcome.map(|schedule| (schedule, true));
+            }
+            Lookup::Solve(flight) => flight,
+        };
+        lookup.end("miss", &[("hit", "false")]);
+        let mut pilot = Pilot {
+            cache: self,
+            key,
+            flight,
+            outcome: None,
+        };
         let solve = stage("solve");
-        let schedule = key.solve()?;
+        let outcome = key.solve();
+        pilot.outcome = Some(outcome.clone());
+        let schedule = outcome?;
         solve.end("ok", &[]);
-        // Only the solve that added the key spills it: a concurrent
-        // miss on the same key inserts the identical schedule, and a
-        // second spill would write a duplicate store record.
-        if !self.put(key, schedule) {
+        // Insert before the pilot lands, so that no caller finds the key
+        // neither resident nor in flight. Only the solve that added the
+        // key spills it: a second spill would write a duplicate store
+        // record.
+        let added = self.put(key, schedule);
+        drop(pilot);
+        if !added {
             return Ok((schedule, false));
         }
         if let Some(tx) = self.spill.lock().as_ref() {
@@ -405,5 +527,37 @@ mod tests {
         let mut spilled: Vec<_> = rx.iter().map(|(k, _)| k.shape.m).collect();
         spilled.sort_unstable();
         assert_eq!(spilled, (0..KEYS).map(|i| 32 + i * 8).collect::<Vec<_>>());
+        // Each key was solved once; every other lookup, waiting or not,
+        // was a hit.
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.misses, stats.hits),
+            (KEYS as u64, ((THREADS - 1) * KEYS) as u64)
+        );
+    }
+
+    #[test]
+    fn a_waiter_takes_over_a_solve_that_unwound() {
+        let cache = ScheduleCache::new(64, 1);
+        let k = key(64, 64, 16, 8);
+        let Lookup::Solve(flight) = cache.lookup(&k) else {
+            panic!("a cold key is a miss");
+        };
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| cache.get_or_solve(k).unwrap());
+            // The solver unwinds: its pilot lands the flight abandoned.
+            drop(Pilot {
+                cache: &cache,
+                key: k,
+                flight,
+                outcome: None,
+            });
+            let (schedule, hit) = waiter.join().unwrap();
+            assert_eq!(schedule, k.solve().unwrap());
+            // Whether it waited or looked after the landing, the waiter
+            // found the key cold and solved it.
+            assert!(!hit);
+        });
+        assert_eq!(cache.stats().misses, 2);
     }
 }

@@ -92,18 +92,20 @@ cargo test -q --workspace
 
 echo "== release-build tests =="
 # Inlining and vectorisation happen only in optimised builds, so the
-# keystream, the bulk Laplace sampler, the Select certificate's
-# product kernel and its bounded decision, the one-pass statistics fold
-# and the policies that read it, the index-buffer dispatch property,
-# the pinned generator and result bytes and the algorithm and simulator
-# properties are checked there too. The wide paths (the AVX-512
-# keystream refill, sampler body and product kernel) are picked at run
-# time, so debug and release both exercise them on an AVX-512 host. The gateway robustness suite stays out: its two
-# stale-deadline tests race each other for the CPUs in release
-# (ROADMAP.md, deterministic fault injection).
+# keystream and its lane handout, the bulk Laplace sampler, the Select
+# certificate's one-pass fold and its bounded decision, the one-pass
+# statistics fold and the policies that read it, the index-buffer
+# dispatch property, the pinned generator and result bytes, the serve
+# crate's own tests (the schedule cache's single-flight counts among
+# them) and the algorithm and simulator properties are checked there
+# too. The wide paths (the AVX-512 keystream refill and lane handout,
+# sampler body and fold kernel) are picked at run time, so debug and
+# release both exercise them on an AVX-512 host. The gateway robustness
+# suite stays out: its two stale-deadline tests race each other for the
+# CPUs in release (ROADMAP.md, deterministic fault injection).
 cargo test -q --release -p rand_chacha
 cargo test -q --release -p drift-tensor -p drift-nn -p drift-quant -p drift-core
-cargo test -q --release -p drift-serve --test determinism
+cargo test -q --release -p drift-serve --lib --test determinism
 cargo test -q --release --test algorithm_properties --test simulator_crosscheck
 
 echo "== perfbench build and self-tests =="
