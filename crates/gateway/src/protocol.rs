@@ -547,6 +547,7 @@ fn parse_response_item(value: &Value) -> Result<Response, String> {
 mod tests {
     use super::*;
     use drift_serve::job::{result_line, JobKind, JobOutcome};
+    use proptest::prelude::*;
 
     fn spec() -> JobSpec {
         JobSpec {
@@ -938,6 +939,145 @@ mod tests {
             let deep = open.repeat(100_000);
             assert!(parse_request(&deep).is_err());
             assert!(parse_response(&deep).is_err());
+        }
+    }
+
+    /// One line of every request and response shape the round-trip
+    /// tests above build.
+    fn corpus() -> Vec<String> {
+        let select = JobSpec {
+            id: 8,
+            seed: 4,
+            kind: JobKind::Select {
+                tokens: 16,
+                hidden: 32,
+                delta: 0.1,
+                profile: "bert".to_string(),
+            },
+        };
+        let sampled = TraceDecision::Sampled(TraceContext {
+            trace_id: TraceId(0xabcd_0123),
+            parent_span: Some(0xfeed),
+        });
+        let key = ScheduleKey {
+            shape: drift_accel::gemm::GemmShape::new(64, 256, 64).unwrap(),
+            act_high: 16,
+            weight_high: 8,
+            act_precisions: (drift_quant::Precision::INT8, drift_quant::Precision::INT4),
+            weight_precisions: (drift_quant::Precision::INT8, drift_quant::Precision::INT4),
+            fabric: drift_accel::systolic::ArrayGeometry::new(8, 9).unwrap(),
+        };
+        let failed = result_line(&JobResult {
+            id: 5,
+            outcome: JobOutcome::Error {
+                message: "bad shape".to_string(),
+            },
+        });
+        let expired = error_line(Some(11), ERR_DEADLINE);
+        vec![
+            request_line(&spec(), Some(250)),
+            request_line_traced(&select, None, &sampled),
+            batch_request_line_traced(3, &[spec(), select], None, &TraceDecision::Unsampled),
+            control_line(ControlOp::Ping),
+            prewarm_line(&[(key, key.solve().unwrap())]),
+            "{\"control\":\"reshard\",\"shards\":[\"a:1\"],\"vnodes\":8}".to_string(),
+            ping_ack_line(true, "edf"),
+            prewarm_ack_line(true, 12),
+            error_line(None, ERR_BAD_REQUEST),
+            batch_response_line(3, &[item(10), failed, expired]),
+        ]
+    }
+
+    /// Decodes `bytes` as `LineReader` does and feeds the line to both
+    /// parsers, which must answer `Ok` or `Err` and never panic.
+    fn parses_or_errs(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let line = String::from_utf8_lossy(bytes);
+        let parsers: [fn(&str) -> bool; 2] = [
+            |line| parse_request(line).is_ok(),
+            |line| parse_response(line).is_ok(),
+        ];
+        for parse in parsers {
+            let answered = std::panic::catch_unwind(|| parse(&line));
+            prop_assert!(answered.is_ok(), "a parser panicked on {line:?}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_parses_or_errs() {
+        for line in corpus() {
+            let bytes = line.as_bytes();
+            for end in 0..bytes.len() {
+                parses_or_errs(&bytes[..end]).unwrap();
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                parses_or_errs(&flipped).unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn seeded_byte_edits_parse_or_err(
+            line in 0usize..1000,
+            edits in proptest::collection::vec(any::<u64>(), 1..6),
+        ) {
+            let corpus = corpus();
+            let mut bytes = corpus[line % corpus.len()].clone().into_bytes();
+            // Each edit inserts, deletes or overwrites one arbitrary byte.
+            for edit in edits {
+                let at = (edit >> 8) as usize % (bytes.len() + 1);
+                match (edit >> 40) % 3 {
+                    0 => bytes.insert(at, edit as u8),
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ if at < bytes.len() => bytes[at] = edit as u8,
+                    _ => bytes.push(edit as u8),
+                }
+            }
+            parses_or_errs(&bytes)?;
+        }
+    }
+
+    #[test]
+    fn numbers_outside_u64_and_f64_parse_or_err() {
+        // Past u64 either way, past u128, past f64 either way, under its
+        // smallest subnormal, and a fraction where an integer belongs.
+        const OUT_OF_RANGE: [&str; 8] = [
+            "18446744073709551616",
+            "-18446744073709551617",
+            "-1",
+            "340282366920938463463374607431768211456",
+            "1e400",
+            "-1e400",
+            "1e-400",
+            "0.5",
+        ];
+        for line in corpus() {
+            let bytes = line.as_bytes();
+            let mut in_string = false;
+            let mut start = None;
+            for (i, &b) in bytes.iter().enumerate() {
+                let numeric = b.is_ascii_digit() || b"+-.eE".contains(&b);
+                match start {
+                    Some(from) if !numeric => {
+                        for number in OUT_OF_RANGE {
+                            let swapped = [&bytes[..from], number.as_bytes(), &bytes[i..]].concat();
+                            parses_or_errs(&swapped).unwrap();
+                        }
+                        start = None;
+                    }
+                    None if !in_string && (b.is_ascii_digit() || b == b'-') => start = Some(i),
+                    _ => {}
+                }
+                // No corpus line escapes a quote.
+                if b == b'"' {
+                    in_string = !in_string;
+                }
+            }
         }
     }
 }

@@ -30,15 +30,44 @@ fn quick_spec(id: u64) -> JobSpec {
 
 /// A precision selection over a 128 × 768 activation stream: measured
 /// on a 2-CPU AVX-512 x86-64 host through `drift serve --workers 1`,
-/// 0.92–0.96 ms per job in a release build and ~30 ms in a debug build,
-/// so queues actually fill and deadlines actually pass.
+/// 0.14–0.15 ms per job in a release build and ~29 ms in a debug build,
+/// so a pipelined burst outruns one worker and fills its queue.
 fn heavy_spec(id: u64) -> JobSpec {
+    select_spec(id, 128, 768)
+}
+
+/// The job lines the stale-deadline tests queue ahead of their 1 ms
+/// lines: a one-token Select (~2 µs in a release build, ~40 µs in a
+/// debug build), then two 4096 × 1024 Selects (5.8–6.4 ms each in
+/// release, 1.23–1.29 s in debug), all measured as above. A 1 ms line
+/// waits behind them for about 12 ms in release, 12× its budget.
+///
+/// The one-token job runs first so that the gateway's service-time
+/// estimate (an average that moves an eighth of the way to each finished
+/// job's time) starts far below 1 ms and is still below it after one
+/// long job. Admission sheds a 1 ms line as unmeetable once the estimate
+/// passes 1 ms, so a reader thread that stalls past one long job still
+/// admits the line; with a long job first, such a stall failed about
+/// one release run in thirty. Only a stall past both long jobs fails.
+fn jobs_ahead() -> Vec<String> {
+    [
+        select_spec(0, 1, 8),
+        select_spec(1, 4096, 1024),
+        select_spec(2, 4096, 1024),
+    ]
+    .iter()
+    .map(|spec| request_line(spec, None))
+    .collect()
+}
+
+/// A `bert` precision selection over a `tokens × hidden` stream.
+fn select_spec(id: u64, tokens: usize, hidden: usize) -> JobSpec {
     JobSpec {
         id,
         seed: id + 1,
         kind: JobKind::Select {
-            tokens: 128,
-            hidden: 768,
+            tokens,
+            hidden,
             delta: 0.027,
             profile: "bert".to_string(),
         },
@@ -88,14 +117,10 @@ fn stale_requests_expire_with_deadline_exceeded() {
     let gw = Gateway::start("127.0.0.1:0", config, Recorder::disabled()).unwrap();
     let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
 
-    // Three heavy jobs occupy the single worker; the budgeted request
-    // queues behind them, so its 1 ms deadline has long passed when a
-    // worker finally dequeues it. One write puts every line in a single
-    // read: the 1 ms line is admitted before a heavy job can finish and
-    // feed the service estimate that would shed it as unmeetable.
-    let mut lines: Vec<String> = (0..3)
-        .map(|id| request_line(&heavy_spec(id), None))
-        .collect();
+    // Three jobs occupy the single worker; the budgeted request queues
+    // behind them, so its 1 ms deadline has long passed when a worker
+    // finally dequeues it. One write puts every line in a single read.
+    let mut lines = jobs_ahead();
     lines.push(request_line(&quick_spec(99), Some(1)));
     client.send_raw(&lines.join("\n")).unwrap();
 
@@ -124,12 +149,7 @@ fn stale_batches_expire_and_label_their_queue_wait_expired() {
 
     // As above, but a 1 ms batch line queues behind the singleton too.
     // Its two items share one schedule key, so it is one queue entry.
-    // One write puts every line in a single read: both 1 ms lines are
-    // admitted before a heavy job can finish and feed the service
-    // estimate that would shed them as unmeetable instead.
-    let mut lines: Vec<String> = (0..3)
-        .map(|id| request_line(&heavy_spec(id), None))
-        .collect();
+    let mut lines = jobs_ahead();
     lines.push(request_line(&quick_spec(99), Some(1)));
     lines.push(batch_request_line(
         7,

@@ -83,6 +83,18 @@ if grep -rnE 'CARGO_BIN_EXE|Command::new' crates/*/tests tests crates/*/src; the
   exit 1
 fi
 
+echo "== one benchmark =="
+# perfbench (perfbench/README.md) is the one performance tool: its
+# per-layer metrics time the calls a micro-benchmark would. No workspace
+# crate may declare a [[bench]] target, depend on criterion, or keep a
+# benches directory.
+if grep -nE '^\[\[bench\]\]|^[[:space:]]*criterion[[:space:].=]|dependencies\.criterion\]' \
+  Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml \
+  || find crates -mindepth 2 -maxdepth 2 -name benches | grep .; then
+  echo "benchmark lint: measure performance with perfbench, not cargo bench" >&2
+  exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
@@ -101,11 +113,12 @@ echo "== release-build tests =="
 # too. The wide paths (the AVX-512 keystream refill and lane handout,
 # sampler body and fold kernel) are picked at run time, so debug and
 # release both exercise them on an AVX-512 host. The gateway robustness
-# suite stays out: its two stale-deadline tests race each other for the
-# CPUs in release (ROADMAP.md, deterministic fault injection).
+# suite runs here too: its stale-deadline tests hold a 1 ms budget behind
+# jobs sized to outlast it at least 5× in an optimised build.
 cargo test -q --release -p rand_chacha
 cargo test -q --release -p drift-tensor -p drift-nn -p drift-quant -p drift-core
 cargo test -q --release -p drift-serve --lib --test determinism
+cargo test -q --release -p drift-gateway --test robustness
 cargo test -q --release --test algorithm_properties --test simulator_crosscheck
 
 echo "== perfbench build and self-tests =="
