@@ -2,12 +2,13 @@
 //!
 //! ```text
 //!  clients ──▶ acceptor ──▶ conn reader ──route by schedule key──┐
-//!                │                │ forward as batch lines       │
-//!                │                ▼                              ▼
-//!                │        pending table ◀─────────── shard links (one
-//!                │                │  settle / fail over  persistent,
-//!                │                ▼                      pipelined conn
-//!                └──────▶ conn writer ◀── response      per gateway)
+//!                                 │ forward as batch lines       │
+//!                                 ▼                              ▼
+//!                         pending table ◀─────────── shard links (one
+//!                                 │  settle / fail over  persistent,
+//!                                 ▼                      pipelined conn
+//!            client ◀── conn outbox: the shard-link      per gateway)
+//!                       reader writes what it settles
 //! ```
 //!
 //! The router speaks the gateway wire protocol on both sides: clients
@@ -50,15 +51,16 @@
 //!   everything in flight, then tear down.
 //!
 //! Client connections run on the gateway's [`LineServer`]; the router
-//! supplies only the handler.
+//! supplies only the handler. Whichever thread settles a request's last
+//! slot, usually a shard-link reader, writes the response through the
+//! client connection's [`Outbox`].
 
 use crate::ring::{route_hash, HashRing};
-use crossbeam::channel::Sender;
 use drift_accel::systolic::ArrayGeometry;
 use drift_core::arch::paper_fabric;
 use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_gateway::client::{Client, ClientReader, ClientWriter};
-use drift_gateway::framing::{DrainSignal, LineHandler, LineServer, Reply, READ_TICK};
+use drift_gateway::framing::{DrainSignal, LineHandler, LineServer, Outbox, Reply, READ_TICK};
 use drift_gateway::protocol::{
     self, ControlOp, JobLine, Request, ResponseAssembler, ERR_BAD_REQUEST, ERR_DEADLINE,
     ERR_OVERLOADED,
@@ -295,12 +297,12 @@ struct ClientRequest {
     deadline: Option<Instant>,
     /// Sampling state decided once at admission for the whole line.
     trace: EntryTrace,
-    reply: Sender<Reply>,
+    reply: Outbox,
 }
 
 impl ClientRequest {
     /// Fills one item's rendered payload; the filler of the last empty
-    /// slot sends the response. `outcome` (`ok`, a wire error name, or
+    /// slot writes the response. `outcome` (`ok`, a wire error name, or
     /// `unrouted`) labels a singleton's root `request` span.
     fn settle_slot(&self, shared: &Shared, pos: usize, line: String, outcome: &str) {
         let Some(line) = self.response.settle(pos, line) else {
@@ -315,9 +317,7 @@ impl ClientRequest {
         shared
             .recorder
             .gauge_add("drift_router_inflight_requests", &[], -total);
-        if self.reply.send(Reply::plain(line)).is_err() {
-            shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        self.reply.send(Reply::plain(line));
     }
 
     /// Settles every item of `items` with the same wire `error`, each
@@ -450,11 +450,9 @@ impl Shared {
 struct Front(Arc<Shared>);
 
 impl LineHandler for Front {
-    fn line(&self, line: &str, reply: &Sender<Reply>) -> bool {
+    fn line(&self, line: &str, reply: &Outbox) -> bool {
         let shared = &self.0;
-        let answer = |line: String| {
-            let _ = reply.send(Reply::plain(line));
-        };
+        let answer = |line: String| reply.send(Reply::plain(line));
         let job = match protocol::parse_request(line) {
             // The router holds no schedule cache, so prewarm (which targets
             // gateways directly) is as unknown here as a malformed line.
@@ -657,12 +655,11 @@ impl Router {
 
     fn shutdown_in_place(&mut self) -> RouterSummary {
         self.shared.stop.store(true, Ordering::SeqCst);
-        // Client readers exit at their next tick; each then joins its
-        // writer, which only finishes after every pending entry from
-        // that connection has been settled by the shard readers (the
-        // entries hold the writer's senders). So once the server is
-        // joined the pending table is empty: accepted work has been
-        // answered.
+        // Client readers stop reading at their next tick; each then
+        // waits until every pending entry from its connection has been
+        // settled by the shard readers and written (the entries hold
+        // the connection's outbox). So once the server is joined the
+        // pending table is empty: accepted work has been answered.
         if let Some(server) = self.server.take() {
             server.join();
         }
@@ -1079,7 +1076,7 @@ fn resolve_entry_trace(shared: &Shared, trace_wire: TraceDecision) -> EntryTrace
 /// decision and one shared deadline for the whole line, each item's
 /// routing key computed once, then the items are split by owning shard
 /// and dispatched as per-shard sub-batches ([`route`]).
-fn admit(shared: &Arc<Shared>, job: JobLine, reply: &Sender<Reply>) {
+fn admit(shared: &Arc<Shared>, job: JobLine, reply: &Outbox) {
     let admitted = Instant::now();
     let trace = resolve_entry_trace(shared, job.trace);
     let deadline = job

@@ -73,6 +73,13 @@ if grep -rnE 'listener\.accept\(\)|set_read_timeout|set_write_timeout' \
   echo "line server lint: serve connections through drift_gateway::framing::LineServer" >&2
   exit 1
 fi
+# A connection runs one thread, and the thread that settles a reply
+# writes it through the connection's Outbox: no reply channel, and no
+# writer thread to hand replies to.
+if grep -rnE 'crossbeam::channel|-writer' crates/gateway/src crates/router/src; then
+  echo "line server lint: write replies through framing::Outbox, not a channel to a writer thread" >&2
+  exit 1
+fi
 
 echo "== one real-process smoke =="
 # The serving smoke below is the one test of real processes; every other
@@ -112,13 +119,15 @@ echo "== release-build tests =="
 # them) and the algorithm and simulator properties are checked there
 # too. The wide paths (the AVX-512 keystream refill and lane handout,
 # sampler body and fold kernel) are picked at run time, so debug and
-# release both exercise them on an AVX-512 host. The gateway robustness
-# suite runs here too: its stale-deadline tests hold a 1 ms budget behind
-# jobs sized to outlast it at least 5× in an optimised build.
+# release both exercise them on an AVX-512 host. The gateway and router
+# suites run here too: replies are written from worker and shard-link
+# reader threads, whose timing an optimised build changes, and the
+# gateway robustness suite's stale-deadline tests hold a 1 ms budget
+# behind jobs sized to outlast it at least 5× in an optimised build.
 cargo test -q --release -p rand_chacha
 cargo test -q --release -p drift-tensor -p drift-nn -p drift-quant -p drift-core
 cargo test -q --release -p drift-serve --lib --test determinism
-cargo test -q --release -p drift-gateway --test robustness
+cargo test -q --release -p drift-gateway -p drift-router
 cargo test -q --release --test algorithm_properties --test simulator_crosscheck
 
 echo "== perfbench build and self-tests =="
