@@ -1,6 +1,6 @@
 //! The CLI subcommands.
 
-use crate::{opt_parse, opt_str};
+use crate::{opt_parse, opt_str, Opts};
 use drift_accel::accelerator::Accelerator;
 use drift_accel::area::{bitfusion_area, drift_area, AreaModel};
 use drift_accel::bitfusion::{paper_geometry, BitFusion};
@@ -15,9 +15,6 @@ use drift_nn::datagen::TokenProfile;
 use drift_nn::lower::{lower, model_low_fraction, model_workloads};
 use drift_nn::zoo::{self, ModelDesc, ModelFamily};
 use drift_quant::Precision;
-use std::collections::HashMap;
-
-type Opts = HashMap<String, String>;
 
 /// `drift models`
 pub fn models() -> Result<(), String> {
@@ -331,8 +328,6 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
         workers,
         queue_depth,
         cache_capacity,
-        queue: opt_parse(opts, "queue", drift_serve::QueuePolicy::Fifo)?,
-        ..drift_serve::ServeConfig::default()
     };
     let tracer = trace_wiring(opts, "serve", &metrics.recorder)?;
     // With --store the cache is warm-started from the persistent log
@@ -343,7 +338,7 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
         Some(store) => {
             let cache = drift_serve::ScheduleCache::with_recorder(
                 config.cache_capacity.max(1),
-                config.cache_shards.max(1),
+                drift_serve::cache::SHARDS,
                 metrics.recorder.clone(),
             );
             let (report, binding) = drift_serve::open_and_preload(
@@ -431,8 +426,6 @@ pub fn gateway(opts: &Opts) -> Result<(), String> {
         cache_capacity: opt_parse(opts, "cache-capacity", 4096)?,
         default_deadline_ms: opt_parse(opts, "deadline-ms", 0u64)?,
         idle_timeout_ms: opt_parse(opts, "idle-timeout-ms", 30_000u64)?,
-        queue: opt_parse(opts, "queue", drift_serve::QueuePolicy::Fifo)?,
-        ..drift_gateway::GatewayConfig::default()
     };
     let metrics = metrics_wiring(opts)?;
     let tracer = trace_wiring(opts, "gateway", &metrics.recorder)?;
@@ -457,12 +450,11 @@ pub fn gateway(opts: &Opts) -> Result<(), String> {
         eprintln!("store: schedule cache backed by {store} (docs/PERSISTENCE.md)");
     }
     eprintln!(
-        "gateway: listening on {} ({} workers, queue depth {}, {} queue); \
+        "gateway: listening on {} ({} workers, queue depth {}); \
          stop with `drift gateway-stop --addr {}`",
         gw.local_addr(),
         config.workers,
         config.queue_depth,
-        config.queue,
         gw.local_addr()
     );
     if let Some(path) = opts.get("port-file") {

@@ -5,9 +5,9 @@
 //! drift select  [--profile bert] [--tokens 64] [--hidden 256] [--delta 0.3] [--seed 7]
 //! drift schedule [--m 512] [--k 768] [--n 768] [--fa 0.2] [--fw 0.1]
 //! drift simulate [--model BERT] [--accel drift] [--delta 0.027] [--seed 42]
-//! drift serve    [--jobs jobs.jsonl|-] [--workers 8] [--queue fifo|edf] [--lenient]
+//! drift serve    [--jobs jobs.jsonl|-] [--workers 8] [--lenient]
 //!                [--store sched.drift] [--metrics-addr 127.0.0.1:9109] [--metrics-out run.json]
-//! drift gateway  [--addr 127.0.0.1:7077] [--workers 8] [--deadline-ms 250] [--queue edf]
+//! drift gateway  [--addr 127.0.0.1:7077] [--workers 8] [--deadline-ms 250]
 //! drift router   --shards addr1,addr2,... [--addr 127.0.0.1:7177] [--vnodes 64]
 //! drift loadgen  [--addr 127.0.0.1:7077] [--clients 4] [--jobs 200] [--open-loop 500]
 //!                [--deadline-ms 50] [--deadline-jitter-ms 50]
@@ -20,7 +20,8 @@
 //! ```
 //!
 //! Argument parsing is hand-rolled (`--key value` pairs) to stay within
-//! the workspace's dependency budget.
+//! the workspace's dependency budget. An option the command does not
+//! read is refused.
 
 mod commands;
 mod trace_cmd;
@@ -43,7 +44,12 @@ fn main() -> ExitCode {
     } else if command == "store" {
         commands::store(rest)
     } else {
-        let opts = match parse_opts(rest) {
+        let Some(known) = options_of(command) else {
+            eprintln!("error: unknown command '{command}'");
+            eprintln!("{}", usage());
+            return ExitCode::FAILURE;
+        };
+        let opts = match parse_opts(rest, known) {
             Ok(opts) => opts,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -94,7 +100,6 @@ fn usage() -> String {
      \x20 serve    [--jobs FILE|-] [--workers N] [--queue-depth Q]\n\
      \x20          [--cache-capacity C]   run a JSONL job stream on a worker pool;\n\
      \x20                                 results to stdout, report to stderr\n\
-     \x20          [--queue fifo|edf]     queue discipline (docs/SCHEDULING.md)\n\
      \x20          [--lenient]            skip malformed job lines instead of aborting\n\
      \x20          [--store FILE]         warm-start the schedule cache from a persistent\n\
      \x20                                 store, appending new schedules (docs/PERSISTENCE.md)\n\
@@ -104,7 +109,6 @@ fn usage() -> String {
      \x20          [--idle-timeout-ms T]  serve jobs over TCP (newline-delimited JSON,\n\
      \x20                                 see docs/SERVING.md); drains on\n\
      \x20                                 {\"control\":\"shutdown\"}\n\
-     \x20          [--queue fifo|edf]     queue discipline (docs/SCHEDULING.md)\n\
      \x20          [--store FILE]         warm-start + persist schedules (docs/PERSISTENCE.md)\n\
      \x20          [--port-file FILE]     write the bound address (for --addr with port 0)\n\
      \x20          [--metrics-addr A] [--metrics-out FILE]   as for serve\n\
@@ -143,27 +147,94 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Parses `--key value` pairs. A `--flag` followed by another option
-/// (or by nothing) is a boolean flag and stored as `"true"`, so
-/// value-less switches like `--lenient` parse without a sentinel.
-fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut opts = HashMap::new();
+/// The options a `--key value` command reads, space-separated, or
+/// `None` for an unknown command. Any other option is refused, so a
+/// typo or a retired option fails instead of running with defaults.
+fn options_of(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "models" | "area" | "help" | "--help" | "-h" => "",
+        "select" => "profile tokens hidden delta seed",
+        "schedule" => "m k n fa fw",
+        "simulate" => "model accel delta seed trace",
+        "serve" => {
+            "jobs workers queue-depth cache-capacity lenient store \
+             metrics-addr metrics-out trace-out trace-sample trace-seed"
+        }
+        "gateway" => {
+            "addr workers queue-depth cache-capacity deadline-ms idle-timeout-ms store port-file \
+             metrics-addr metrics-out trace-out trace-sample trace-seed"
+        }
+        "router" => {
+            "shards addr vnodes max-hops probe-interval-ms connect-timeout-ms idle-timeout-ms \
+             port-file metrics-addr metrics-out trace-out trace-sample trace-seed"
+        }
+        "loadgen" => {
+            "addr clients jobs shapes seed deadline-ms deadline-jitter-ms open-loop burst-ms \
+             connect-per-request batch schedule-only json"
+        }
+        "gateway-stop" | "router-stop" => "addr",
+        _ => return None,
+    })
+}
+
+/// Whether `key` is among the space-separated `known` options.
+fn is_known(known: &str, key: &str) -> bool {
+    known.split_whitespace().any(|k| k == key)
+}
+
+/// One command's parsed `--key value` options.
+#[derive(Debug)]
+pub(crate) struct Opts {
+    values: HashMap<String, String>,
+    known: &'static str,
+}
+
+impl Opts {
+    /// The value given for `--key`, if any.
+    ///
+    /// # Panics
+    ///
+    /// When the command's [`options_of`] list lacks `key`: the command
+    /// reads an option that parsing would refuse.
+    pub(crate) fn get(&self, key: &str) -> Option<&String> {
+        assert!(
+            is_known(self.known, key),
+            "--{key} is read but missing from its command's options"
+        );
+        self.values.get(key)
+    }
+
+    /// Whether `--key` was given.
+    pub(crate) fn contains_key(&self, key: &str) -> bool {
+        self.get(key).is_some()
+    }
+}
+
+/// Parses `--key value` pairs, refusing any key not in `known`. A
+/// `--flag` followed by another option (or by nothing) is a boolean
+/// flag and stored as `"true"`, so value-less switches like
+/// `--lenient` parse without a sentinel.
+fn parse_opts(args: &[String], known: &'static str) -> Result<Opts, String> {
+    let mut values = HashMap::new();
     let mut iter = args.iter().peekable();
     while let Some(key) = iter.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --option, got '{key}'"));
         };
+        if !is_known(known, name) {
+            return Err(format!("unknown option --{name}"));
+        }
         let value = match iter.peek() {
             Some(next) if !next.starts_with("--") => iter.next().expect("peeked").clone(),
             _ => "true".to_string(),
         };
-        opts.insert(name.to_string(), value);
+        values.insert(name.to_string(), value);
     }
-    Ok(opts)
+    Ok(Opts { values, known })
 }
 
 pub(crate) fn opt_parse<T: std::str::FromStr>(
-    opts: &HashMap<String, String>,
+    opts: &Opts,
     key: &str,
     default: T,
 ) -> Result<T, String> {
@@ -175,10 +246,34 @@ pub(crate) fn opt_parse<T: std::str::FromStr>(
     }
 }
 
-pub(crate) fn opt_str<'a>(
-    opts: &'a HashMap<String, String>,
-    key: &str,
-    default: &'a str,
-) -> &'a str {
+pub(crate) fn opt_str<'a>(opts: &'a Opts, key: &str, default: &'a str) -> &'a str {
     opts.get(key).map(String::as_str).unwrap_or(default)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(command: &str, args: &[&str]) -> Result<Opts, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_opts(&args, options_of(command).expect("a known command"))
+    }
+
+    #[test]
+    fn an_option_the_command_does_not_read_is_refused_by_name() {
+        let err = parse("gateway", &["--queue", "edf"]).unwrap_err();
+        assert!(err.contains("--queue"), "{err}");
+        let err = parse("gateway", &["--workers", "2", "--queue-dpth", "8"]).unwrap_err();
+        assert!(err.contains("--queue-dpth"), "{err}");
+        // An option is known per command: `--jobs` feeds serve, not gateway.
+        assert!(parse("gateway", &["--jobs", "-"]).is_err());
+        assert!(parse("serve", &["--jobs", "-"]).is_ok());
+    }
+
+    #[test]
+    fn an_option_the_command_reads_is_accepted() {
+        let opts = parse("gateway", &["--workers", "2"]).unwrap();
+        assert_eq!(opt_parse(&opts, "workers", 4usize), Ok(2));
+        assert_eq!(opt_parse(&opts, "queue-depth", 256usize), Ok(256));
+    }
 }

@@ -223,17 +223,6 @@ impl Client {
     ///
     /// Propagates send/recv failures or a non-control response.
     pub fn ping(&mut self) -> Result<bool, String> {
-        self.control(ControlOp::Ping).map(|(ok, _)| ok)
-    }
-
-    /// Probes the gateway with a `ping` and returns its advertised
-    /// queue discipline alongside the ack (`None` when the peer
-    /// predates, or — like the router — does not expose, a policy).
-    ///
-    /// # Errors
-    ///
-    /// Propagates send/recv failures or a non-control response.
-    pub fn ping_queue(&mut self) -> Result<(bool, Option<String>), String> {
         self.control(ControlOp::Ping)
     }
 
@@ -243,7 +232,7 @@ impl Client {
     ///
     /// Propagates send/recv failures or a non-control response.
     pub fn shutdown_server(&mut self) -> Result<bool, String> {
-        self.control(ControlOp::Shutdown).map(|(ok, _)| ok)
+        self.control(ControlOp::Shutdown)
     }
 
     /// Pushes a batch of already-solved schedules into the gateway's
@@ -261,14 +250,10 @@ impl Client {
         }
     }
 
-    fn control(&mut self, op: ControlOp) -> Result<(bool, Option<String>), String> {
+    fn control(&mut self, op: ControlOp) -> Result<bool, String> {
         self.send_raw(&protocol::control_line(op))?;
         match self.recv()? {
-            Response::Control {
-                op: echoed,
-                ok,
-                queue,
-            } if echoed == op.name() => Ok((ok, queue)),
+            Response::Control { op: echoed, ok } if echoed == op.name() => Ok(ok),
             other => Err(format!("expected a {} ack, got {other:?}", op.name())),
         }
     }

@@ -21,7 +21,7 @@
 
 use drift_obs::{SpanCtx, Stage};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
@@ -30,9 +30,9 @@ use std::time::{Duration, Instant};
 /// Longest line, in bytes before its newline, a [`LineReader`]
 /// accepts; a longer line fails the connection.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
-/// How often blocked reads and the idle accept loop wake up to check
-/// shutdown and idle expiry. No settling thread spends longer than this
-/// writing one reply's connection (see [`WRITE_TICK`]).
+/// How often blocked reads wake up to check shutdown and idle expiry.
+/// No settling thread spends longer than this writing one reply's
+/// connection (see [`WRITE_TICK`]).
 pub const READ_TICK: Duration = Duration::from_millis(100);
 /// Each socket's write timeout, and how long a thread that settles a
 /// reply may go on writing that connection: it starts no write after
@@ -187,8 +187,9 @@ pub trait LineHandler: Send + Sync + 'static {
     /// `outbox`: sent now, or later from whichever thread settles it
     /// through a clone. Returns `false` to stop reading this connection.
     fn line(&self, line: &str, outbox: &Outbox) -> bool;
-    /// True once the tier is stopping: the accept loop and the readers
-    /// exit at their next tick.
+    /// True once the tier is stopping: the readers exit at their next
+    /// tick, and the accept loop at the next connection it accepts
+    /// ([`LineServer::join`] makes one).
     fn stopping(&self) -> bool;
     /// Counts a connection opening (`1`) or closing (`-1`).
     fn connections(&self, delta: i64);
@@ -206,7 +207,12 @@ pub trait LineHandler: Send + Sync + 'static {
 /// A running line server: its accept loop, which owns the connection
 /// threads it spawns.
 #[derive(Debug)]
-pub struct LineServer(JoinHandle<()>);
+pub struct LineServer {
+    acceptor: JoinHandle<()>,
+    /// Where [`LineServer::join`] connects to wake the acceptor out of
+    /// its blocking `accept`.
+    wake: SocketAddr,
+}
 
 impl LineServer {
     /// Serves `listener` with `handler` on a thread named
@@ -216,21 +222,37 @@ impl LineServer {
     ///
     /// # Errors
     ///
-    /// Fails when the listener cannot be made non-blocking or the
-    /// accept thread cannot be spawned.
+    /// Fails when the listener cannot be made blocking, its address
+    /// cannot be read, or the accept thread cannot be spawned.
     pub fn start<H: LineHandler>(
         listener: TcpListener,
         tier: &'static str,
         idle_timeout_ms: u64,
         handler: H,
     ) -> io::Result<LineServer> {
-        listener.set_nonblocking(true)?;
+        listener.set_nonblocking(false)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let handler = Arc::new(handler);
         let idle = Duration::from_millis(idle_timeout_ms);
         let mut conns: Vec<JoinHandle<()>> = Vec::new();
         let acceptor = move || {
-            while !handler.stopping() {
-                let Ok((stream, _peer)) = listener.accept() else {
+            loop {
+                let accepted = listener.accept();
+                // Once stopping, the connection that woke the accept
+                // (the one `join` makes, or a late client's) is dropped
+                // unserved.
+                if handler.stopping() {
+                    break;
+                }
+                let Ok((stream, _peer)) = accepted else {
+                    // A failed accept (out of descriptors, say) can fail
+                    // again at once: back off rather than spin.
                     std::thread::sleep(READ_TICK);
                     continue;
                 };
@@ -249,18 +271,27 @@ impl LineServer {
                 let _ = conn.join();
             }
         };
-        std::thread::Builder::new()
+        let acceptor = std::thread::Builder::new()
             .name(format!("{tier}-acceptor"))
-            .spawn(acceptor)
-            .map(LineServer)
+            .spawn(acceptor)?;
+        Ok(LineServer { acceptor, wake })
     }
 
     /// Waits for the accept loop, which exits once the handler reports
     /// [`LineHandler::stopping`] and then joins each reader; a reader
     /// exits once every request in flight on its connection is answered
     /// and written. The handler is dropped by the time this returns.
+    ///
+    /// The acceptor blocks in `accept`, so this first connects to the
+    /// listener once to wake it: call it only once the handler reports
+    /// stopping, or that connection is served like any other.
     pub fn join(self) {
-        let _ = self.0.join();
+        while TcpStream::connect_timeout(&self.wake, READ_TICK).is_err()
+            && !self.acceptor.is_finished()
+        {
+            std::thread::sleep(READ_TICK);
+        }
+        let _ = self.acceptor.join();
     }
 }
 

@@ -135,11 +135,6 @@ pub enum Response {
         op: String,
         /// Whether the gateway accepted the operation.
         ok: bool,
-        /// The server's queue discipline (`"fifo"` / `"edf"`), carried
-        /// on gateway ping acks so the router's health probes learn
-        /// each shard's policy. Absent on other acks and on routers'
-        /// own ping acks.
-        queue: Option<String>,
     },
     /// The single response to a batch request: the echoed batch id and
     /// one item per submitted job, in submission order. Each item is a
@@ -480,19 +475,6 @@ pub fn control_ack_line(op: ControlOp, ok: bool) -> String {
     ]))
 }
 
-/// Renders a gateway ping acknowledgement advertising the server's
-/// queue discipline, e.g. `{"control":"ping","ok":true,"queue":"edf"}`.
-pub fn ping_ack_line(ok: bool, queue: &str) -> String {
-    render(&Value::Map(vec![
-        (
-            "control".to_string(),
-            Value::Str(ControlOp::Ping.name().to_string()),
-        ),
-        ("ok".to_string(), Value::Bool(ok)),
-        ("queue".to_string(), Value::Str(queue.to_string())),
-    ]))
-}
-
 /// Parses one response line into a [`Response`].
 ///
 /// # Errors
@@ -507,11 +489,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
             other => return Err(format!("control must be a string, got {}", other.kind())),
         };
         let ok = matches!(value.get("ok"), Some(Value::Bool(true)));
-        let queue = match value.get("queue") {
-            Some(Value::Str(s)) => Some(s.clone()),
-            _ => None,
-        };
-        return Ok(Response::Control { op, ok, queue });
+        return Ok(Response::Control { op, ok });
     }
     if let Some((id, items)) = batch_envelope(&value)? {
         let items = items
@@ -648,7 +626,6 @@ mod tests {
                 Response::Control {
                     op: op.name().to_string(),
                     ok: true,
-                    queue: None
                 }
             );
         }
@@ -656,25 +633,19 @@ mod tests {
     }
 
     #[test]
-    fn ping_acks_advertise_the_queue_policy() {
-        let line = ping_ack_line(true, "edf");
-        assert_eq!(line, "{\"control\":\"ping\",\"ok\":true,\"queue\":\"edf\"}");
+    fn ping_acks_are_plain_control_acks() {
+        let line = control_ack_line(ControlOp::Ping, true);
+        assert_eq!(line, "{\"control\":\"ping\",\"ok\":true}");
+        let ack = Response::Control {
+            op: "ping".to_string(),
+            ok: true,
+        };
+        assert_eq!(parse_response(&line).unwrap(), ack);
+        // An ack from an older gateway that still names its queue
+        // discipline parses to the same response.
         assert_eq!(
-            parse_response(&line).unwrap(),
-            Response::Control {
-                op: "ping".to_string(),
-                ok: true,
-                queue: Some("edf".to_string())
-            }
-        );
-        // Plain acks (and pre-queue servers) parse with no policy.
-        assert_eq!(
-            parse_response(&control_ack_line(ControlOp::Ping, true)).unwrap(),
-            Response::Control {
-                op: "ping".to_string(),
-                ok: true,
-                queue: None
-            }
+            parse_response("{\"control\":\"ping\",\"ok\":true,\"queue\":\"edf\"}").unwrap(),
+            ack
         );
     }
 
@@ -712,7 +683,6 @@ mod tests {
             Response::Control {
                 op: "prewarm".to_string(),
                 ok: true,
-                queue: None
             }
         );
     }
@@ -981,7 +951,7 @@ mod tests {
             control_line(ControlOp::Ping),
             prewarm_line(&[(key, key.solve().unwrap())]),
             "{\"control\":\"reshard\",\"shards\":[\"a:1\"],\"vnodes\":8}".to_string(),
-            ping_ack_line(true, "edf"),
+            "{\"control\":\"ping\",\"ok\":true,\"queue\":\"edf\"}".to_string(),
             prewarm_ack_line(true, 12),
             error_line(None, ERR_BAD_REQUEST),
             batch_response_line(3, &[item(10), failed, expired]),

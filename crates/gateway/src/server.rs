@@ -2,7 +2,7 @@
 //! `drift-serve` runtime.
 //!
 //! ```text
-//!            acceptor thread (non-blocking listener)
+//!            acceptor thread (blocks in accept)
 //!                 │ spawns one reader per connection
 //!   reader ──key groups──▶ bounded JobQueue ──▶ worker pool (one
 //!     │  shed: {"error":"overloaded"}            DriftAccelerator each,
@@ -23,8 +23,8 @@
 //! * **deadlines** — each request carries a millisecond budget from
 //!   admission; workers check it when they dequeue the job *and* again
 //!   after executing it, answering `deadline_exceeded` for expired
-//!   work. With `--queue edf` the queue drains
-//!   earliest-deadline-first instead of FIFO (`docs/SCHEDULING.md`);
+//!   work. The queue drains earliest-deadline-first, and in arrival
+//!   order among requests without a deadline (`docs/SCHEDULING.md`);
 //! * **graceful drain** — [`Gateway::shutdown`] stops the acceptor,
 //!   lets readers wind down, waits until every accepted job's response
 //!   is written to its connection, and only then closes the queue and
@@ -48,10 +48,10 @@ use drift_core::accelerator::DriftAccelerator;
 use drift_core::arch::paper_fabric;
 use drift_core::schedule::ScheduleKey;
 use drift_obs::{Recorder, SpanCtx, Stage, Tracer};
-use drift_serve::cache::ScheduleCache;
+use drift_serve::cache::{self, ScheduleCache};
 use drift_serve::job::{result_line, JobOutcome, JobResult, JobSpec};
 use drift_serve::persist::{open_and_preload, StoreBinding};
-use drift_serve::queue::{job_queue_with_policy, Deadlined, JobQueue, QueuePolicy, WorkerHandle};
+use drift_serve::queue::{job_queue, Deadlined, JobQueue, WorkerHandle};
 use drift_serve::worker::{execute_traced, schedule_key_for};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -71,8 +71,6 @@ pub struct GatewayConfig {
     pub queue_depth: usize,
     /// Total schedules the shared cache may hold.
     pub cache_capacity: usize,
-    /// Cache shard count.
-    pub cache_shards: usize,
     /// Default per-request deadline budget in milliseconds, applied
     /// when a request carries no `deadline_ms` field. `0` disables the
     /// default (requests without a field get no deadline).
@@ -80,9 +78,6 @@ pub struct GatewayConfig {
     /// Close a connection after this long without a complete request
     /// line. `0` disables idle expiry.
     pub idle_timeout_ms: u64,
-    /// Queue discipline for admitted jobs: FIFO (default) or
-    /// earliest-deadline-first (see `docs/SCHEDULING.md`).
-    pub queue: QueuePolicy,
 }
 
 impl Default for GatewayConfig {
@@ -91,10 +86,8 @@ impl Default for GatewayConfig {
             workers: 4,
             queue_depth: 256,
             cache_capacity: 4096,
-            cache_shards: 16,
             default_deadline_ms: 0,
             idle_timeout_ms: 30_000,
-            queue: QueuePolicy::Fifo,
         }
     }
 }
@@ -302,7 +295,8 @@ struct Shared {
     /// input when this gateway is the ingress edge.
     trace_seq: AtomicU64,
     cache: ScheduleCache,
-    /// Hard stop: acceptor and readers exit at their next tick.
+    /// Hard stop: readers exit at their next tick, and the acceptor once
+    /// the server join wakes it.
     stop: AtomicBool,
     /// A client requested a drain (`{"control":"shutdown"}`); the
     /// gateway's owner observes this via [`Gateway::wait_for_drain`] and
@@ -346,9 +340,7 @@ impl LineHandler for Admission {
                 return true;
             }
             Ok(Request::Control(ControlOp::Ping)) => {
-                // The ack advertises the queue discipline so router health
-                // probes learn each shard's policy (docs/SCHEDULING.md).
-                answer(protocol::ping_ack_line(true, shared.config.queue.as_str()));
+                answer(protocol::control_ack_line(ControlOp::Ping, true));
                 return true;
             }
             Ok(Request::Control(ControlOp::Shutdown)) => {
@@ -590,13 +582,12 @@ impl Gateway {
             workers: config.workers.max(1),
             queue_depth: config.queue_depth.max(1),
             cache_capacity: config.cache_capacity.max(1),
-            cache_shards: config.cache_shards.max(1),
             ..config
         };
         let shared = Arc::new(Shared {
             cache: ScheduleCache::with_recorder(
                 config.cache_capacity,
-                config.cache_shards,
+                cache::SHARDS,
                 recorder.clone(),
             ),
             recorder,
@@ -622,7 +613,7 @@ impl Gateway {
             })
             .transpose()?;
 
-        let (queue, handle) = job_queue_with_policy::<GroupJob>(config.queue, config.queue_depth);
+        let (queue, handle) = job_queue::<GroupJob>(config.queue_depth);
         let workers = (0..config.workers)
             .map(|i| {
                 let handle = handle.clone();

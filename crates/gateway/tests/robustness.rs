@@ -4,6 +4,7 @@
 //! accepted job.
 
 use drift_gateway::client::Client;
+use drift_gateway::framing::READ_TICK;
 use drift_gateway::protocol::{
     batch_request_line, request_line, Response, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_OVERLOADED,
 };
@@ -36,28 +37,46 @@ fn heavy_spec(id: u64) -> JobSpec {
     select_spec(id, 128, 768)
 }
 
-/// The job lines the stale-deadline tests queue ahead of their 1 ms
-/// lines: a one-token Select (~2 µs in a release build, ~40 µs in a
-/// debug build), then two 4096 × 1024 Selects (5.8–6.4 ms each in
-/// release, 1.23–1.29 s in debug), all measured as above. A 1 ms line
-/// waits behind them for about 12 ms in release, 12× its budget.
+/// The job the stale-deadline tests keep their single worker busy with
+/// while their 1 ms lines wait: a 4096 × 2048 Select, measured as above
+/// at 10.2–10.9 ms in a release build and ~2.3 s in a debug build, so a
+/// 1 ms line admitted while it runs waits at least 10× its budget.
 ///
-/// The one-token job runs first so that the gateway's service-time
-/// estimate (an average that moves an eighth of the way to each finished
-/// job's time) starts far below 1 ms and is still below it after one
-/// long job. Admission sheds a 1 ms line as unmeetable once the estimate
-/// passes 1 ms, so a reader thread that stalls past one long job still
-/// admits the line; with a long job first, such a stall failed about
-/// one release run in thirty. Only a stall past both long jobs fails.
-fn jobs_ahead() -> Vec<String> {
-    [
-        select_spec(0, 1, 8),
-        select_spec(1, 4096, 1024),
-        select_spec(2, 4096, 1024),
-    ]
-    .iter()
-    .map(|spec| request_line(spec, None))
-    .collect()
+/// The queue is deadline-ordered, so a 1 ms line overtakes every queued
+/// deadline-less job: only a job already executing can hold it back.
+/// The tests therefore send this job alone and admit their 1 ms lines
+/// once [`await_dequeues`] has seen a worker take it. When it finishes,
+/// the gateway's service-time estimate is its ~10 ms, so each waiting
+/// 1 ms line is discarded at dequeue whatever it has waited. Only a
+/// client or reader stalled past the whole job fails: its 1 ms lines
+/// are then shed as unmeetable.
+fn job_ahead() -> String {
+    request_line(&select_spec(0, 4096, 2048), None)
+}
+
+/// Queue-wait observations under `recorder`, by dequeue outcome: `ok`
+/// (handed to a worker) or `expired` (discarded as doomed).
+fn queue_waits(recorder: &Recorder, outcome: &str) -> u64 {
+    recorder
+        .registry()
+        .expect("an enabled recorder")
+        .snapshot()
+        .histogram_merged_where(
+            "drift_stage_microseconds",
+            &[
+                ("tier", "gateway"),
+                ("stage", "queue_wait"),
+                ("outcome", outcome),
+            ],
+        )
+        .map_or(0, |h| h.count())
+}
+
+/// Waits until a worker has taken `n` queue entries to execute.
+fn await_dequeues(recorder: &Recorder, n: u64) {
+    while queue_waits(recorder, "ok") < n {
+        std::thread::yield_now();
+    }
 }
 
 /// A `bert` precision selection over a `tokens × hidden` stream.
@@ -112,20 +131,23 @@ fn full_queue_sheds_with_overloaded_and_answers_every_request() {
 
 #[test]
 fn stale_requests_expire_with_deadline_exceeded() {
+    let recorder = Recorder::enabled();
     let mut config = GatewayConfig::with_workers(1);
     config.queue_depth = 8;
-    let gw = Gateway::start("127.0.0.1:0", config, Recorder::disabled()).unwrap();
+    let gw = Gateway::start("127.0.0.1:0", config, recorder.clone()).unwrap();
     let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
 
-    // Three jobs occupy the single worker; the budgeted request queues
-    // behind them, so its 1 ms deadline has long passed when a worker
-    // finally dequeues it. One write puts every line in a single read.
-    let mut lines = jobs_ahead();
-    lines.push(request_line(&quick_spec(99), Some(1)));
-    client.send_raw(&lines.join("\n")).unwrap();
+    // A long job occupies the single worker; the budgeted request
+    // queues behind it, so its 1 ms deadline has long passed when the
+    // worker finally dequeues it.
+    client.send_raw(&job_ahead()).unwrap();
+    await_dequeues(&recorder, 1);
+    client
+        .send_raw(&request_line(&quick_spec(99), Some(1)))
+        .unwrap();
 
     let mut expired = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..2 {
         match client.recv().unwrap() {
             Response::Result(_) => {}
             Response::Error { id, error } => {
@@ -147,15 +169,15 @@ fn stale_batches_expire_and_label_their_queue_wait_expired() {
     let gw = Gateway::start("127.0.0.1:0", config, recorder.clone()).unwrap();
     let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
 
-    // As above, but a 1 ms batch line queues behind the singleton too.
+    // As above, but a 1 ms batch line queues behind the long job too.
     // Its two items share one schedule key, so it is one queue entry.
-    let mut lines = jobs_ahead();
-    lines.push(request_line(&quick_spec(99), Some(1)));
-    lines.push(batch_request_line(
-        7,
-        &[quick_spec(100), quick_spec(101)],
-        Some(1),
-    ));
+    // One write puts both lines in a single read.
+    client.send_raw(&job_ahead()).unwrap();
+    await_dequeues(&recorder, 1);
+    let lines = [
+        request_line(&quick_spec(99), Some(1)),
+        batch_request_line(7, &[quick_spec(100), quick_spec(101)], Some(1)),
+    ];
     client.send_raw(&lines.join("\n")).unwrap();
 
     let mut expired = Vec::new();
@@ -166,7 +188,7 @@ fn stale_batches_expire_and_label_their_queue_wait_expired() {
         }
         other => panic!("unexpected response {other:?}"),
     };
-    for _ in 0..5 {
+    for _ in 0..3 {
         match client.recv().unwrap() {
             Response::Result(_) => {}
             Response::Batch { id, items } => {
@@ -182,20 +204,8 @@ fn stale_batches_expire_and_label_their_queue_wait_expired() {
 
     // One queue-wait observation per dequeued entry, labelled by what
     // happened to it: the singleton and the batch were both discarded.
-    let snap = recorder.registry().unwrap().snapshot();
-    let waits = |outcome: &str| -> u64 {
-        snap.histogram_merged_where(
-            "drift_stage_microseconds",
-            &[
-                ("tier", "gateway"),
-                ("stage", "queue_wait"),
-                ("outcome", outcome),
-            ],
-        )
-        .map_or(0, |h| h.count())
-    };
-    assert_eq!(waits("expired"), 2);
-    assert_eq!(waits("ok"), 3);
+    assert_eq!(queue_waits(&recorder, "expired"), 2);
+    assert_eq!(queue_waits(&recorder, "ok"), 1);
 }
 
 #[test]
@@ -282,6 +292,32 @@ fn graceful_drain_answers_every_accepted_job() {
     assert_eq!(summary.accepted, JOBS);
     assert_eq!(summary.dropped, 0);
     assert_eq!(results, (0..JOBS).collect::<BTreeSet<_>>());
+}
+
+#[test]
+fn a_fresh_connection_is_served_without_waiting_for_a_tick() {
+    // The router's health probe opens a new connection to each shard
+    // every probe interval, so connection setup is on its path. The
+    // acceptor blocks in `accept`; one that polled instead would hold
+    // each connection for up to a READ_TICK, about 2 s for these rounds.
+    const ROUNDS: u32 = 20;
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        GatewayConfig::with_workers(1),
+        Recorder::disabled(),
+    )
+    .unwrap();
+    let addr = gw.local_addr().to_string();
+    let start = Instant::now();
+    for _ in 0..ROUNDS {
+        assert!(Client::connect(&addr).unwrap().ping().unwrap());
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < ROUNDS * READ_TICK / 4,
+        "{ROUNDS} connect-and-ping rounds took {elapsed:?}"
+    );
+    gw.shutdown();
 }
 
 #[test]

@@ -261,13 +261,6 @@ pub const METRICS: &[MetricSpec] = &[
         help: "Times each shard was re-admitted after answering health probes again",
     },
     MetricSpec {
-        name: "drift_router_shards_by_queue",
-        kind: MetricKind::Gauge,
-        unit: "shards",
-        labels: &["queue"],
-        help: "Healthy shards by advertised queue discipline: fifo, edf, or unknown before the first probe",
-    },
-    MetricSpec {
         name: "drift_router_shards_healthy",
         kind: MetricKind::Gauge,
         unit: "shards",

@@ -214,9 +214,6 @@ struct ShardLink {
     /// Set when a reshard removes the shard: its reader exits without
     /// ejection accounting and the probe stops touching it.
     retired: AtomicBool,
-    /// The queue discipline the shard advertised on its last health
-    /// probe ping (`None` until the first successful probe).
-    queue: Mutex<Option<String>>,
     writer: Mutex<Option<ClientWriter>>,
     raw: Mutex<Option<TcpStream>>,
 }
@@ -227,7 +224,6 @@ impl ShardLink {
             addr: addr.to_string(),
             healthy: AtomicBool::new(false),
             retired: AtomicBool::new(false),
-            queue: Mutex::new(None),
             writer: Mutex::new(None),
             raw: Mutex::new(None),
         })
@@ -422,26 +418,6 @@ impl Shared {
     fn refresh_healthy_gauge(&self) {
         self.recorder
             .gauge_set("drift_router_shards_healthy", &[], self.healthy_count());
-        // Per-policy breakdown of the healthy shards: "unknown" covers
-        // shards whose first health probe has not answered yet.
-        let (mut fifo, mut edf, mut unknown) = (0i64, 0i64, 0i64);
-        {
-            let table = self.table.read().expect("routing table");
-            for link in &table.links {
-                if !link.healthy.load(Ordering::Relaxed) {
-                    continue;
-                }
-                match link.queue.lock().expect("shard queue policy").as_deref() {
-                    Some("fifo") => fifo += 1,
-                    Some("edf") => edf += 1,
-                    _ => unknown += 1,
-                }
-            }
-        }
-        for (policy, count) in [("fifo", fifo), ("edf", edf), ("unknown", unknown)] {
-            self.recorder
-                .gauge_set("drift_router_shards_by_queue", &[("queue", policy)], count);
-        }
     }
 }
 
@@ -1326,32 +1302,18 @@ fn probe_loop(shared: &Arc<Shared>) {
             }
             // Health and readmission both take a ping: a shard that
             // accepts connections and then drops them stays out.
-            let ack = Client::connect_with_timeout(&link.addr, timeout)
+            let acked = Client::connect_with_timeout(&link.addr, timeout)
                 .ok()
-                .and_then(|mut c| c.ping_queue().ok());
+                .and_then(|mut c| c.ping().ok())
+                .unwrap_or(false);
             if link.healthy.load(Ordering::SeqCst) {
-                match ack {
-                    Some((true, queue)) => {
-                        // Record the shard's advertised discipline so
-                        // health/stats can break shards down by policy.
-                        let changed = {
-                            let mut slot = link.queue.lock().expect("shard queue policy");
-                            let changed = *slot != queue;
-                            *slot = queue;
-                            changed
-                        };
-                        if changed {
-                            shared.refresh_healthy_gauge();
-                        }
-                    }
-                    _ => {
-                        // Ejection closes the data socket, which wakes
-                        // the shard reader; its exit path fails the
-                        // in-flight jobs over to the ring successors.
-                        eject(shared, &link);
-                    }
+                if !acked {
+                    // Ejection closes the data socket, which wakes
+                    // the shard reader; its exit path fails the
+                    // in-flight jobs over to the ring successors.
+                    eject(shared, &link);
                 }
-            } else if matches!(ack, Some((true, _))) && connect_shard(shared, &link).is_ok() {
+            } else if acked && connect_shard(shared, &link).is_ok() {
                 shared.tally.readmissions.fetch_add(1, Ordering::Relaxed);
                 shared.recorder.counter_add(
                     "drift_router_shard_readmissions_total",

@@ -28,6 +28,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// The shard count every serving path builds its cache with: the
+/// offline runtime, `drift serve` and the gateway.
+pub const SHARDS: usize = 16;
+
 /// Aggregate cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {

@@ -70,7 +70,7 @@ pub use job::{
     JobResult, JobSpec, LenientIngest,
 };
 pub use persist::{open_and_preload, StoreBinding};
-pub use queue::{Deadlined, QueuePolicy};
+pub use queue::Deadlined;
 pub use runtime::{
     serve, serve_on_cache, serve_traced, serve_with_recorder, ServeConfig, ServeOutcome,
 };

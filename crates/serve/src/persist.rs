@@ -170,7 +170,7 @@ mod tests {
         let config = ServeConfig::with_workers(2);
         let jobs = synthetic_jobs(40, 4, 9);
 
-        let cache = ScheduleCache::new(config.cache_capacity, config.cache_shards);
+        let cache = ScheduleCache::new(config.cache_capacity, crate::cache::SHARDS);
         let (report, binding) = open_and_preload(&path, &cache, Recorder::disabled()).unwrap();
         assert_eq!(report.records, 0);
         let cold = serve_on_cache(
@@ -187,7 +187,7 @@ mod tests {
         // Second start: every schedule the first run solved loads from
         // disk, so the same stream misses zero times and the results
         // are byte-identical.
-        let warm_cache = ScheduleCache::new(config.cache_capacity, config.cache_shards);
+        let warm_cache = ScheduleCache::new(config.cache_capacity, crate::cache::SHARDS);
         let (report, binding) = open_and_preload(&path, &warm_cache, Recorder::disabled()).unwrap();
         assert_eq!(report.records, cold_misses);
         let warm = serve_on_cache(

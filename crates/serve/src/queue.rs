@@ -1,22 +1,18 @@
 //! The bounded job queue feeding the worker pool.
 //!
-//! Two interchangeable disciplines behind one facade (see
-//! `docs/SCHEDULING.md` for the full contract):
+//! One discipline (see `docs/SCHEDULING.md` for the full contract):
+//! earliest-deadline-first, a binary heap keyed by each job's absolute
+//! deadline (via the [`Deadlined`] trait). Jobs without deadlines sort
+//! behind every deadlined job and drain in submission order among
+//! themselves; ties on deadline break by submission order. A stream in
+//! which no job carries a deadline is therefore delivered FIFO.
 //!
-//! * [`QueuePolicy::Fifo`] — a `VecDeque` ring; jobs are delivered in
-//!   submission order.
-//! * [`QueuePolicy::Edf`] — earliest-deadline-first: a binary heap
-//!   keyed by each job's absolute deadline (via the [`Deadlined`]
-//!   trait). Jobs without deadlines sort behind every deadlined job
-//!   and drain FIFO among themselves; ties on deadline break by
-//!   submission order.
-//!
-//! Both disciplines share one mutex-and-condvar core, which is what
+//! The heap sits behind one mutex-and-condvar core, which is what
 //! lets [`JobQueue::try_submit_batch`] admit a whole batch atomically:
 //! one lock acquisition, one capacity check, all-or-shed — no
 //! interleaving singleton submit can steal capacity mid-batch.
 //!
-//! Both disciplines fix the three behaviours the runtime relies on:
+//! The queue fixes the three behaviours the runtime relies on:
 //!
 //! * **backpressure** — [`JobQueue::submit`] blocks while the queue is
 //!   at capacity, so a fast producer cannot buffer an unbounded job
@@ -30,58 +26,15 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
-use std::str::FromStr;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Which discipline orders jobs waiting in the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueuePolicy {
-    /// Submission order — the default, and the only order that existed
-    /// before deadlines did.
-    #[default]
-    Fifo,
-    /// Earliest absolute deadline first; deadline-less jobs drain FIFO
-    /// behind every deadlined job (they can starve under sustained
-    /// deadlined load — see `docs/SCHEDULING.md`).
-    Edf,
-}
-
-impl QueuePolicy {
-    /// The lowercase wire/CLI spelling (`"fifo"` / `"edf"`), also used
-    /// as a metrics label value.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            QueuePolicy::Fifo => "fifo",
-            QueuePolicy::Edf => "edf",
-        }
-    }
-}
-
-impl std::fmt::Display for QueuePolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for QueuePolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fifo" => Ok(QueuePolicy::Fifo),
-            "edf" => Ok(QueuePolicy::Edf),
-            other => Err(format!("unknown queue policy '{other}' (fifo|edf)")),
-        }
-    }
-}
-
-/// Exposes a job's absolute deadline to the EDF discipline.
+/// Exposes a job's absolute deadline to the queue's ordering.
 ///
-/// The default implementation reports no deadline, which under EDF
-/// means "after every deadlined job, FIFO among peers" — so a type
-/// only needs a real implementation when its jobs can carry deadlines.
+/// The default implementation reports no deadline, which means "after
+/// every deadlined job, FIFO among peers" — so a type only needs a
+/// real implementation when its jobs can carry deadlines.
 pub trait Deadlined {
     /// The absolute instant this job must complete by, if any.
     fn deadline(&self) -> Option<Instant> {
@@ -90,7 +43,7 @@ pub trait Deadlined {
 }
 
 // Offline serve jobs and the queue tests' integer payloads never carry
-// deadlines; under EDF they degenerate to FIFO by construction.
+// deadlines; the queue delivers them FIFO by construction.
 impl Deadlined for usize {}
 impl Deadlined for i32 {}
 impl Deadlined for u32 {}
@@ -109,30 +62,15 @@ pub struct WorkerHandle<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// Creates a FIFO queue holding at most `depth` pending jobs
+/// Creates a queue holding at most `depth` pending jobs
 /// (`depth >= 1` enforced), returning the producer side and the first
-/// worker handle. Shorthand for [`job_queue_with_policy`] with
-/// [`QueuePolicy::Fifo`].
+/// worker handle. Jobs are delivered earliest absolute deadline first;
+/// deadline-less jobs follow in submission order.
 pub fn job_queue<T>(depth: usize) -> (JobQueue<T>, WorkerHandle<T>) {
-    job_queue_with_policy(QueuePolicy::Fifo, depth)
-}
-
-/// [`job_queue`] with a selectable discipline: `Fifo` delivers in
-/// submission order, `Edf` delivers earliest-absolute-deadline first
-/// (deadline-less jobs FIFO behind deadlined ones). Capacity,
-/// backpressure, and shutdown semantics are identical across policies.
-pub fn job_queue_with_policy<T>(
-    policy: QueuePolicy,
-    depth: usize,
-) -> (JobQueue<T>, WorkerHandle<T>) {
-    let buf = match policy {
-        QueuePolicy::Fifo => Buffer::Fifo(VecDeque::new()),
-        QueuePolicy::Edf => Buffer::Edf(BinaryHeap::new()),
-    };
     let shared = Arc::new(Shared {
         depth: depth.max(1),
         state: Mutex::new(State {
-            buf,
+            buf: BinaryHeap::new(),
             seq: 0,
             closed: false,
             handles: 1,
@@ -245,11 +183,10 @@ impl<T> Drop for WorkerHandle<T> {
     }
 }
 
-/// The shared queue core: a `depth`-bounded buffer (ring or deadline
-/// heap by policy) behind a mutex, with condvars standing in for a
-/// channel's blocking send/recv. Holding both disciplines behind the
-/// same lock is what makes batch admission atomic against concurrent
-/// singleton submits.
+/// The shared queue core: a `depth`-bounded deadline heap behind a
+/// mutex, with condvars standing in for a channel's blocking
+/// send/recv. One lock over the heap is what makes batch admission
+/// atomic against concurrent singleton submits.
 #[derive(Debug)]
 struct Shared<T> {
     depth: usize,
@@ -260,40 +197,10 @@ struct Shared<T> {
 
 #[derive(Debug)]
 struct State<T> {
-    buf: Buffer<T>,
+    buf: BinaryHeap<Reverse<EdfItem<T>>>,
     seq: u64,
     closed: bool,
     handles: usize,
-}
-
-/// The policy-specific pending-job store.
-#[derive(Debug)]
-enum Buffer<T> {
-    Fifo(VecDeque<T>),
-    Edf(BinaryHeap<Reverse<EdfItem<T>>>),
-}
-
-impl<T> Buffer<T> {
-    fn len(&self) -> usize {
-        match self {
-            Buffer::Fifo(q) => q.len(),
-            Buffer::Edf(h) => h.len(),
-        }
-    }
-
-    fn push(&mut self, job: T, deadline: Option<Instant>, seq: u64) {
-        match self {
-            Buffer::Fifo(q) => q.push_back(job),
-            Buffer::Edf(h) => h.push(Reverse(EdfItem { deadline, seq, job })),
-        }
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        match self {
-            Buffer::Fifo(q) => q.pop_front(),
-            Buffer::Edf(h) => h.pop().map(|Reverse(item)| item.job),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -307,8 +214,8 @@ impl<T> EdfItem<T> {
     /// `None` deadlines sort *after* every `Some`: a deadline-less job
     /// never preempts one with a real deadline, and among themselves
     /// deadline-less jobs keep submission order. Equal deadlines also
-    /// break by submission order, so EDF is a stable refinement of
-    /// FIFO.
+    /// break by submission order, so the heap is a stable refinement
+    /// of FIFO.
     fn rank(&self) -> (bool, Option<Instant>, u64) {
         (self.deadline.is_none(), self.deadline, self.seq)
     }
@@ -334,6 +241,16 @@ impl<T> PartialEq for EdfItem<T> {
 
 impl<T> Eq for EdfItem<T> {}
 
+impl<T: Deadlined> State<T> {
+    /// Queues `job`, stamped with the next submission number.
+    fn push(&mut self, job: T) {
+        let deadline = job.deadline();
+        let seq = self.seq;
+        self.seq += 1;
+        self.buf.push(Reverse(EdfItem { deadline, seq, job }));
+    }
+}
+
 impl<T: Deadlined> Shared<T> {
     fn submit(&self, job: T, block: bool) -> Result<(), T> {
         let mut state = self.state.lock();
@@ -342,10 +259,7 @@ impl<T: Deadlined> Shared<T> {
                 return Err(job);
             }
             if state.buf.len() < self.depth {
-                let seq = state.seq;
-                state.seq += 1;
-                let deadline = job.deadline();
-                state.buf.push(job, deadline, seq);
+                state.push(job);
                 drop(state);
                 self.not_empty.notify_one();
                 return Ok(());
@@ -367,10 +281,7 @@ impl<T: Deadlined> Shared<T> {
         }
         let n = jobs.len();
         for job in jobs {
-            let seq = state.seq;
-            state.seq += 1;
-            let deadline = job.deadline();
-            state.buf.push(job, deadline, seq);
+            state.push(job);
         }
         drop(state);
         if n == 1 {
@@ -386,10 +297,10 @@ impl<T> Shared<T> {
     fn next_job(&self) -> Option<T> {
         let mut state = self.state.lock();
         loop {
-            if let Some(job) = state.buf.pop() {
+            if let Some(Reverse(item)) = state.buf.pop() {
                 drop(state);
                 self.not_full.notify_one();
-                return Some(job);
+                return Some(item.job);
             }
             if state.closed {
                 return None;
@@ -408,92 +319,81 @@ mod tests {
 
     #[test]
     fn every_job_is_delivered_exactly_once() {
-        for policy in [QueuePolicy::Fifo, QueuePolicy::Edf] {
-            let (queue, handle) = job_queue_with_policy(policy, 4);
-            let delivered = Arc::new(AtomicUsize::new(0));
-            let workers: Vec<_> = (0..3)
-                .map(|_| {
-                    let handle = handle.clone();
-                    let delivered = Arc::clone(&delivered);
-                    std::thread::spawn(move || {
-                        while let Some(v) = handle.next_job() {
-                            let _: usize = v;
-                            delivered.fetch_add(1, Ordering::Relaxed);
-                        }
-                    })
+        let (queue, handle) = job_queue(4);
+        let delivered = Arc::new(AtomicUsize::new(0));
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let handle = handle.clone();
+                let delivered = Arc::clone(&delivered);
+                std::thread::spawn(move || {
+                    while let Some(v) = handle.next_job() {
+                        let _: usize = v;
+                        delivered.fetch_add(1, Ordering::Relaxed);
+                    }
                 })
-                .collect();
-            drop(handle);
-            for i in 0..100 {
-                queue.submit(i).unwrap();
-            }
-            queue.close();
-            for w in workers {
-                w.join().unwrap();
-            }
-            assert_eq!(delivered.load(Ordering::Relaxed), 100, "{policy}");
+            })
+            .collect();
+        drop(handle);
+        for i in 0..100 {
+            queue.submit(i).unwrap();
         }
+        queue.close();
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(delivered.load(Ordering::Relaxed), 100);
     }
 
     #[test]
     fn submit_applies_backpressure() {
-        for policy in [QueuePolicy::Fifo, QueuePolicy::Edf] {
-            let (queue, handle) = job_queue_with_policy(policy, 2);
-            queue.submit(1).unwrap();
-            queue.submit(2).unwrap();
-            // The queue is full: a third submit blocks until a worker
-            // takes a job. Prove it by unblocking from another thread.
-            let consumer = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                // Return the handle too: dropping it here would close
-                // the queue before the blocked submit gets its slot.
-                (handle.next_job(), handle)
-            });
-            let start = std::time::Instant::now();
-            queue.submit(3).unwrap();
-            assert!(
-                start.elapsed() >= Duration::from_millis(20),
-                "{policy}: submit did not block"
-            );
-            assert_eq!(consumer.join().unwrap().0, Some(1));
-        }
+        let (queue, handle) = job_queue(2);
+        queue.submit(1).unwrap();
+        queue.submit(2).unwrap();
+        // The queue is full: a third submit blocks until a worker
+        // takes a job. Prove it by unblocking from another thread.
+        let consumer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            // Return the handle too: dropping it here would close
+            // the queue before the blocked submit gets its slot.
+            (handle.next_job(), handle)
+        });
+        let start = std::time::Instant::now();
+        queue.submit(3).unwrap();
+        assert!(
+            start.elapsed() >= Duration::from_millis(20),
+            "submit did not block"
+        );
+        assert_eq!(consumer.join().unwrap().0, Some(1));
     }
 
     #[test]
     fn close_drains_queued_jobs_first() {
-        for policy in [QueuePolicy::Fifo, QueuePolicy::Edf] {
-            let (queue, handle) = job_queue_with_policy(policy, 8);
-            for i in 0..5 {
-                queue.submit(i).unwrap();
-            }
-            assert_eq!(queue.backlog(), 5);
-            queue.close();
-            let drained: Vec<i32> = std::iter::from_fn(|| handle.next_job()).collect();
-            // Deadline-less jobs keep submission order under both
-            // disciplines.
-            assert_eq!(drained, vec![0, 1, 2, 3, 4], "{policy}");
-            assert_eq!(handle.next_job(), None);
+        let (queue, handle) = job_queue(8);
+        for i in 0..5 {
+            queue.submit(i).unwrap();
         }
+        assert_eq!(queue.backlog(), 5);
+        queue.close();
+        let drained: Vec<i32> = std::iter::from_fn(|| handle.next_job()).collect();
+        // Deadline-less jobs keep submission order.
+        assert_eq!(drained, vec![0, 1, 2, 3, 4]);
+        assert_eq!(handle.next_job(), None);
     }
 
     #[test]
     fn try_submit_reports_a_full_queue_without_blocking() {
-        for policy in [QueuePolicy::Fifo, QueuePolicy::Edf] {
-            let (queue, handle) = job_queue_with_policy(policy, 1);
-            assert_eq!(queue.try_submit(1), Ok(()), "{policy}");
-            assert_eq!(queue.try_submit(2), Err(2), "{policy}");
-            assert_eq!(handle.next_job(), Some(1));
-            assert_eq!(queue.try_submit(2), Ok(()), "{policy}");
-        }
+        let (queue, handle) = job_queue(1);
+        assert_eq!(queue.try_submit(1), Ok(()));
+        assert_eq!(queue.try_submit(2), Err(2));
+        assert_eq!(handle.next_job(), Some(1));
+        assert_eq!(queue.try_submit(2), Ok(()));
     }
 
     #[test]
     fn submit_fails_once_all_workers_quit() {
-        for policy in [QueuePolicy::Fifo, QueuePolicy::Edf] {
-            let (queue, handle) = job_queue_with_policy(policy, 2);
-            drop(handle);
-            assert_eq!(queue.submit(7), Err(7), "{policy}");
-        }
+        let (queue, handle) = job_queue(2);
+        drop(handle);
+        assert_eq!(queue.submit(7), Err(7));
     }
 
     /// A payload whose deadline is set per item, for ordering tests.
@@ -508,7 +408,7 @@ mod tests {
 
     #[test]
     fn edf_delivers_earliest_deadline_first() {
-        let (queue, handle) = job_queue_with_policy(QueuePolicy::Edf, 8);
+        let (queue, handle) = job_queue(8);
         let base = Instant::now() + Duration::from_secs(10);
         queue
             .submit(Timed(0, Some(base + Duration::from_millis(300))))
@@ -528,7 +428,7 @@ mod tests {
 
     #[test]
     fn edf_orders_deadline_less_jobs_fifo_behind_deadlined_ones() {
-        let (queue, handle) = job_queue_with_policy(QueuePolicy::Edf, 8);
+        let (queue, handle) = job_queue(8);
         let soon = Instant::now() + Duration::from_secs(5);
         queue.submit(Timed(0, None)).unwrap();
         queue
@@ -547,7 +447,7 @@ mod tests {
 
     #[test]
     fn edf_breaks_deadline_ties_by_submission_order() {
-        let (queue, handle) = job_queue_with_policy(QueuePolicy::Edf, 8);
+        let (queue, handle) = job_queue(8);
         let tie = Instant::now() + Duration::from_secs(3);
         for id in 0..4 {
             queue.submit(Timed(id, Some(tie))).unwrap();
@@ -557,14 +457,5 @@ mod tests {
             .map(|t| t.0)
             .collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn queue_policy_parses_and_prints_its_wire_spelling() {
-        assert_eq!("fifo".parse::<QueuePolicy>(), Ok(QueuePolicy::Fifo));
-        assert_eq!("edf".parse::<QueuePolicy>(), Ok(QueuePolicy::Edf));
-        assert!("lifo".parse::<QueuePolicy>().is_err());
-        assert_eq!(QueuePolicy::Edf.to_string(), "edf");
-        assert_eq!(QueuePolicy::default(), QueuePolicy::Fifo);
     }
 }

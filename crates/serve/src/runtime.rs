@@ -1,8 +1,8 @@
 //! The batch-serving runtime: queue + worker pool + cache + report.
 
-use crate::cache::ScheduleCache;
+use crate::cache::{self, ScheduleCache};
 use crate::job::{JobResult, JobSpec};
-use crate::queue::{job_queue_with_policy, QueuePolicy};
+use crate::queue::job_queue;
 use crate::stats::ServeReport;
 use crate::worker::worker_loop;
 use crossbeam::channel::unbounded;
@@ -18,13 +18,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Total schedules the cache may hold.
     pub cache_capacity: usize,
-    /// Cache shard count (more shards, less lock contention).
-    pub cache_shards: usize,
-    /// Queue discipline. Offline serve jobs carry no deadlines, so
-    /// [`QueuePolicy::Edf`] degenerates to FIFO here; the field exists
-    /// so `drift serve --queue edf` exercises the same heap the
-    /// gateway runs (see `docs/SCHEDULING.md`).
-    pub queue: QueuePolicy,
 }
 
 impl Default for ServeConfig {
@@ -33,8 +26,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_depth: 256,
             cache_capacity: 4096,
-            cache_shards: 16,
-            queue: QueuePolicy::Fifo,
         }
     }
 }
@@ -96,7 +87,7 @@ pub fn serve_traced(
 ) -> ServeOutcome {
     let cache = ScheduleCache::with_recorder(
         config.cache_capacity.max(1),
-        config.cache_shards.max(1),
+        cache::SHARDS,
         recorder.clone(),
     );
     serve_on_cache(jobs, config, recorder, tracer, &cache)
@@ -116,7 +107,7 @@ pub fn serve_on_cache(
 ) -> ServeOutcome {
     let workers = config.workers.max(1);
     recorder.gauge_set("drift_serve_workers", &[], workers as i64);
-    let (queue, worker_handle) = job_queue_with_policy(config.queue, config.queue_depth);
+    let (queue, worker_handle) = job_queue(config.queue_depth);
     let (result_tx, result_rx) = unbounded();
 
     let start = Instant::now();

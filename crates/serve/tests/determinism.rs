@@ -3,7 +3,7 @@
 //! through the JSONL encode/decode round trip the CLI performs.
 
 use drift_serve::job::{read_jobs, result_line, JobKind, JobSpec};
-use drift_serve::{serve, synthetic_jobs, QueuePolicy, ServeConfig};
+use drift_serve::{serve, synthetic_jobs, ServeConfig};
 use std::io::Cursor;
 
 #[test]
@@ -32,27 +32,20 @@ fn one_and_eight_workers_produce_identical_result_sets() {
 }
 
 #[test]
-fn queue_policy_does_not_change_the_result_set() {
-    // EDF reorders *when* jobs run, never *what* they compute: for any
-    // worker count, both disciplines must deliver the identical result
-    // set. Offline serve jobs carry no deadlines, so EDF degenerates to
-    // its FIFO tie-break here — this pins down that the heap path is a
-    // pure reordering layer with no effect on results.
+fn dequeue_interleaving_does_not_change_the_result_set() {
+    // The deadline heap reorders *when* jobs run, never *what* they
+    // compute. Offline serve jobs carry no deadlines, so the heap
+    // drains in submission order, and one worker sees exactly that
+    // order while eight interleave it: both must deliver the identical
+    // result set, and so must a repeat of the one-worker run.
     let jobs = synthetic_jobs(120, 6, 77);
 
-    let run = |workers: usize, queue: QueuePolicy| -> Vec<String> {
-        let outcome = serve(
-            jobs.clone(),
-            &ServeConfig {
-                workers,
-                queue,
-                ..ServeConfig::default()
-            },
-        );
+    let run = |workers: usize| -> Vec<String> {
+        let outcome = serve(jobs.clone(), &ServeConfig::with_workers(workers));
         assert_eq!(
             outcome.results.len(),
             jobs.len(),
-            "[{queue} x{workers}] lost or duplicated results"
+            "[x{workers}] lost or duplicated results"
         );
         assert_eq!(outcome.report.errors, 0);
         let mut lines: Vec<String> = outcome.results.iter().map(result_line).collect();
@@ -60,11 +53,9 @@ fn queue_policy_does_not_change_the_result_set() {
         lines
     };
 
-    let baseline = run(1, QueuePolicy::Fifo);
+    let baseline = run(1);
     for workers in [1, 8] {
-        for queue in [QueuePolicy::Fifo, QueuePolicy::Edf] {
-            assert_eq!(run(workers, queue), baseline, "[{queue} x{workers}]");
-        }
+        assert_eq!(run(workers), baseline, "[x{workers}]");
     }
 }
 

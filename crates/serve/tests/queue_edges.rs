@@ -1,10 +1,8 @@
 //! Shutdown and backpressure edge cases of the job queue — the
-//! behaviours the gateway's admission control leans on. Every scenario
-//! runs under both queue disciplines (FIFO and EDF), since the
-//! shutdown/backpressure contract is policy-independent
+//! behaviours the gateway's admission control leans on
 //! (docs/SCHEDULING.md).
 
-use drift_serve::queue::{job_queue_with_policy, Deadlined, QueuePolicy};
+use drift_serve::queue::{job_queue, Deadlined};
 use drift_serve::runtime::{serve, ServeConfig};
 use drift_serve::synthetic_jobs;
 use std::collections::HashSet;
@@ -12,9 +10,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-const POLICIES: [QueuePolicy; 2] = [QueuePolicy::Fifo, QueuePolicy::Edf];
-
-fn try_submit_racing_shutdown(policy: QueuePolicy) {
+#[test]
+fn try_submit_racing_shutdown_never_panics_and_never_loses_delivered_jobs() {
     // Producers hammer try_submit while the consumer side shuts down at
     // an arbitrary moment. Every Ok(()) must correspond to a delivered
     // job until the close; afterwards try_submit must keep returning
@@ -22,7 +19,7 @@ fn try_submit_racing_shutdown(policy: QueuePolicy) {
     const PRODUCERS: usize = 4;
     const CONSUMED: usize = 64;
 
-    let (queue, handle) = job_queue_with_policy::<usize>(policy, 2);
+    let (queue, handle) = job_queue::<usize>(2);
     let queue = Arc::new(queue);
     let submitted = Arc::new(AtomicUsize::new(0));
     let delivered = Arc::new(AtomicUsize::new(0));
@@ -80,7 +77,7 @@ fn try_submit_racing_shutdown(policy: QueuePolicy) {
     assert!(delivered <= submitted);
     assert!(
         submitted - delivered <= 2,
-        "[{policy}] at most queue_depth accepted jobs may be stranded by an \
+        "at most queue_depth accepted jobs may be stranded by an \
          abrupt consumer shutdown: submitted {submitted}, delivered {delivered}"
     );
 
@@ -90,13 +87,7 @@ fn try_submit_racing_shutdown(policy: QueuePolicy) {
 }
 
 #[test]
-fn try_submit_racing_shutdown_never_panics_and_never_loses_delivered_jobs() {
-    for policy in POLICIES {
-        try_submit_racing_shutdown(policy);
-    }
-}
-
-fn try_submit_batch_racing_shutdown(policy: QueuePolicy) {
+fn try_submit_batch_racing_shutdown_stays_atomic_and_never_panics() {
     // The batch analogue of try_submit_racing_shutdown: producers
     // hammer try_submit_batch while the consumer quits mid-stream.
     // Admission stays all-or-shed under the race — every accepted
@@ -107,7 +98,7 @@ fn try_submit_batch_racing_shutdown(policy: QueuePolicy) {
     const CONSUMED: usize = 60;
     const DEPTH: usize = 2 * BATCH;
 
-    let (queue, handle) = job_queue_with_policy::<usize>(policy, DEPTH);
+    let (queue, handle) = job_queue::<usize>(DEPTH);
     let queue = Arc::new(queue);
     let submitted = Arc::new(AtomicUsize::new(0));
     let delivered = Arc::new(AtomicUsize::new(0));
@@ -132,11 +123,9 @@ fn try_submit_batch_racing_shutdown(policy: QueuePolicy) {
                         Ok(()) => {
                             submitted.fetch_add(BATCH, Ordering::SeqCst);
                         }
-                        Err(returned) => assert_eq!(
-                            returned.len(),
-                            BATCH,
-                            "[{policy}] a shed batch must come back whole"
-                        ),
+                        Err(returned) => {
+                            assert_eq!(returned.len(), BATCH, "a shed batch must come back whole")
+                        }
                     }
                 }
             });
@@ -168,7 +157,7 @@ fn try_submit_batch_racing_shutdown(policy: QueuePolicy) {
     assert!(delivered <= submitted);
     assert!(
         submitted - delivered <= DEPTH,
-        "[{policy}] at most queue_depth accepted jobs may be stranded: \
+        "at most queue_depth accepted jobs may be stranded: \
          submitted {submitted}, delivered {delivered}"
     );
 
@@ -178,98 +167,80 @@ fn try_submit_batch_racing_shutdown(policy: QueuePolicy) {
 }
 
 #[test]
-fn try_submit_batch_racing_shutdown_stays_atomic_and_never_panics() {
-    for policy in POLICIES {
-        try_submit_batch_racing_shutdown(policy);
-    }
-}
-
-#[test]
 fn batch_larger_than_capacity_sheds_whole_and_consumes_nothing() {
-    for policy in POLICIES {
-        let (queue, handle) = job_queue_with_policy::<u32>(policy, 4);
-        // Oversized relative to total depth: can never be admitted,
-        // even against an empty queue.
-        assert_eq!(
-            queue.try_submit_batch(vec![1, 2, 3, 4, 5]),
-            Err(vec![1, 2, 3, 4, 5]),
-            "[{policy}]"
-        );
-        assert_eq!(queue.backlog(), 0, "[{policy}] shed must consume no slots");
-        // Exactly-at-depth still fits — the shed above charged nothing.
-        queue
-            .try_submit_batch(vec![10, 11, 12, 13])
-            .unwrap_or_else(|_| panic!("[{policy}] a depth-sized batch must fit an empty queue"));
-        // Now full: even a minimal batch sheds whole.
-        assert_eq!(
-            queue.try_submit_batch(vec![99]),
-            Err(vec![99]),
-            "[{policy}]"
-        );
-        let drained: Vec<u32> = (0..4)
-            .map(|_| handle.next_job().expect("four jobs are buffered"))
-            .collect();
-        let expect: HashSet<u32> = [10, 11, 12, 13].into();
-        assert_eq!(drained.iter().copied().collect::<HashSet<u32>>(), expect);
-    }
+    let (queue, handle) = job_queue::<u32>(4);
+    // Oversized relative to total depth: can never be admitted,
+    // even against an empty queue.
+    assert_eq!(
+        queue.try_submit_batch(vec![1, 2, 3, 4, 5]),
+        Err(vec![1, 2, 3, 4, 5])
+    );
+    assert_eq!(queue.backlog(), 0, "shed must consume no slots");
+    // Exactly-at-depth still fits — the shed above charged nothing.
+    queue
+        .try_submit_batch(vec![10, 11, 12, 13])
+        .unwrap_or_else(|_| panic!("a depth-sized batch must fit an empty queue"));
+    // Now full: even a minimal batch sheds whole.
+    assert_eq!(queue.try_submit_batch(vec![99]), Err(vec![99]));
+    let drained: Vec<u32> = (0..4)
+        .map(|_| handle.next_job().expect("four jobs are buffered"))
+        .collect();
+    let expect: HashSet<u32> = [10, 11, 12, 13].into();
+    assert_eq!(drained.iter().copied().collect::<HashSet<u32>>(), expect);
 }
 
 #[test]
 fn depth_one_queue_drains_batches_of_one_and_sheds_anything_larger() {
     // The tightest queue: batch admission degenerates to singleton
-    // behaviour at size 1 and must shed any larger batch whole, under
-    // either discipline — nothing lost, nothing duplicated.
+    // behaviour at size 1 and must shed any larger batch whole —
+    // nothing lost, nothing duplicated.
     const JOBS: usize = 64;
-    for policy in POLICIES {
-        let (queue, handle) = job_queue_with_policy::<usize>(policy, 1);
-        let queue = Arc::new(queue);
-        let delivered: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let consumer = scope.spawn(|| {
-                while let Some(job) = handle.next_job() {
-                    delivered.lock().unwrap().push(job);
-                }
-            });
-            // A batch of two can never fit depth 1, no matter how
-            // drained the queue is at the instant of the check.
-            assert_eq!(queue.try_submit_batch(vec![900, 901]), Err(vec![900, 901]));
-            for job in 0..JOBS {
-                // Spin until the size-1 batch is admitted; every shed
-                // hands the job back for the retry.
-                let mut batch = vec![job];
-                loop {
-                    match queue.try_submit_batch(batch) {
-                        Ok(()) => break,
-                        Err(returned) => {
-                            assert_eq!(returned, vec![job], "[{policy}]");
-                            batch = returned;
-                            std::thread::yield_now();
-                        }
+    let (queue, handle) = job_queue::<usize>(1);
+    let queue = Arc::new(queue);
+    let delivered: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        let consumer = scope.spawn(|| {
+            while let Some(job) = handle.next_job() {
+                delivered.lock().unwrap().push(job);
+            }
+        });
+        // A batch of two can never fit depth 1, no matter how
+        // drained the queue is at the instant of the check.
+        assert_eq!(queue.try_submit_batch(vec![900, 901]), Err(vec![900, 901]));
+        for job in 0..JOBS {
+            // Spin until the size-1 batch is admitted; every shed
+            // hands the job back for the retry.
+            let mut batch = vec![job];
+            loop {
+                match queue.try_submit_batch(batch) {
+                    Ok(()) => break,
+                    Err(returned) => {
+                        assert_eq!(returned, vec![job]);
+                        batch = returned;
+                        std::thread::yield_now();
                     }
                 }
             }
-            drop(queue);
-            consumer.join().unwrap();
-        });
-        let drained = delivered.into_inner().unwrap();
-        assert_eq!(drained.len(), JOBS, "[{policy}] lost or duplicated jobs");
-        let unique: HashSet<usize> = drained.iter().copied().collect();
-        assert_eq!(unique.len(), JOBS, "[{policy}] duplicated jobs");
-    }
+        }
+        drop(queue);
+        consumer.join().unwrap();
+    });
+    let drained = delivered.into_inner().unwrap();
+    assert_eq!(drained.len(), JOBS, "lost or duplicated jobs");
+    let unique: HashSet<usize> = drained.iter().copied().collect();
+    assert_eq!(unique.len(), JOBS, "duplicated jobs");
 }
 
 #[test]
 fn submit_after_shutdown_returns_the_job_instead_of_panicking() {
-    for policy in POLICIES {
-        let (queue, handle) = job_queue_with_policy::<u32>(policy, 4);
-        queue.try_submit(1).unwrap();
-        drop(handle);
-        // Both the blocking and non-blocking paths must hand the job back.
-        assert_eq!(queue.submit(2), Err(2), "[{policy}]");
-        assert_eq!(queue.try_submit(3), Err(3), "[{policy}]");
-        // And stay in that state on repeated calls.
-        assert_eq!(queue.submit(2), Err(2), "[{policy}]");
-    }
+    let (queue, handle) = job_queue::<u32>(4);
+    queue.try_submit(1).unwrap();
+    drop(handle);
+    // Both the blocking and non-blocking paths must hand the job back.
+    assert_eq!(queue.submit(2), Err(2));
+    assert_eq!(queue.try_submit(3), Err(3));
+    // And stay in that state on repeated calls.
+    assert_eq!(queue.submit(2), Err(2));
 }
 
 /// A queue payload carrying an absolute deadline.
@@ -292,11 +263,11 @@ fn edf_meets_strictly_more_deadlines_than_fifo_on_a_backlogged_burst() {
     // deadline budgets on the queue all at once, and a single worker
     // then drains it at one job per tick. A job dequeued at position p
     // completes at tick p + 1 and meets its deadline iff
-    // p + 1 <= budget. FIFO drains in arrival order, so tight-budget
-    // jobs deep in the backlog expire while loose ones ahead of them
-    // waste their slack; EDF drains in deadline order and must meet
-    // strictly more (docs/SCHEDULING.md). Virtual time only — nothing
-    // sleeps, so the assertion is exact and single-core-safe.
+    // p + 1 <= budget. Arrival order (FIFO) lets tight-budget jobs deep
+    // in the backlog expire while loose ones ahead of them waste their
+    // slack; the queue drains in deadline order and must meet strictly
+    // more (docs/SCHEDULING.md). Virtual time only — nothing sleeps, so
+    // the assertion is exact and single-core-safe.
     const BURST: u64 = 64;
 
     let base = Instant::now() + Duration::from_secs(3600);
@@ -310,31 +281,33 @@ fn edf_meets_strictly_more_deadlines_than_fifo_on_a_backlogged_burst() {
         })
         .collect();
 
-    let met = |policy: QueuePolicy| -> u64 {
-        let (queue, handle) = job_queue_with_policy::<Timed>(policy, BURST as usize);
-        for budget_ticks in budgets.iter().copied() {
-            queue
-                .try_submit(Timed {
-                    budget_ticks,
-                    deadline: base + Duration::from_millis(budget_ticks),
-                })
-                .expect("the queue is deep enough for the whole burst");
-        }
-        drop(queue);
-        let mut met = 0;
-        let mut tick = 0;
-        while let Some(job) = handle.next_job() {
-            tick += 1;
-            if job.budget_ticks >= tick {
-                met += 1;
-            }
-        }
-        assert_eq!(tick, BURST, "the drain must deliver the whole burst");
-        met
-    };
+    // Arrival order: the job at position p meets its deadline iff
+    // budget >= p + 1.
+    let fifo = (1..)
+        .zip(&budgets)
+        .filter(|&(tick, &budget)| budget >= tick)
+        .count() as u64;
 
-    let fifo = met(QueuePolicy::Fifo);
-    let edf = met(QueuePolicy::Edf);
+    let (queue, handle) = job_queue::<Timed>(BURST as usize);
+    for budget_ticks in budgets.iter().copied() {
+        queue
+            .try_submit(Timed {
+                budget_ticks,
+                deadline: base + Duration::from_millis(budget_ticks),
+            })
+            .expect("the queue is deep enough for the whole burst");
+    }
+    drop(queue);
+    let mut edf = 0;
+    let mut tick = 0;
+    while let Some(job) = handle.next_job() {
+        tick += 1;
+        if job.budget_ticks >= tick {
+            edf += 1;
+        }
+    }
+    assert_eq!(tick, BURST, "the drain must deliver the whole burst");
+
     assert!(
         edf > fifo,
         "EDF must meet strictly more deadlines than FIFO on a random \
@@ -346,21 +319,18 @@ fn edf_meets_strictly_more_deadlines_than_fifo_on_a_backlogged_burst() {
 fn draining_through_a_depth_one_queue_loses_zero_results() {
     // The tightest possible queue forces a backpressure stall on nearly
     // every submit; the run must still produce exactly one result per
-    // job, under either discipline.
+    // job.
     let jobs = synthetic_jobs(64, 4, 13);
-    for policy in POLICIES {
-        let outcome = serve(
-            jobs.clone(),
-            &ServeConfig {
-                workers: 3,
-                queue_depth: 1,
-                queue: policy,
-                ..ServeConfig::default()
-            },
-        );
-        assert_eq!(outcome.results.len(), jobs.len(), "[{policy}]");
-        let ids: HashSet<u64> = outcome.results.iter().map(|r| r.id).collect();
-        assert_eq!(ids.len(), jobs.len(), "[{policy}] duplicated or lost ids");
-        assert_eq!(outcome.report.jobs, jobs.len() as u64, "[{policy}]");
-    }
+    let outcome = serve(
+        jobs.clone(),
+        &ServeConfig {
+            workers: 3,
+            queue_depth: 1,
+            ..ServeConfig::default()
+        },
+    );
+    assert_eq!(outcome.results.len(), jobs.len());
+    let ids: HashSet<u64> = outcome.results.iter().map(|r| r.id).collect();
+    assert_eq!(ids.len(), jobs.len(), "duplicated or lost ids");
+    assert_eq!(outcome.report.jobs, jobs.len() as u64);
 }

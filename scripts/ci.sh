@@ -81,6 +81,17 @@ if grep -rnE 'crossbeam::channel|-writer' crates/gateway/src crates/router/src; 
   exit 1
 fi
 
+echo "== one queue discipline =="
+# The serving queue is one deadline heap, which drains in submission
+# order when no job carries a deadline (docs/SCHEDULING.md): there is no
+# discipline to choose, advertise or count. The bracketed letters keep
+# this lint from matching its own lines.
+if grep -rnE 'Queue[P]olicy|job_queue_with_polic[y]|ping_queu[e]|shards_by_queu[e]|--queu[e] ' \
+  crates docs README.md scripts; then
+  echo "queue lint: one deadline-ordered queue; no discipline option or policy type" >&2
+  exit 1
+fi
+
 echo "== one real-process smoke =="
 # The serving smoke below is the one test of real processes; every other
 # test runs in process (router failover: a seeded fake shard in
@@ -139,19 +150,20 @@ echo "== perfbench build and self-tests =="
 cargo test --release --locked --manifest-path perfbench/Cargo.toml
 
 echo "== serving smoke test =="
-# One topology of real processes: gateway A (EDF queue, schedule store,
-# span file), gateway B (span file) and the router over both (1-in-1
-# trace sampling, metrics snapshot). loadgen, which fails on any lost,
+# One topology of real processes: gateway A (schedule store, span
+# file), gateway B (span file) and the router over both (1-in-1 trace
+# sampling, metrics snapshot). loadgen, which fails on any lost,
 # duplicated or unretried-shed id, drives the same 200 jobs through the
 # router as singleton, 50-job batch and deadline-carrying lines. The
-# 30-60 s deadlines only carry budgets into the EDF shard and never
-# expire, so every job is traced; expiry and EDF order are covered by
-# crates/gateway/tests/robustness.rs and the serve queue tests.
+# 30-60 s deadlines carry budgets into both shards' deadline-ordered
+# queues and never expire, so every job is traced; expiry and EDF order
+# are covered by crates/gateway/tests/robustness.rs and the serve queue
+# tests.
 cargo build --release -p drift-cli
 DRIFT=./target/release/drift
 S="$(mktemp -d)"
 $DRIFT gateway --addr 127.0.0.1:0 --workers 2 --port-file "$S/a.port" \
-  --queue edf --store "$S/a.drift" --trace-out "$S/a.spans" &
+  --store "$S/a.drift" --trace-out "$S/a.spans" &
 A_PID=$!
 $DRIFT gateway --addr 127.0.0.1:0 --workers 2 --port-file "$S/b.port" \
   --trace-out "$S/b.spans" &
