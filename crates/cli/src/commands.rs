@@ -333,14 +333,14 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     // With --store the cache is warm-started from the persistent log
     // before the run and newly solved schedules flow back into it;
     // results are byte-identical either way (docs/PERSISTENCE.md).
-    let outcome = match opts.get("store") {
-        None => drift_serve::serve_traced(jobs, &config, metrics.recorder.clone(), tracer.clone()),
+    let cache = drift_serve::ScheduleCache::with_recorder(
+        config.cache_capacity.max(1),
+        drift_serve::cache::SHARDS,
+        metrics.recorder.clone(),
+    );
+    let binding = match opts.get("store") {
+        None => None,
         Some(store) => {
-            let cache = drift_serve::ScheduleCache::with_recorder(
-                config.cache_capacity.max(1),
-                drift_serve::cache::SHARDS,
-                metrics.recorder.clone(),
-            );
             let (report, binding) = drift_serve::open_and_preload(
                 std::path::Path::new(store),
                 &cache,
@@ -356,20 +356,22 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
                     String::new()
                 }
             );
-            let outcome = drift_serve::serve_on_cache(
-                jobs,
-                &config,
-                metrics.recorder.clone(),
-                tracer.clone(),
-                &cache,
-            );
-            let records = binding
-                .finish(&cache)
-                .map_err(|e| format!("cannot flush store {store}: {e}"))?;
-            eprintln!("store: {records} record(s) now in {store}");
-            outcome
+            Some((store, binding))
         }
     };
+    let outcome = drift_serve::serve_observed(
+        jobs,
+        &config,
+        metrics.recorder.clone(),
+        tracer.clone(),
+        Some(&cache),
+    );
+    if let Some((store, binding)) = binding {
+        let records = binding
+            .finish(&cache)
+            .map_err(|e| format!("cannot flush store {store}: {e}"))?;
+        eprintln!("store: {records} record(s) now in {store}");
+    }
     tracer.close();
 
     // Results as JSONL on stdout; the report goes to stderr so the

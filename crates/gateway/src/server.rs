@@ -51,8 +51,8 @@ use drift_obs::{Recorder, SpanCtx, Stage, Tracer};
 use drift_serve::cache::{self, ScheduleCache};
 use drift_serve::job::{result_line, JobOutcome, JobResult, JobSpec};
 use drift_serve::persist::{open_and_preload, StoreBinding};
-use drift_serve::queue::{job_queue, Deadlined, JobQueue, WorkerHandle};
-use drift_serve::worker::{execute_traced, schedule_key_for};
+use drift_serve::queue::{job_queue, Deadlined, JobQueue};
+use drift_serve::worker::{execute_traced, run_worker, schedule_key_for};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
@@ -620,7 +620,11 @@ impl Gateway {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("gateway-worker-{i}"))
-                    .spawn(move || worker_loop(handle, &shared))
+                    .spawn(move || {
+                        run_worker(handle, &shared.recorder, |group, accel| {
+                            run_group(group, accel, &shared)
+                        })
+                    })
             })
             .collect::<io::Result<Vec<_>>>()?;
         drop(handle);
@@ -719,21 +723,11 @@ fn end_request(shared: &Shared, span: Option<SpanCtx>, id: u64, admitted: Instan
         .end(outcome, &[("outcome", outcome)]);
 }
 
-/// One worker: pulls admitted work until the queue closes, enforcing
-/// the deadline at dequeue and again at response time.
-fn worker_loop(jobs: WorkerHandle<GroupJob>, shared: &Shared) {
-    let mut accel =
-        DriftAccelerator::paper_config().expect("the paper configuration always builds");
-    accel.set_recorder(shared.recorder.clone());
-    while let Some(group) = jobs.next_job() {
-        run_group(group, &mut accel, shared);
-    }
-}
-
-/// Executes one schedule-key group: a keyed group's key is
-/// solved/fetched once, and each item's rendered payload —
-/// byte-identical to what the same job would produce submitted singly —
-/// settles into its request slot.
+/// The gateway's settle, run by each pool thread on every group it
+/// dequeues: enforces the deadline at dequeue and again at response
+/// time, solves/fetches a keyed group's key once, and settles each
+/// item's rendered payload — byte-identical to what the same job would
+/// produce submitted singly — into its request slot.
 fn run_group(group: GroupJob, accel: &mut DriftAccelerator, shared: &Shared) {
     let request = &group.request;
     let dequeued = Instant::now();

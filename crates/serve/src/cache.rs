@@ -18,7 +18,6 @@
 //! that solve and count as hits. So a miss always means "ran the
 //! scheduler".
 
-use crossbeam::channel::Sender;
 use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_obs::{Recorder, SpanCtx, Stage, Tracer};
 use parking_lot::{Condvar, Mutex};
@@ -26,6 +25,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 /// The shard count every serving path builds its cache with: the
@@ -514,7 +514,7 @@ mod tests {
         const THREADS: usize = 4;
         const KEYS: usize = 16;
         let cache = ScheduleCache::new(128, 8);
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         cache.set_spill(tx);
         let start = std::sync::Barrier::new(THREADS);
         std::thread::scope(|s| {

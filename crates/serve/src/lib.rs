@@ -6,7 +6,8 @@
 //! * a **bounded job queue** ([`queue`]) — submission blocks when the
 //!   queue is full, so producers can never outrun memory, and closing
 //!   the queue drains then stops the pool;
-//! * a **worker pool** ([`worker`]) — each thread holds its own
+//! * a **worker pool** ([`worker::run_worker`], the one loop the
+//!   gateway's workers run too) — each thread holds its own
 //!   [`drift_core::DriftAccelerator`] (reset before every job) and each
 //!   job gets a private ChaCha RNG seeded from its spec, so results are
 //!   a pure function of the job, not of worker assignment or timing;
@@ -16,11 +17,12 @@
 //! * **statistics** ([`stats`]) — per-worker job counts, cache hits,
 //!   and p50/p99 latencies, aggregated into a [`stats::ServeReport`].
 //!
-//! With [`runtime::serve_with_recorder`], every stage additionally
+//! With [`runtime::serve_observed`], every stage additionally
 //! records into a [`drift_obs::Recorder`] — queue depth, cache
 //! hits/misses, per-worker latency histograms, per-array cycle counters
-//! — without changing any result (`docs/OBSERVABILITY.md` documents the
-//! full metric contract).
+//! — and sampled jobs into a [`drift_obs::Tracer`], over a fresh or a
+//! caller-owned cache, without changing any result
+//! (`docs/OBSERVABILITY.md` documents the full metric contract).
 //!
 //! Jobs and results travel as JSONL ([`job`]), one JSON object per
 //! line, so streams pipe through the `drift serve` CLI:
@@ -71,7 +73,5 @@ pub use job::{
 };
 pub use persist::{open_and_preload, StoreBinding};
 pub use queue::Deadlined;
-pub use runtime::{
-    serve, serve_on_cache, serve_traced, serve_with_recorder, ServeConfig, ServeOutcome,
-};
+pub use runtime::{serve, serve_observed, ServeConfig, ServeOutcome};
 pub use stats::ServeReport;

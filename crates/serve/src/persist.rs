@@ -14,11 +14,11 @@
 //! `docs/PERSISTENCE.md`.
 
 use crate::cache::ScheduleCache;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_obs::Recorder;
 use drift_store::{write_snapshot, StoreWriter};
 use std::path::Path;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -69,7 +69,7 @@ impl StoreBinding {
     ///
     /// [`finish`]: StoreBinding::finish
     pub fn attach(writer: StoreWriter, cache: &ScheduleCache, recorder: Recorder) -> StoreBinding {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         cache.set_spill(tx);
         let flush_recorder = recorder.clone();
         let flusher = std::thread::spawn(move || flusher_loop(writer, rx, flush_recorder));
@@ -150,7 +150,7 @@ fn flusher_loop(
 mod tests {
     use super::*;
     use crate::job::synthetic_jobs;
-    use crate::runtime::{serve_on_cache, ServeConfig};
+    use crate::runtime::{serve_observed, ServeConfig};
     use drift_obs::Tracer;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -173,12 +173,12 @@ mod tests {
         let cache = ScheduleCache::new(config.cache_capacity, crate::cache::SHARDS);
         let (report, binding) = open_and_preload(&path, &cache, Recorder::disabled()).unwrap();
         assert_eq!(report.records, 0);
-        let cold = serve_on_cache(
+        let cold = serve_observed(
             jobs.clone(),
             &config,
             Recorder::disabled(),
             Tracer::disabled(),
-            &cache,
+            Some(&cache),
         );
         let cold_misses = cache.stats().misses;
         assert!(cold_misses > 0);
@@ -190,12 +190,12 @@ mod tests {
         let warm_cache = ScheduleCache::new(config.cache_capacity, crate::cache::SHARDS);
         let (report, binding) = open_and_preload(&path, &warm_cache, Recorder::disabled()).unwrap();
         assert_eq!(report.records, cold_misses);
-        let warm = serve_on_cache(
+        let warm = serve_observed(
             jobs,
             &config,
             Recorder::disabled(),
             Tracer::disabled(),
-            &warm_cache,
+            Some(&warm_cache),
         );
         assert_eq!(warm_cache.stats().misses, 0, "warm run should never solve");
         assert_eq!(cold.results, warm.results);

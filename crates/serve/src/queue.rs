@@ -47,7 +47,7 @@ pub trait Deadlined {
 impl Deadlined for usize {}
 impl Deadlined for i32 {}
 impl Deadlined for u32 {}
-impl Deadlined for (u64, crate::job::JobSpec) {}
+impl Deadlined for (usize, crate::job::JobSpec) {}
 
 /// The producer side of the queue. Owning it keeps the job stream open.
 #[derive(Debug)]

@@ -1,12 +1,13 @@
 //! The batch-serving runtime: queue + worker pool + cache + report.
 
 use crate::cache::{self, ScheduleCache};
-use crate::job::{JobResult, JobSpec};
+use crate::job::{JobOutcome, JobResult, JobSpec};
 use crate::queue::job_queue;
-use crate::stats::ServeReport;
-use crate::worker::worker_loop;
-use crossbeam::channel::unbounded;
-use drift_obs::{Recorder, Tracer};
+use crate::stats::{ServeReport, WorkerStats};
+use crate::worker::{execute_traced, run_worker};
+use drift_core::accelerator::DriftAccelerator;
+use drift_obs::{Recorder, Stage, TraceDecision, Tracer};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Tunables for one serve run.
@@ -58,79 +59,68 @@ pub struct ServeOutcome {
 /// by id before returning so equal job streams compare equal across
 /// configurations.
 pub fn serve(jobs: Vec<JobSpec>, config: &ServeConfig) -> ServeOutcome {
-    serve_with_recorder(jobs, config, Recorder::disabled())
+    serve_observed(jobs, config, Recorder::disabled(), Tracer::disabled(), None)
 }
 
-/// [`serve`] with observability: every stage of the pipeline — queue,
-/// cache, workers, and each worker's simulator — records into
-/// `recorder` (see `docs/OBSERVABILITY.md` for the metric contract).
-///
-/// Results and the report are identical to [`serve`] for the same job
-/// stream: recording is strictly write-only.
-pub fn serve_with_recorder(
-    jobs: Vec<JobSpec>,
-    config: &ServeConfig,
-    recorder: Recorder,
-) -> ServeOutcome {
-    serve_traced(jobs, config, recorder, Tracer::disabled())
-}
-
-/// [`serve_with_recorder`] with distributed tracing: the runtime acts
-/// as its own ingress edge, head-sampling jobs by submission sequence
-/// number and recording serve-tier spans through `tracer`. With a
-/// disabled tracer results are identical to [`serve_with_recorder`].
-pub fn serve_traced(
+/// [`serve`] observed: every stage — queue, cache, workers and each
+/// worker's simulator — records into `recorder` (`docs/OBSERVABILITY.md`),
+/// and the runtime, as its own ingress edge, head-samples jobs by
+/// submission sequence number and records serve-tier spans through
+/// `tracer`. `cache` is a caller-owned cache (perhaps warm-started from a
+/// `drift-store` log, with a spill attached); with `None` the run builds
+/// one that records into `recorder`. Results equal [`serve`]'s whatever
+/// the observers and the cache's warmth (both are tested).
+pub fn serve_observed(
     jobs: Vec<JobSpec>,
     config: &ServeConfig,
     recorder: Recorder,
     tracer: Tracer,
+    cache: Option<&ScheduleCache>,
 ) -> ServeOutcome {
-    let cache = ScheduleCache::with_recorder(
-        config.cache_capacity.max(1),
-        cache::SHARDS,
-        recorder.clone(),
-    );
-    serve_on_cache(jobs, config, recorder, tracer, &cache)
-}
-
-/// [`serve_traced`] over a caller-owned cache. The caller may have
-/// warm-started the cache from a `drift-store` log and attached a
-/// persistence spill before the run; the runtime itself neither knows
-/// nor cares — results are a pure function of the job stream either
-/// way (warm-vs-cold byte-identity is tested).
-pub fn serve_on_cache(
-    jobs: Vec<JobSpec>,
-    config: &ServeConfig,
-    recorder: Recorder,
-    tracer: Tracer,
-    cache: &ScheduleCache,
-) -> ServeOutcome {
+    let owned;
+    let cache = match cache {
+        Some(cache) => cache,
+        None => {
+            owned = ScheduleCache::with_recorder(
+                config.cache_capacity.max(1),
+                cache::SHARDS,
+                recorder.clone(),
+            );
+            &owned
+        }
+    };
     let workers = config.workers.max(1);
     recorder.gauge_set("drift_serve_workers", &[], workers as i64);
     let (queue, worker_handle) = job_queue(config.queue_depth);
-    let (result_tx, result_rx) = unbounded();
+    let run = Run {
+        cache,
+        recorder: &recorder,
+        tracer: &tracer,
+        slots: (0..jobs.len()).map(|_| OnceLock::new()).collect(),
+    };
 
     let start = Instant::now();
-    let (mut results, worker_stats) = std::thread::scope(|scope| {
+    let worker_stats = std::thread::scope(|scope| {
         let threads: Vec<_> = (0..workers)
             .map(|i| {
                 let handle = worker_handle.clone();
-                let tx = result_tx.clone();
-                let recorder = recorder.clone();
-                let tracer = tracer.clone();
-                scope.spawn(move || worker_loop(i, handle, tx, cache, recorder, tracer))
+                let run = &run;
+                scope.spawn(move || {
+                    let mut stats = WorkerStats::new(i);
+                    run_worker(handle, run.recorder, |job, accel| {
+                        run.settle(job, accel, &mut stats)
+                    });
+                    stats
+                })
             })
             .collect();
-        // The scope keeps only the workers' clones alive: when the last
-        // worker exits, the result channel disconnects and collection
-        // below terminates.
+        // Only the workers hold handles now: if every one of them dies,
+        // submission below fails instead of blocking.
         drop(worker_handle);
-        drop(result_tx);
 
-        // Tag each job with its submission sequence number so results
-        // for duplicate ids stay in submission order (see the
-        // `crate::job` module docs on duplicate-id semantics).
-        for job in jobs.into_iter().enumerate().map(|(seq, j)| (seq as u64, j)) {
+        // Tag each job with its submission sequence number, the index
+        // of its result slot.
+        for job in jobs.into_iter().enumerate() {
             let job = if recorder.is_enabled() {
                 // Probe without blocking first so a full queue is
                 // visible as a backpressure stall before we commit to
@@ -150,36 +140,95 @@ pub fn serve_on_cache(
             };
             if queue.submit(job).is_err() {
                 // Every worker died (only possible via a panic, which
-                // the scope will re-raise on join); stop feeding.
+                // the join below re-raises); stop feeding.
                 break;
             }
             record_queue_depth(&recorder, &queue);
         }
         queue.close();
 
-        let results: Vec<(u64, JobResult)> = result_rx.iter().collect();
-        let stats = threads
+        threads
             .into_iter()
             .map(|t| t.join().expect("worker panicked"))
-            .collect::<Vec<_>>();
-        (results, stats)
+            .collect::<Vec<_>>()
     });
     let wall = start.elapsed();
     // Every job has drained by now.
     recorder.gauge_set("drift_serve_queue_depth", &[], 0);
 
-    // Sequence-stable order: by id, then by submission order, so
-    // duplicate ids come back deterministically at any worker count.
-    results.sort_by_key(|(seq, r)| (r.id, *seq));
+    let mut results: Vec<JobResult> = run
+        .slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every submitted job is answered"))
+        .collect();
+    // Sequence-stable order: by id, then by submission order (the stable
+    // sort keeps the slots' order among equal ids), so duplicate ids
+    // come back deterministically at any worker count.
+    results.sort_by_key(|r| r.id);
     ServeOutcome {
-        results: results.into_iter().map(|(_, r)| r).collect(),
+        results,
         report: ServeReport::aggregate(&worker_stats, cache.stats(), wall),
+    }
+}
+
+/// What every pool thread of one offline run shares: the cache, the
+/// observers, and one result slot per submitted job, indexed by its
+/// submission sequence number.
+struct Run<'a> {
+    cache: &'a ScheduleCache,
+    recorder: &'a Recorder,
+    tracer: &'a Tracer,
+    slots: Vec<OnceLock<JobResult>>,
+}
+
+impl Run<'_> {
+    /// Offline serve's settle: runs one job as its own ingress edge,
+    /// records it into the worker's `stats` and the recorder, and fills
+    /// its result slot.
+    fn settle(
+        &self,
+        (seq, spec): (usize, JobSpec),
+        accel: &mut DriftAccelerator,
+        stats: &mut WorkerStats,
+    ) {
+        let (recorder, tracer) = (self.recorder, self.tracer);
+        // The submission sequence number is the sampling input, and each
+        // sampled job gets a root `job` span with cache/solve/execute
+        // children.
+        let span = tracer.ingress_span(TraceDecision::Undecided, || seq as u64);
+        let start = Instant::now();
+        let (outcome, cache_hit) = execute_traced(
+            None,
+            std::slice::from_ref(&spec),
+            accel,
+            self.cache,
+            recorder,
+            tracer,
+            span,
+        )
+        .remove(0);
+        let end = Instant::now();
+        let is_error = matches!(outcome, JobOutcome::Error { .. });
+        let job_outcome = if is_error { "error" } else { "ok" };
+        let labels = [("kind", spec.kind.label()), ("outcome", job_outcome)];
+        Stage::new("serve", "job", recorder)
+            .traced(tracer, span)
+            .job(spec.id)
+            .since(start)
+            .end_at(end, job_outcome, &labels);
+        recorder.counter_add("drift_serve_jobs_total", &labels, 1);
+        stats.record(end.duration_since(start), cache_hit, is_error);
+        let result = JobResult {
+            id: spec.id,
+            outcome,
+        };
+        self.slots[seq].set(result).expect("one answer per job");
     }
 }
 
 /// Samples the queue backlog after a submit: the live gauge plus a
 /// histogram of observed depths (for the p99 in `EXPERIMENTS.md`).
-fn record_queue_depth(recorder: &Recorder, queue: &crate::queue::JobQueue<(u64, JobSpec)>) {
+fn record_queue_depth(recorder: &Recorder, queue: &crate::queue::JobQueue<(usize, JobSpec)>) {
     if recorder.is_enabled() {
         let depth = queue.backlog() as u64;
         recorder.gauge_set("drift_serve_queue_depth", &[], depth as i64);
@@ -294,7 +343,7 @@ mod tests {
         let config = ServeConfig::with_workers(3);
         let plain = serve(jobs.clone(), &config);
         let rec = Recorder::enabled();
-        let observed = serve_with_recorder(jobs, &config, rec.clone());
+        let observed = serve_observed(jobs, &config, rec.clone(), Tracer::disabled(), None);
         assert_eq!(plain.results, observed.results);
         assert_eq!(plain.report.jobs, observed.report.jobs);
         assert_eq!(plain.report.cache.hits, observed.report.cache.hits);
@@ -326,7 +375,13 @@ mod tests {
     fn prometheus_export_covers_the_serve_pipeline() {
         let jobs = synthetic_jobs(60, 4, 17);
         let rec = Recorder::enabled();
-        serve_with_recorder(jobs, &ServeConfig::with_workers(2), rec.clone());
+        serve_observed(
+            jobs,
+            &ServeConfig::with_workers(2),
+            rec.clone(),
+            Tracer::disabled(),
+            None,
+        );
         let text = rec.registry().unwrap().snapshot().to_prometheus();
         // The acceptance criteria's minimum exported set.
         for needle in [
@@ -340,6 +395,26 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn result_slots_hold_at_the_edges() {
+        // No jobs: no results, and every worker reports an empty run.
+        let empty = serve(Vec::new(), &ServeConfig::with_workers(4));
+        assert!(empty.results.is_empty());
+        assert_eq!(empty.report.jobs, 0);
+        assert_eq!(empty.report.workers.len(), 4);
+        assert!(empty.report.workers.iter().all(|w| w.jobs == 0));
+
+        // More workers than jobs: each job is answered exactly once, as
+        // a single worker answers it.
+        let jobs = synthetic_jobs(3, 2, 41);
+        let solo = serve(jobs.clone(), &ServeConfig::with_workers(1));
+        let wide = serve(jobs, &ServeConfig::with_workers(8));
+        assert_eq!(wide.results.len(), 3);
+        assert_eq!(wide.report.jobs, 3);
+        assert_eq!(wide.report.workers.len(), 8);
+        assert_eq!(wide.results, solo.results);
     }
 
     #[test]

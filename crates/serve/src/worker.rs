@@ -11,10 +11,8 @@
 //! any assignment of jobs to workers.
 
 use crate::cache::ScheduleCache;
-use crate::job::{JobKind, JobOutcome, JobResult, JobSpec};
+use crate::job::{JobKind, JobOutcome, JobSpec};
 use crate::queue::WorkerHandle;
-use crate::stats::WorkerStats;
-use crossbeam::channel::Sender;
 use drift_accel::gemm::{GemmShape, GemmWorkload};
 use drift_accel::systolic::ArrayGeometry;
 use drift_core::accelerator::DriftAccelerator;
@@ -22,11 +20,10 @@ use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_core::selector::{record_policy_run, DriftPolicy};
 use drift_nn::datagen::TokenProfile;
 use drift_nn::NnError;
-use drift_obs::{Recorder, SpanCtx, Stage, TraceDecision, Tracer};
+use drift_obs::{Recorder, SpanCtx, Stage, Tracer};
 use drift_quant::Precision;
 use drift_tensor::rng::{derive_seed, seeded};
 use drift_tensor::Shape;
-use std::time::Instant;
 
 /// Executes one job on `accel`, using `cache` for schedules. Returns
 /// the outcome and whether the schedule came from the cache.
@@ -346,78 +343,27 @@ fn run_job(
     }
 }
 
-/// One pool thread: pulls jobs until the queue closes, sending one
-/// result per job, and returns its counters.
+/// One pool thread, the serving stack's only worker loop: owns a
+/// paper-configuration [`DriftAccelerator`] that records into
+/// `recorder`, takes jobs from `jobs` until the queue closes and
+/// drains, and hands each job with the accelerator to `settle`.
 ///
-/// Jobs arrive tagged with their submission sequence number, which is
-/// echoed alongside the result so the runtime can keep duplicate job
-/// ids sequence-stable (see the [`crate::job`] module docs).
-///
-/// The result channel only disconnects when the collector is gone —
-/// at that point nobody can observe further results, so the worker
-/// simply stops.
-pub(crate) fn worker_loop(
-    worker: usize,
-    jobs: WorkerHandle<(u64, JobSpec)>,
-    results: Sender<(u64, JobResult)>,
-    cache: &ScheduleCache,
-    recorder: Recorder,
-    tracer: Tracer,
-) -> WorkerStats {
+/// Offline serve settles a job by filling its result slot
+/// ([`crate::runtime`]); the gateway settles a schedule-key group by
+/// writing its reply. Each caller spawns its own threads: offline
+/// serve's are scoped (they borrow its cache), the gateway's are
+/// long-lived and named.
+pub fn run_worker<T>(
+    jobs: WorkerHandle<T>,
+    recorder: &Recorder,
+    mut settle: impl FnMut(T, &mut DriftAccelerator),
+) {
     let mut accel =
         DriftAccelerator::paper_config().expect("the paper configuration always builds");
     accel.set_recorder(recorder.clone());
-    let mut stats = WorkerStats::new(worker);
-    while let Some((seq, spec)) = jobs.next_job() {
-        // Offline serve is its own ingress edge: the submission
-        // sequence number is the sampling input, and each sampled job
-        // gets a root `job` span with cache/solve/execute children.
-        let span = tracer.ingress_span(TraceDecision::Undecided, || seq);
-        let start = Instant::now();
-        let (outcome, cache_hit) = execute_traced(
-            None,
-            std::slice::from_ref(&spec),
-            &mut accel,
-            cache,
-            &recorder,
-            &tracer,
-            span,
-        )
-        .remove(0);
-        let end = Instant::now();
-        let latency = end.duration_since(start);
-        let is_error = matches!(outcome, JobOutcome::Error { .. });
-        let job_outcome = if is_error { "error" } else { "ok" };
-        let kind = spec.kind.label();
-        Stage::new("serve", "job", &recorder)
-            .traced(&tracer, span)
-            .job(spec.id)
-            .since(start)
-            .end_at(
-                end,
-                job_outcome,
-                &[("kind", kind), ("outcome", job_outcome)],
-            );
-        recorder.counter_add(
-            "drift_serve_jobs_total",
-            &[("kind", kind), ("outcome", job_outcome)],
-            1,
-        );
-        stats.record(latency, cache_hit, is_error);
-        if results
-            .send((
-                seq,
-                JobResult {
-                    id: spec.id,
-                    outcome,
-                },
-            ))
-            .is_err()
-        {
-            break;
-        }
+    while let Some(job) = jobs.next_job() {
+        settle(job, &mut accel);
     }
-    stats
 }
 
 #[cfg(test)]

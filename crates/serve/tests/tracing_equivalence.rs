@@ -1,11 +1,11 @@
-//! Tracing is observation, not transformation: `serve_traced` with a
+//! Tracing is observation, not transformation: `serve_observed` with a
 //! live tracer must produce byte-identical results to the plain path,
 //! and the head-sampling decision must be a pure function of
 //! `(seed, arrival sequence)` so reruns sample the same trace ids.
 
 use drift_obs::{Recorder, Tracer};
 use drift_serve::job::result_line;
-use drift_serve::{serve, serve_traced, synthetic_jobs, ServeConfig};
+use drift_serve::{serve, serve_observed, synthetic_jobs, ServeConfig};
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -49,7 +49,7 @@ fn tracing_does_not_change_serve_results() {
     let plain = serve(jobs.clone(), &config);
     let sink = SharedBuf::default();
     let tracer = Tracer::to_writer(Box::new(sink.clone()), "serve", 2, 9, Recorder::disabled());
-    let traced = serve_traced(jobs, &config, Recorder::disabled(), tracer.clone());
+    let traced = serve_observed(jobs, &config, Recorder::disabled(), tracer.clone(), None);
     tracer.flush();
 
     let plain_lines: Vec<String> = plain.results.iter().map(result_line).collect();
@@ -81,7 +81,13 @@ fn same_trace_sample_seed_samples_the_same_trace_ids() {
         let sink = SharedBuf::default();
         let tracer =
             Tracer::to_writer(Box::new(sink.clone()), "serve", 3, 99, Recorder::disabled());
-        serve_traced(jobs.clone(), &config, Recorder::disabled(), tracer.clone());
+        serve_observed(
+            jobs.clone(),
+            &config,
+            Recorder::disabled(),
+            tracer.clone(),
+            None,
+        );
         tracer.flush();
         sink.text()
             .lines()

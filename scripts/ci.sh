@@ -76,8 +76,20 @@ fi
 # A connection runs one thread, and the thread that settles a reply
 # writes it through the connection's Outbox: no reply channel, and no
 # writer thread to hand replies to.
-if grep -rnE 'crossbeam::channel|-writer' crates/gateway/src crates/router/src; then
+# (The one-worker-pool lint below keeps crossbeam channels out.)
+if grep -rnE -- '-writer' crates/gateway/src crates/router/src; then
   echo "line server lint: write replies through framing::Outbox, not a channel to a writer thread" >&2
+  exit 1
+fi
+
+echo "== one worker pool =="
+# Offline serve and the gateway run their workers through one loop,
+# drift_serve::worker::run_worker: offline results land in slots, gateway
+# replies in Outboxes, and the store spill uses std::sync::mpsc. No
+# source uses crossbeam; vendor/crossbeam waits only on the benchmark's
+# lock file (vendor/README.md).
+if grep -rn 'crossbeam' --include='*.rs' crates src tests examples; then
+  echo "pool lint: run workers through drift_serve::worker::run_worker; no crossbeam" >&2
   exit 1
 fi
 
