@@ -139,17 +139,19 @@ echo "== release-build tests =="
 # statistics fold and the policies that read it, the index-buffer
 # dispatch property, the pinned generator and result bytes, the serve
 # crate's own tests (the schedule cache's single-flight counts among
-# them) and the algorithm and simulator properties are checked there
-# too. The wide paths (the AVX-512 keystream refill and lane handout,
-# sampler body and fold kernel) are picked at run time, so debug and
-# release both exercise them on an AVX-512 host. The gateway and router
-# suites run here too: replies are written from worker and shard-link
-# reader threads, whose timing an optimised build changes, and the
+# them), the queue's edge and accelerator-lease tests (their races show
+# in an optimised build) and the algorithm and simulator properties are
+# checked there too. The wide paths (the AVX-512 keystream refill and
+# lane handout, sampler body and fold kernel) are picked at run time, so
+# debug and release both exercise them on an AVX-512 host. The gateway
+# and router suites run here too: replies are written from worker and
+# shard-link reader threads, and from gateway readers that run a lone
+# line themselves, whose timing an optimised build changes, and the
 # gateway robustness suite's stale-deadline tests hold a 1 ms budget
 # behind jobs sized to outlast it at least 5× in an optimised build.
 cargo test -q --release -p rand_chacha
 cargo test -q --release -p drift-tensor -p drift-nn -p drift-quant -p drift-core
-cargo test -q --release -p drift-serve --lib --test determinism
+cargo test -q --release -p drift-serve --lib --test determinism --test queue_edges
 cargo test -q --release -p drift-gateway -p drift-router
 cargo test -q --release --test algorithm_properties --test simulator_crosscheck
 
