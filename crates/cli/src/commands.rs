@@ -286,13 +286,23 @@ impl MetricsWiring {
     }
 }
 
+/// The worker pool's `--workers`, `--queue-depth` and
+/// `--cache-capacity`, which `drift serve` and `drift gateway` read
+/// alike.
+fn pool_config(opts: &Opts) -> Result<drift_serve::ServeConfig, String> {
+    let default = drift_serve::ServeConfig::default();
+    Ok(drift_serve::ServeConfig {
+        workers: opt_parse(opts, "workers", default.workers)?,
+        queue_depth: opt_parse(opts, "queue-depth", default.queue_depth)?,
+        cache_capacity: opt_parse(opts, "cache-capacity", default.cache_capacity)?,
+    })
+}
+
 /// `drift serve`
 pub fn serve(opts: &Opts) -> Result<(), String> {
     use std::io::Write;
 
-    let workers: usize = opt_parse(opts, "workers", 4)?;
-    let queue_depth: usize = opt_parse(opts, "queue-depth", 256)?;
-    let cache_capacity: usize = opt_parse(opts, "cache-capacity", 4096)?;
+    let config = pool_config(opts)?;
     let lenient: bool = opt_parse(opts, "lenient", false)?;
     let metrics = metrics_wiring(opts)?;
 
@@ -324,11 +334,6 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
         return Err("no jobs in the input stream".to_string());
     }
 
-    let config = drift_serve::ServeConfig {
-        workers,
-        queue_depth,
-        cache_capacity,
-    };
     let tracer = trace_wiring(opts, "serve", &metrics.recorder)?;
     // With --store the cache is warm-started from the persistent log
     // before the run and newly solved schedules flow back into it;
@@ -422,13 +427,7 @@ fn write_port_file(path: &str, addr: std::net::SocketAddr) -> Result<(), String>
 /// `drift gateway`
 pub fn gateway(opts: &Opts) -> Result<(), String> {
     let addr = opt_str(opts, "addr", "127.0.0.1:7077");
-    let config = drift_gateway::GatewayConfig {
-        workers: opt_parse(opts, "workers", 4)?,
-        queue_depth: opt_parse(opts, "queue-depth", 256)?,
-        cache_capacity: opt_parse(opts, "cache-capacity", 4096)?,
-        default_deadline_ms: opt_parse(opts, "deadline-ms", 0u64)?,
-        idle_timeout_ms: opt_parse(opts, "idle-timeout-ms", 30_000u64)?,
-    };
+    let config = pool_config(opts)?;
     let metrics = metrics_wiring(opts)?;
     let tracer = trace_wiring(opts, "gateway", &metrics.recorder)?;
 
@@ -547,7 +546,6 @@ pub fn router(opts: &Opts) -> Result<(), String> {
         max_hops: opt_parse(opts, "max-hops", 3u32)?,
         probe_interval_ms: opt_parse(opts, "probe-interval-ms", 500u64)?,
         connect_timeout_ms: opt_parse(opts, "connect-timeout-ms", 500u64)?,
-        idle_timeout_ms: opt_parse(opts, "idle-timeout-ms", 30_000u64)?,
     };
     let metrics = metrics_wiring(opts)?;
     let tracer = trace_wiring(opts, "router", &metrics.recorder)?;

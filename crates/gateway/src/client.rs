@@ -98,6 +98,19 @@ impl Client {
         })
     }
 
+    /// Bounds each later read and write on this connection by
+    /// `timeout`, so that a peer which accepted the connection and then
+    /// never answers fails the call instead of blocking it for good.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the socket option failure (a zero `timeout` is one).
+    pub fn set_timeout(&self, timeout: Duration) -> io::Result<()> {
+        let stream = &self.writer.0;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))
+    }
+
     /// A handle onto the underlying socket, so an owner pooling
     /// split-half connections can force a blocked reader out of `recv`
     /// (via [`TcpStream::shutdown`]) without waiting for the peer.

@@ -41,6 +41,9 @@ pub const WRITE_TICK: Duration = Duration::from_millis(50);
 /// How long a connection's replies may make no progress toward a
 /// stalled client before the rest of them are discarded.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long a connection may go without a complete line before it is
+/// closed. A router keeps its links to its shards busier than this.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What one [`LineReader::next_line_ref`] call produced.
 #[derive(Debug)]
@@ -223,8 +226,7 @@ pub struct LineServer {
 impl LineServer {
     /// Serves `listener` with `handler` on a thread named
     /// `{tier}-acceptor` and one `{tier}-conn` thread per connection. A
-    /// connection idle for `idle_timeout_ms` is closed (`0` disables
-    /// idle expiry).
+    /// connection idle for [`IDLE_TIMEOUT`] is closed.
     ///
     /// # Errors
     ///
@@ -233,7 +235,6 @@ impl LineServer {
     pub fn start<H: LineHandler>(
         listener: TcpListener,
         tier: &'static str,
-        idle_timeout_ms: u64,
         handler: H,
     ) -> io::Result<LineServer> {
         listener.set_nonblocking(false)?;
@@ -245,7 +246,6 @@ impl LineServer {
             });
         }
         let handler = Arc::new(handler);
-        let idle = Duration::from_millis(idle_timeout_ms);
         let mut conns: Vec<JoinHandle<()>> = Vec::new();
         let acceptor = move || {
             loop {
@@ -265,7 +265,7 @@ impl LineServer {
                 let handler = Arc::clone(&handler);
                 let conn = std::thread::Builder::new()
                     .name(format!("{tier}-conn"))
-                    .spawn(move || connection(stream, idle, &handler));
+                    .spawn(move || connection(stream, IDLE_TIMEOUT, &handler));
                 // Reap finished connections so a long-lived server does
                 // not accumulate dead handles.
                 conns.retain(|h| !h.is_finished());
@@ -302,8 +302,9 @@ impl LineServer {
 }
 
 /// One connection, on one thread: reads lines, finishes stalled
-/// writes at each tick, and at the end waits until every request in
-/// flight on it is answered.
+/// writes at each tick, closes the connection once no complete line
+/// has arrived for `idle` ([`IDLE_TIMEOUT`] outside tests), and at the
+/// end waits until every request in flight on it is answered.
 fn connection<H: LineHandler>(stream: TcpStream, idle: Duration, handler: &Arc<H>) {
     let _ = stream.set_nodelay(true);
     // A tick both ways: the read so the reader notices shutdown and
@@ -333,7 +334,7 @@ fn connection<H: LineHandler>(stream: TcpStream, idle: Duration, handler: &Arc<H
                 }
             }
             (LineEventRef::TimedOut, _) => {
-                if !idle.is_zero() && last_activity.elapsed() >= idle {
+                if last_activity.elapsed() >= idle {
                     break;
                 }
             }
@@ -995,7 +996,7 @@ mod tests {
                 dropped: dropped_tx,
                 closed: closed_tx,
             };
-            let server = LineServer::start(listener, "relay", 0, handler).unwrap();
+            let server = LineServer::start(listener, "relay", handler).unwrap();
             Relay {
                 addr,
                 server: Some(server),
@@ -1183,5 +1184,105 @@ mod tests {
         }
         drop((replies, requests));
         relay.shutdown();
+    }
+
+    /// The idle time the expiry tests give a connection: a few read
+    /// ticks. A quarter of it is still longer than one, so that reads
+    /// time out, and the reader checks for expiry, between the lines
+    /// the tests send.
+    const SHORT_IDLE: Duration = Duration::from_millis(600);
+    /// How long an expiry test waits for a close it expects.
+    const CLOSE_BOUND: Duration = Duration::from_secs(10);
+
+    /// Echoes every line, and reports each connection's close.
+    struct Echo {
+        closed: mpsc::Sender<()>,
+    }
+
+    impl LineHandler for Echo {
+        fn line(&self, line: &str, outbox: &Outbox) -> bool {
+            outbox.send(Reply::plain(line.to_owned()));
+            true
+        }
+
+        fn stopping(&self) -> bool {
+            false
+        }
+
+        fn connections(&self, delta: i64) {
+            if delta < 0 {
+                let _ = self.closed.send(());
+            }
+        }
+
+        fn dropped(&self) {}
+    }
+
+    /// One [`connection`] that expires after [`SHORT_IDLE`], on its own
+    /// thread: the client end, and a receiver of the connection's
+    /// close.
+    fn short_idle_connection() -> (TcpStream, mpsc::Receiver<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let (closed_tx, closed) = mpsc::channel();
+        let handler = Arc::new(Echo { closed: closed_tx });
+        std::thread::spawn(move || connection(server, SHORT_IDLE, &handler));
+        client.set_nodelay(true).unwrap();
+        client.set_read_timeout(Some(CLOSE_BOUND)).unwrap();
+        (client, closed)
+    }
+
+    #[test]
+    fn a_silent_client_is_closed_once_idle() {
+        let start = Instant::now();
+        let (mut client, closed) = short_idle_connection();
+        closed
+            .recv_timeout(CLOSE_BOUND)
+            .expect("the handler sees connections(-1)");
+        assert!(start.elapsed() >= SHORT_IDLE, "closed before it idled");
+        // The server end is gone: the client reads end of stream.
+        assert_eq!(client.read(&mut [0u8; 16]).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_partial_line_is_no_activity() {
+        let (mut client, closed) = short_idle_connection();
+        // One byte of a line that never ends, every one and a half read
+        // ticks, for many idle times; the close comes one idle time in.
+        let start = Instant::now();
+        let mut wrote = 0;
+        while closed.try_recv().is_err() {
+            assert!(
+                start.elapsed() < 4 * SHORT_IDLE + CLOSE_BOUND,
+                "a partial line kept the connection open"
+            );
+            // Once the server end is gone a write may fail; the close
+            // is what the loop waits for.
+            wrote += usize::from(client.write_all(b"x").is_ok());
+            std::thread::sleep(READ_TICK * 3 / 2);
+        }
+        assert!(start.elapsed() >= SHORT_IDLE, "closed before it idled");
+        assert!(wrote >= 2, "the client wrote {wrote} bytes");
+    }
+
+    #[test]
+    fn lines_sent_within_the_idle_time_keep_the_connection_open() {
+        let (client, closed) = short_idle_connection();
+        let mut replies = BufReader::new(client.try_clone().unwrap());
+        let mut line = String::new();
+        // Complete lines every quarter idle time, for three idle times.
+        for i in 0..12 {
+            writeln!(&client, "line {i}").unwrap();
+            line.clear();
+            replies.read_line(&mut line).unwrap();
+            assert_eq!(line, format!("line {i}\n"));
+            std::thread::sleep(SHORT_IDLE / 4);
+        }
+        assert!(closed.try_recv().is_err(), "closed while lines arrived");
+        // Silent from here on, it expires.
+        closed
+            .recv_timeout(CLOSE_BOUND)
+            .expect("the handler sees connections(-1)");
     }
 }

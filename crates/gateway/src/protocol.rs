@@ -89,7 +89,7 @@ pub struct JobLine {
     /// envelope.
     pub single: bool,
     /// One latency budget in milliseconds shared by every item, measured
-    /// from admission; overrides the server's default.
+    /// from admission; absent or `0` is no deadline.
     pub deadline_ms: Option<u64>,
     /// The upstream head-sampling decision carried on the wire
     /// (`trace_id`/`trace_span` fields; absent → `Undecided`).

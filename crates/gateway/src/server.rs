@@ -78,46 +78,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tunables for one gateway instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GatewayConfig {
-    /// Worker threads executing jobs (at least 1).
-    pub workers: usize,
-    /// Maximum admitted jobs waiting in the queue; beyond this,
-    /// requests are shed with `overloaded`.
-    pub queue_depth: usize,
-    /// Total schedules the shared cache may hold.
-    pub cache_capacity: usize,
-    /// Default per-request deadline budget in milliseconds, applied
-    /// when a request carries no `deadline_ms` field. `0` disables the
-    /// default (requests without a field get no deadline).
-    pub default_deadline_ms: u64,
-    /// Close a connection after this long without a complete request
-    /// line. `0` disables idle expiry.
-    pub idle_timeout_ms: u64,
-}
-
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        GatewayConfig {
-            workers: 4,
-            queue_depth: 256,
-            cache_capacity: 4096,
-            default_deadline_ms: 0,
-            idle_timeout_ms: 30_000,
-        }
-    }
-}
-
-impl GatewayConfig {
-    /// The default configuration with `workers` threads.
-    pub fn with_workers(workers: usize) -> Self {
-        GatewayConfig {
-            workers,
-            ..GatewayConfig::default()
-        }
-    }
-}
+/// Tunables for one gateway instance: the offline runtime's, since
+/// both run the same worker pool over the same queue and cache.
+pub use drift_serve::runtime::ServeConfig as GatewayConfig;
 
 /// Request totals over a gateway's lifetime, returned by
 /// [`Gateway::shutdown`].
@@ -305,7 +268,6 @@ impl Deadlined for GroupJob {
 
 #[derive(Debug)]
 struct Shared {
-    config: GatewayConfig,
     recorder: Recorder,
     tracer: Tracer,
     /// Arrival sequence of accepted job requests, the head-sampling
@@ -392,7 +354,8 @@ impl LineHandler for Admission {
         });
         // The deadline budget is shared: one absolute instant for every
         // item, decremented once per hop upstream — never once per item.
-        let budget = job.deadline_ms.unwrap_or(shared.config.default_deadline_ms);
+        // An absent or zero budget is no deadline.
+        let budget = job.deadline_ms.unwrap_or(0);
         let deadline = (budget > 0).then(|| admitted + Duration::from_millis(budget));
         // Infeasibility shed: once at least one job has completed, a budget
         // below the observed single-job service-time estimate cannot be met
@@ -614,7 +577,6 @@ impl Gateway {
             workers: config.workers.max(1),
             queue_depth: config.queue_depth.max(1),
             cache_capacity: config.cache_capacity.max(1),
-            ..config
         };
         let shared = Arc::new(Shared {
             cache: ScheduleCache::with_recorder(
@@ -625,7 +587,6 @@ impl Gateway {
             recorder,
             tracer,
             trace_seq: AtomicU64::new(0),
-            config,
             stop: AtomicBool::new(false),
             drain: DrainSignal::default(),
             tally: Tally::default(),
@@ -666,7 +627,7 @@ impl Gateway {
             shared: Arc::clone(&shared),
             queue,
         };
-        let server = LineServer::start(listener, "gateway", config.idle_timeout_ms, admission)?;
+        let server = LineServer::start(listener, "gateway", admission)?;
 
         Ok(Gateway {
             addr,

@@ -60,7 +60,9 @@ use drift_accel::systolic::ArrayGeometry;
 use drift_core::arch::paper_fabric;
 use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_gateway::client::{Client, ClientReader, ClientWriter};
-use drift_gateway::framing::{DrainSignal, LineHandler, LineServer, Outbox, Reply, READ_TICK};
+use drift_gateway::framing::{
+    DrainSignal, LineHandler, LineServer, Outbox, Reply, IDLE_TIMEOUT, READ_TICK,
+};
 use drift_gateway::protocol::{
     self, ControlOp, JobLine, Request, ResponseAssembler, ERR_BAD_REQUEST, ERR_DEADLINE,
     ERR_OVERLOADED,
@@ -95,13 +97,13 @@ pub struct RouterConfig {
     /// Maximum distinct shards one job may be dispatched to (first
     /// attempt included) before the client sees `overloaded`.
     pub max_hops: u32,
-    /// Health-probe period in milliseconds.
+    /// Health-probe period in milliseconds. Past half of
+    /// [`IDLE_TIMEOUT`], probes still run every half of it, since they
+    /// also keep idle data links open.
     pub probe_interval_ms: u64,
-    /// Bound on any single backend connect attempt, milliseconds.
+    /// Bound, in milliseconds, on any single backend connect attempt,
+    /// and on each read and write of a health probe's ping.
     pub connect_timeout_ms: u64,
-    /// Close a client connection after this long without a complete
-    /// request line. `0` disables idle expiry.
-    pub idle_timeout_ms: u64,
 }
 
 impl Default for RouterConfig {
@@ -111,7 +113,6 @@ impl Default for RouterConfig {
             max_hops: 3,
             probe_interval_ms: 500,
             connect_timeout_ms: 500,
-            idle_timeout_ms: 30_000,
         }
     }
 }
@@ -549,7 +550,6 @@ impl Router {
             max_hops: config.max_hops.max(1),
             probe_interval_ms: config.probe_interval_ms.max(10),
             connect_timeout_ms: config.connect_timeout_ms.max(10),
-            ..config
         };
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -584,7 +584,7 @@ impl Router {
         shared.refresh_healthy_gauge();
 
         let front = Front(Arc::clone(&shared));
-        let server = LineServer::start(listener, "router", config.idle_timeout_ms, front)?;
+        let server = LineServer::start(listener, "router", front)?;
         let probe = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -645,10 +645,7 @@ impl Router {
         {
             let table = self.shared.table.read().expect("routing table");
             for link in &table.links {
-                *link.writer.lock().expect("shard writer") = None;
-                if let Some(stream) = link.raw.lock().expect("shard stream").take() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
+                close_link(link);
             }
         }
         let readers =
@@ -718,10 +715,17 @@ fn eject(shared: &Shared, link: &ShardLink) {
         }
         shared.refresh_healthy_gauge();
     }
-    *link.writer.lock().expect("shard writer") = None;
+    close_link(link);
+}
+
+/// Closes `link`'s data connection. The socket is shut down before the
+/// writer lock is taken: a dispatch blocked writing to a shard that
+/// reads nothing holds that lock, and only the shutdown ends its write.
+fn close_link(link: &ShardLink) {
     if let Some(stream) = link.raw.lock().expect("shard stream").take() {
         let _ = stream.shutdown(Shutdown::Both);
     }
+    *link.writer.lock().expect("shard writer") = None;
 }
 
 /// The reader thread of one backend connection: settles responses until
@@ -794,9 +798,9 @@ fn on_backend_response(shared: &Arc<Shared>, response: Response) {
     let id = match &response {
         Response::Result(result) => result.id,
         Response::Batch { id, .. } | Response::Error { id: Some(id), .. } => *id,
-        // Un-correlatable: a control ack or an id-less error. The
-        // router never sends controls on data connections, so there is
-        // nothing to settle.
+        // Un-correlatable: a control ack or an id-less error. The only
+        // control the router sends on a data connection is the probe's
+        // keepalive ping, whose ack settles nothing.
         _ => return,
     };
     let Some(batch) = shared.pending.lock().expect("pending table").remove(&id) else {
@@ -1203,10 +1207,7 @@ fn reshard(shared: &Arc<Shared>, value: &Value) -> String {
                 retired += 1;
                 old.retired.store(true, Ordering::SeqCst);
                 old.healthy.store(false, Ordering::SeqCst);
-                *old.writer.lock().expect("shard writer") = None;
-                if let Some(stream) = old.raw.lock().expect("shard stream").take() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
+                close_link(old);
             }
         }
         *table = Table {
@@ -1278,12 +1279,15 @@ fn prewarm_moved_keys(shared: &Shared, moving: Vec<(ScheduleKey, String)>) -> u6
     prewarmed
 }
 
-/// The health-probe thread: pings healthy shards over a fresh
-/// short-lived connection (catching processes that hang without
-/// closing the data socket) and re-connects unhealthy ones, re-admitting
-/// them once they answer again.
+/// The health-probe thread. Each pass pings every shard over a fresh
+/// short-lived connection, each read and write bounded by
+/// `connect_timeout_ms` (catching processes that hang, or accept and
+/// never answer, without closing the data socket), and re-connects
+/// unhealthy shards, re-admitting them once they answer again. It also
+/// writes a ping on each healthy data link ([`keepalive`]). A pass runs
+/// every `probe_interval_ms`, and at least every half [`IDLE_TIMEOUT`].
 fn probe_loop(shared: &Arc<Shared>) {
-    let interval = Duration::from_millis(shared.config.probe_interval_ms);
+    let interval = Duration::from_millis(shared.config.probe_interval_ms).min(IDLE_TIMEOUT / 2);
     let timeout = Duration::from_millis(shared.config.connect_timeout_ms);
     let mut last = Instant::now();
     while !shared.stop.load(Ordering::Relaxed) {
@@ -1303,11 +1307,14 @@ fn probe_loop(shared: &Arc<Shared>) {
             // Health and readmission both take a ping: a shard that
             // accepts connections and then drops them stays out.
             let acked = Client::connect_with_timeout(&link.addr, timeout)
+                .and_then(|c| c.set_timeout(timeout).map(|()| c))
                 .ok()
                 .and_then(|mut c| c.ping().ok())
                 .unwrap_or(false);
             if link.healthy.load(Ordering::SeqCst) {
-                if !acked {
+                if acked {
+                    keepalive(&link);
+                } else {
                     // Ejection closes the data socket, which wakes
                     // the shard reader; its exit path fails the
                     // in-flight jobs over to the ring successors.
@@ -1322,6 +1329,18 @@ fn probe_loop(shared: &Arc<Shared>) {
                 );
                 shared.refresh_healthy_gauge();
             }
+        }
+    }
+}
+
+/// Writes a ping on `link`'s data connection, so that a link no job
+/// has used for [`IDLE_TIMEOUT`] is not closed by its gateway, and
+/// ejected here, for idling. [`on_backend_response`] drops the ack. A
+/// dispatch holding the writer is traffic enough: then nothing is sent.
+fn keepalive(link: &ShardLink) {
+    if let Ok(mut writer) = link.writer.try_lock() {
+        if let Some(writer) = writer.as_mut() {
+            let _ = writer.send_raw(&protocol::control_line(ControlOp::Ping));
         }
     }
 }

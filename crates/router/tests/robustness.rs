@@ -1,20 +1,29 @@
 //! Hostile input at the router edge: a malformed line is answered with
 //! `bad_request` and never takes the router (or the connection) down.
 //! Control lines the router does not serve are refused the same way.
-//! Hostile shards: one that accepts and closes is never readmitted, and
-//! a shard stopped after its router's drain is no ejection.
+//! Hostile shards: one that accepts and closes is never readmitted, one
+//! that accepts and never answers is ejected, and a shard stopped after
+//! its router's drain is no ejection. An idle data link is kept open.
 
+use drift_core::arch::paper_fabric;
 use drift_gateway::client::Client;
-use drift_gateway::protocol::{parse_response, request_line, Response, ERR_BAD_REQUEST};
+use drift_gateway::protocol::{
+    parse_response, request_line, Response, ERR_BAD_REQUEST, ERR_OVERLOADED,
+};
 use drift_gateway::{Gateway, GatewayConfig};
 use drift_obs::Recorder;
-use drift_router::{Router, RouterConfig};
+use drift_router::{route_key, HashRing, Router, RouterConfig};
 use drift_serve::job::{JobKind, JobOutcome, JobResult, JobSpec};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::mem::ManuallyDrop;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// How long a test waits for an answer or a shutdown before it fails
+/// instead of hanging the suite.
+const HANG_GUARD: Duration = Duration::from_secs(30);
 
 fn schedule_job(id: u64) -> JobSpec {
     JobSpec {
@@ -274,4 +283,161 @@ fn a_gateway_stopped_after_its_router_drains_is_no_ejection() {
     });
     let summary = router.shutdown();
     assert_eq!((summary.ejections, summary.failovers), (0, 0));
+}
+
+/// Sends `spec` to `router` on a fresh connection and returns the
+/// answer, failing after [`HANG_GUARD`] without one.
+fn submit_within_guard(router: SocketAddr, spec: &JobSpec) -> Response {
+    let stream = TcpStream::connect(router).unwrap();
+    stream.set_read_timeout(Some(HANG_GUARD)).unwrap();
+    writeln!(&stream, "{}", request_line(spec, None)).unwrap();
+    let mut line = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut line)
+        .expect("an answer within the guard");
+    parse_response(line.trim_end()).unwrap()
+}
+
+/// Shuts `router` down on another thread and returns its summary, or
+/// fails after [`HANG_GUARD`], leaving that thread and the router to
+/// leak.
+fn shutdown_within_guard(router: Router) -> drift_router::RouterSummary {
+    let (done_tx, done) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(router.shutdown());
+    });
+    done.recv_timeout(HANG_GUARD)
+        .expect("the router's shutdown returns")
+}
+
+#[test]
+fn a_shard_that_accepts_and_never_answers_is_ejected() {
+    // A shard that accepts every connection and then neither reads nor
+    // writes, as a stopped or deadlocked gateway does: the kernel still
+    // completes each handshake and buffers what the router sends.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let silent = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let held: Vec<_> = listener.incoming().collect();
+        drop(held);
+    });
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        GatewayConfig::with_workers(1),
+        Recorder::disabled(),
+    )
+    .unwrap();
+    let shards = [gw.local_addr().to_string(), silent];
+    let config = RouterConfig {
+        probe_interval_ms: 200,
+        ..RouterConfig::default()
+    };
+    // A job the silent shard owns.
+    let ring = HashRing::new(&shards, config.vnodes);
+    let spec = (0..)
+        .map(|i| JobSpec {
+            kind: JobKind::Schedule {
+                m: 64 + 16 * i,
+                k: 128,
+                n: 64,
+                fa: 0.25,
+                fw: 0.5,
+            },
+            ..schedule_job(9)
+        })
+        .find(|spec| ring.primary(route_key(spec, paper_fabric())) == Some(1))
+        .unwrap();
+    // Leaked if an answer never comes: dropping it would wait for one.
+    let router = ManuallyDrop::new(
+        Router::start("127.0.0.1:0", &shards, config, Recorder::disabled()).unwrap(),
+    );
+    // Sent before the first probe: routed to the silent shard.
+    match submit_within_guard(router.local_addr(), &spec) {
+        Response::Result(r) => assert!(matches!(r.outcome, JobOutcome::Schedule { .. })),
+        Response::Error { error, .. } => assert_eq!(error, ERR_OVERLOADED),
+        other => panic!("unexpected response {other:?}"),
+    }
+    let summary = shutdown_within_guard(ManuallyDrop::into_inner(router));
+    assert_eq!(summary.ejections, 1);
+    gw.shutdown();
+}
+
+/// A shard in front of `gateway` that forwards every line both ways,
+/// and the lines each of its connections carried toward the gateway,
+/// in the order the connections arrived. The acceptor never exits.
+fn recording_proxy(gateway: SocketAddr) -> (String, Arc<Mutex<Vec<Vec<String>>>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let lines: Arc<Mutex<Vec<Vec<String>>>> = Arc::default();
+    let log = Arc::clone(&lines);
+    std::thread::spawn(move || {
+        for client in listener.incoming().flatten() {
+            let Ok(upstream) = TcpStream::connect(gateway) else {
+                continue;
+            };
+            let conn = {
+                let mut log = log.lock().unwrap();
+                log.push(Vec::new());
+                log.len() - 1
+            };
+            let (mut answers, mut back) =
+                (upstream.try_clone().unwrap(), client.try_clone().unwrap());
+            std::thread::spawn(move || std::io::copy(&mut answers, &mut back));
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                for line in BufReader::new(client).lines().map_while(Result::ok) {
+                    log.lock().unwrap()[conn].push(line.clone());
+                    if writeln!(&upstream, "{line}").is_err() {
+                        break;
+                    }
+                }
+                let _ = upstream.shutdown(Shutdown::Both);
+            });
+        }
+    });
+    (addr, lines)
+}
+
+#[test]
+fn an_idle_data_link_carries_pings_and_stays_up() {
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        GatewayConfig::with_workers(1),
+        Recorder::disabled(),
+    )
+    .unwrap();
+    let (shard, lines) = recording_proxy(gw.local_addr());
+    let config = RouterConfig {
+        probe_interval_ms: 50,
+        ..RouterConfig::default()
+    };
+    let router = Router::start("127.0.0.1:0", &[shard], config, Recorder::disabled()).unwrap();
+    // The router connects its data link before its first probe, so the
+    // link is the proxy's first connection.
+    let link = |lines: &Vec<Vec<String>>| lines.first().cloned().unwrap_or_default();
+    let pinged = || {
+        link(&lines.lock().unwrap())
+            .iter()
+            .any(|line| line.contains("\"control\":\"ping\""))
+    };
+    let start = Instant::now();
+    while !pinged() {
+        assert!(
+            start.elapsed() < 100 * Duration::from_millis(config.probe_interval_ms),
+            "no ping on the idle data link"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // A job sent afterwards is answered through that link.
+    match submit_within_guard(router.local_addr(), &schedule_job(6)) {
+        Response::Result(r) => assert!(matches!(r.outcome, JobOutcome::Schedule { .. })),
+        other => panic!("unexpected response {other:?}"),
+    }
+    let jobs = link(&lines.lock().unwrap())
+        .iter()
+        .filter(|line| !line.contains("\"control\""))
+        .count();
+    assert_eq!(jobs, 1);
+    assert_eq!(router.shutdown().ejections, 0);
+    gw.shutdown();
 }

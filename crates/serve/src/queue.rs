@@ -14,8 +14,7 @@
 //! interleaving singleton submit can steal capacity mid-batch.
 //!
 //! The queue also holds its pool of idle accelerators under that lock
-//! ([`pooled_queue`]; each taker of a plain [`job_queue`] is its own
-//! `()` accelerator). The pool is stocked when the queue is made, and
+//! ([`pooled_queue`]). The pool is stocked when the queue is made, and
 //! [`WorkerHandle::next_with_accelerator`] returns a job together with
 //! an idle accelerator to run it on, taking back the one the worker ran
 //! its previous job on. The submit side may run a job
@@ -56,23 +55,20 @@ pub trait Deadlined {
     }
 }
 
-// Offline serve jobs and the queue tests' integer payloads never carry
-// deadlines; the queue delivers them FIFO by construction.
-impl Deadlined for usize {}
-impl Deadlined for i32 {}
-impl Deadlined for u32 {}
+// Offline serve jobs never carry deadlines; the queue delivers them
+// FIFO by construction.
 impl Deadlined for (usize, crate::job::JobSpec) {}
 
 /// The producer side of the queue. Owning it keeps the job stream open.
 #[derive(Debug)]
-pub struct JobQueue<T, A = ()> {
+pub struct JobQueue<T, A> {
     shared: Arc<Shared<T, A>>,
 }
 
 /// A worker's pull handle on the queue. Cloning shares the same queue;
 /// when every handle is gone, [`JobQueue::submit`] fails.
 #[derive(Debug)]
-pub struct WorkerHandle<T, A = ()> {
+pub struct WorkerHandle<T, A> {
     shared: Arc<Shared<T, A>>,
 }
 
@@ -86,23 +82,15 @@ pub struct Lease<'a, T, A> {
 }
 
 /// Creates a queue holding at most `depth` pending jobs
-/// (`depth >= 1` enforced), returning the producer side and the first
-/// worker handle. Its workers bring no accelerator: they take jobs with
-/// [`WorkerHandle::next_job`]. Jobs are delivered earliest absolute
-/// deadline first; deadline-less jobs follow in submission order.
-///
-/// The serving code builds a [`pooled_queue`]; this accelerator-less
-/// form is the short one the queue's own tests are written in.
-pub fn job_queue<T>(depth: usize) -> (JobQueue<T>, WorkerHandle<T>) {
-    pooled_queue(depth, [])
-}
-
-/// [`job_queue`] with a pool of accelerators, stocked with `pool`: each
-/// job is delivered together with an idle accelerator of type `A`
-/// ([`WorkerHandle::next_with_accelerator`]), and the submit side may
-/// lease one while no job waits ([`JobQueue::try_lease`]). Since the
-/// pool is full from the start, a first job never finds it empty only
-/// because a worker thread has not run yet.
+/// (`depth >= 1` enforced) and a pool of accelerators stocked with
+/// `pool`, returning the producer side and the first worker handle.
+/// Jobs are delivered earliest absolute deadline first, deadline-less
+/// jobs following in submission order, each together with an idle
+/// accelerator of type `A` ([`WorkerHandle::next_with_accelerator`]),
+/// and the submit side may lease one while no job waits
+/// ([`JobQueue::try_lease`]). Since the pool is full from the start, a
+/// first job never finds it empty only because a worker thread has not
+/// run yet.
 pub fn pooled_queue<T, A>(
     depth: usize,
     pool: impl IntoIterator<Item = A>,
@@ -207,17 +195,6 @@ impl<T, A> Drop for JobQueue<T, A> {
     fn drop(&mut self) {
         self.shared.state.lock().closed = true;
         self.shared.not_empty.notify_all();
-    }
-}
-
-impl<T> WorkerHandle<T> {
-    /// Blocks for the next job; `None` once the queue is closed *and*
-    /// drained. Each taker of a [`job_queue`] is its own accelerator: it
-    /// hands in a `()` and takes one back with its job. Like
-    /// [`job_queue`], a form for tests: workers that run jobs use
-    /// [`WorkerHandle::next_with_accelerator`].
-    pub fn next_job(&self) -> Option<T> {
-        self.next_with_accelerator(Some(())).map(|(job, ())| job)
     }
 }
 
@@ -438,17 +415,52 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// The tests' payload: an id, and a deadline set per item.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Timed(u64, Option<Instant>);
+
+    impl Deadlined for Timed {
+        fn deadline(&self) -> Option<Instant> {
+            self.1
+        }
+    }
+
+    /// A job without a deadline.
+    fn job(id: u64) -> Timed {
+        Timed(id, None)
+    }
+
+    /// A queue of `depth` with one accelerator per worker.
+    fn queue(depth: usize, workers: usize) -> (JobQueue<Timed, ()>, WorkerHandle<Timed, ()>) {
+        pooled_queue(depth, vec![(); workers])
+    }
+
+    /// The next job's id, taken as a worker takes it: handing back the
+    /// accelerator `held`, which its previous job ran on.
+    fn pull(handle: &WorkerHandle<Timed, ()>, held: &mut Option<()>) -> Option<u64> {
+        let (job, accel) = handle.next_with_accelerator(held.take())?;
+        *held = Some(accel);
+        Some(job.0)
+    }
+
+    /// Closes `queue` and drains it on one worker, in delivery order.
+    fn drain(queue: JobQueue<Timed, ()>, handle: &WorkerHandle<Timed, ()>) -> Vec<u64> {
+        queue.close();
+        let mut held = None;
+        std::iter::from_fn(|| pull(handle, &mut held)).collect()
+    }
+
     #[test]
     fn every_job_is_delivered_exactly_once() {
-        let (queue, handle) = job_queue(4);
+        let (queue, handle) = queue(4, 3);
         let delivered = Arc::new(AtomicUsize::new(0));
         let workers: Vec<_> = (0..3)
             .map(|_| {
                 let handle = handle.clone();
                 let delivered = Arc::clone(&delivered);
                 std::thread::spawn(move || {
-                    while let Some(v) = handle.next_job() {
-                        let _: usize = v;
+                    let mut held = None;
+                    while pull(&handle, &mut held).is_some() {
                         delivered.fetch_add(1, Ordering::Relaxed);
                     }
                 })
@@ -456,7 +468,7 @@ mod tests {
             .collect();
         drop(handle);
         for i in 0..100 {
-            queue.submit(i).unwrap();
+            queue.submit(job(i)).unwrap();
         }
         queue.close();
         for w in workers {
@@ -467,19 +479,19 @@ mod tests {
 
     #[test]
     fn submit_applies_backpressure() {
-        let (queue, handle) = job_queue(2);
-        queue.submit(1).unwrap();
-        queue.submit(2).unwrap();
+        let (queue, handle) = queue(2, 1);
+        queue.submit(job(1)).unwrap();
+        queue.submit(job(2)).unwrap();
         // The queue is full: a third submit blocks until a worker
         // takes a job. Prove it by unblocking from another thread.
         let consumer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
             // Return the handle too: dropping it here would close
             // the queue before the blocked submit gets its slot.
-            (handle.next_job(), handle)
+            (pull(&handle, &mut None), handle)
         });
         let start = std::time::Instant::now();
-        queue.submit(3).unwrap();
+        queue.submit(job(3)).unwrap();
         assert!(
             start.elapsed() >= Duration::from_millis(20),
             "submit did not block"
@@ -489,47 +501,35 @@ mod tests {
 
     #[test]
     fn close_drains_queued_jobs_first() {
-        let (queue, handle) = job_queue(8);
+        let (queue, handle) = queue(8, 1);
         for i in 0..5 {
-            queue.submit(i).unwrap();
+            queue.submit(job(i)).unwrap();
         }
         assert_eq!(queue.backlog(), 5);
-        queue.close();
-        let drained: Vec<i32> = std::iter::from_fn(|| handle.next_job()).collect();
         // Deadline-less jobs keep submission order.
-        assert_eq!(drained, vec![0, 1, 2, 3, 4]);
-        assert_eq!(handle.next_job(), None);
+        assert_eq!(drain(queue, &handle), vec![0, 1, 2, 3, 4]);
+        assert_eq!(pull(&handle, &mut None), None);
     }
 
     #[test]
     fn try_submit_reports_a_full_queue_without_blocking() {
-        let (queue, handle) = job_queue(1);
-        assert_eq!(queue.try_submit(1), Ok(()));
-        assert_eq!(queue.try_submit(2), Err(2));
-        assert_eq!(handle.next_job(), Some(1));
-        assert_eq!(queue.try_submit(2), Ok(()));
+        let (queue, handle) = queue(1, 1);
+        assert_eq!(queue.try_submit(job(1)), Ok(()));
+        assert_eq!(queue.try_submit(job(2)), Err(job(2)));
+        assert_eq!(pull(&handle, &mut None), Some(1));
+        assert_eq!(queue.try_submit(job(2)), Ok(()));
     }
 
     #[test]
     fn submit_fails_once_all_workers_quit() {
-        let (queue, handle) = job_queue(2);
+        let (queue, handle) = queue(2, 1);
         drop(handle);
-        assert_eq!(queue.submit(7), Err(7));
-    }
-
-    /// A payload whose deadline is set per item, for ordering tests.
-    #[derive(Debug, PartialEq, Eq)]
-    struct Timed(u64, Option<Instant>);
-
-    impl Deadlined for Timed {
-        fn deadline(&self) -> Option<Instant> {
-            self.1
-        }
+        assert_eq!(queue.submit(job(7)), Err(job(7)));
     }
 
     #[test]
     fn edf_delivers_earliest_deadline_first() {
-        let (queue, handle) = job_queue(8);
+        let (queue, handle) = queue(8, 1);
         let base = Instant::now() + Duration::from_secs(10);
         queue
             .submit(Timed(0, Some(base + Duration::from_millis(300))))
@@ -540,16 +540,12 @@ mod tests {
         queue
             .submit(Timed(2, Some(base + Duration::from_millis(200))))
             .unwrap();
-        queue.close();
-        let order: Vec<u64> = std::iter::from_fn(|| handle.next_job())
-            .map(|t| t.0)
-            .collect();
-        assert_eq!(order, vec![1, 2, 0]);
+        assert_eq!(drain(queue, &handle), vec![1, 2, 0]);
     }
 
     #[test]
     fn edf_orders_deadline_less_jobs_fifo_behind_deadlined_ones() {
-        let (queue, handle) = job_queue(8);
+        let (queue, handle) = queue(8, 1);
         let soon = Instant::now() + Duration::from_secs(5);
         queue.submit(Timed(0, None)).unwrap();
         queue
@@ -557,26 +553,18 @@ mod tests {
             .unwrap();
         queue.submit(Timed(2, None)).unwrap();
         queue.submit(Timed(3, Some(soon))).unwrap();
-        queue.close();
-        let order: Vec<u64> = std::iter::from_fn(|| handle.next_job())
-            .map(|t| t.0)
-            .collect();
         // Deadlined jobs first (earliest first), then the deadline-less
         // ones in submission order.
-        assert_eq!(order, vec![3, 1, 0, 2]);
+        assert_eq!(drain(queue, &handle), vec![3, 1, 0, 2]);
     }
 
     #[test]
     fn edf_breaks_deadline_ties_by_submission_order() {
-        let (queue, handle) = job_queue(8);
+        let (queue, handle) = queue(8, 1);
         let tie = Instant::now() + Duration::from_secs(3);
         for id in 0..4 {
             queue.submit(Timed(id, Some(tie))).unwrap();
         }
-        queue.close();
-        let order: Vec<u64> = std::iter::from_fn(|| handle.next_job())
-            .map(|t| t.0)
-            .collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
+        assert_eq!(drain(queue, &handle), vec![0, 1, 2, 3]);
     }
 }

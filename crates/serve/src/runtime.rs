@@ -122,23 +122,14 @@ pub fn serve_observed(
         // Tag each job with its submission sequence number, the index
         // of its result slot.
         for job in jobs.into_iter().enumerate() {
-            let job = if recorder.is_enabled() {
-                // Probe without blocking first so a full queue is
-                // visible as a backpressure stall before we commit to
-                // the blocking submit.
-                match queue.try_submit(job) {
-                    Ok(()) => {
-                        record_queue_depth(&recorder, &queue);
-                        continue;
-                    }
-                    Err(job) => {
-                        recorder.counter_add("drift_serve_backpressure_stalls_total", &[], 1);
-                        job
-                    }
-                }
-            } else {
-                job
+            // Probe without blocking first so a full queue is visible as
+            // a backpressure stall before we commit to the blocking
+            // submit.
+            let Err(job) = queue.try_submit(job) else {
+                record_queue_depth(&recorder, &queue);
+                continue;
             };
+            recorder.counter_add("drift_serve_backpressure_stalls_total", &[], 1);
             if queue.submit(job).is_err() {
                 // Every worker died (only possible via a panic, which
                 // the join below re-raises); stop feeding.

@@ -2,7 +2,7 @@
 //! accelerator pool's lease rules — the behaviours the gateway's
 //! admission control leans on (docs/SCHEDULING.md).
 
-use drift_serve::queue::{job_queue, pooled_queue, Deadlined, WorkerHandle};
+use drift_serve::queue::{pooled_queue, Deadlined, JobQueue, WorkerHandle};
 use drift_serve::runtime::{serve, ServeConfig};
 use drift_serve::synthetic_jobs;
 use std::collections::HashSet;
@@ -10,6 +10,25 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
+
+/// The tests' payload: a number, and no deadline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Job(usize);
+
+impl Deadlined for Job {}
+
+/// A queue of `depth` with one accelerator, for one worker.
+fn one_worker_queue<T>(depth: usize) -> (JobQueue<T, ()>, WorkerHandle<T, ()>) {
+    pooled_queue(depth, [()])
+}
+
+/// The next job, taken as a worker takes it: handing back the
+/// accelerator `held`, which its previous job ran on.
+fn pull<T, A>(handle: &WorkerHandle<T, A>, held: &mut Option<A>) -> Option<T> {
+    let (job, accel) = handle.next_with_accelerator(held.take())?;
+    *held = Some(accel);
+    Some(job)
+}
 
 #[test]
 fn try_submit_racing_shutdown_never_panics_and_never_loses_delivered_jobs() {
@@ -20,13 +39,13 @@ fn try_submit_racing_shutdown_never_panics_and_never_loses_delivered_jobs() {
     const PRODUCERS: usize = 4;
     const CONSUMED: usize = 64;
 
-    let (queue, handle) = job_queue::<usize>(2);
+    let (queue, handle) = one_worker_queue::<Job>(2);
     let queue = Arc::new(queue);
     let submitted = Arc::new(AtomicUsize::new(0));
     let delivered = Arc::new(AtomicUsize::new(0));
     // Producers run until the consumer has quit; a fixed attempt count
     // could end before the consumer's quota and deadlock it in
-    // next_job() (the queue sender stays alive for the whole test).
+    // its pull (the queue sender stays alive for the whole test).
     let done = Arc::new(AtomicBool::new(false));
     let start = Arc::new(Barrier::new(PRODUCERS + 2));
 
@@ -42,7 +61,7 @@ fn try_submit_racing_shutdown_never_panics_and_never_loses_delivered_jobs() {
                     if done.load(Ordering::SeqCst) {
                         break;
                     }
-                    if queue.try_submit(p * 1_000_000 + i).is_ok() {
+                    if queue.try_submit(Job(p * 1_000_000 + i)).is_ok() {
                         submitted.fetch_add(1, Ordering::SeqCst);
                     }
                 }
@@ -56,8 +75,9 @@ fn try_submit_racing_shutdown_never_panics_and_never_loses_delivered_jobs() {
                 start.wait();
                 // Take a handful of jobs, then quit mid-stream: from the
                 // producers' side this is an abrupt shutdown.
+                let mut held = None;
                 for _ in 0..CONSUMED {
-                    if handle.next_job().is_none() {
+                    if pull(&handle, &mut held).is_none() {
                         break;
                     }
                     delivered.fetch_add(1, Ordering::SeqCst);
@@ -83,8 +103,8 @@ fn try_submit_racing_shutdown_never_panics_and_never_loses_delivered_jobs() {
     );
 
     // The queue is closed: submission fails cleanly from here on.
-    assert_eq!(queue.try_submit(99), Err(99));
-    assert_eq!(queue.try_submit(99), Err(99));
+    assert_eq!(queue.try_submit(Job(99)), Err(Job(99)));
+    assert_eq!(queue.try_submit(Job(99)), Err(Job(99)));
 }
 
 #[test]
@@ -99,7 +119,7 @@ fn try_submit_batch_racing_shutdown_stays_atomic_and_never_panics() {
     const CONSUMED: usize = 60;
     const DEPTH: usize = 2 * BATCH;
 
-    let (queue, handle) = job_queue::<usize>(DEPTH);
+    let (queue, handle) = one_worker_queue::<Job>(DEPTH);
     let queue = Arc::new(queue);
     let submitted = Arc::new(AtomicUsize::new(0));
     let delivered = Arc::new(AtomicUsize::new(0));
@@ -118,8 +138,9 @@ fn try_submit_batch_racing_shutdown_stays_atomic_and_never_panics() {
                     if done.load(Ordering::SeqCst) {
                         break;
                     }
-                    let batch: Vec<usize> =
-                        (0..BATCH).map(|j| p * 1_000_000 + i * BATCH + j).collect();
+                    let batch: Vec<Job> = (0..BATCH)
+                        .map(|j| Job(p * 1_000_000 + i * BATCH + j))
+                        .collect();
                     match queue.try_submit_batch(batch) {
                         Ok(()) => {
                             submitted.fetch_add(BATCH, Ordering::SeqCst);
@@ -137,8 +158,9 @@ fn try_submit_batch_racing_shutdown_stays_atomic_and_never_panics() {
             let start = Arc::clone(&start);
             scope.spawn(move || {
                 start.wait();
+                let mut held = None;
                 for _ in 0..CONSUMED {
-                    if handle.next_job().is_none() {
+                    if pull(&handle, &mut held).is_none() {
                         break;
                     }
                     delivered.fetch_add(1, Ordering::SeqCst);
@@ -163,31 +185,34 @@ fn try_submit_batch_racing_shutdown_stays_atomic_and_never_panics() {
     );
 
     // The queue is closed: the whole batch comes back, in order.
-    assert_eq!(queue.try_submit_batch(vec![7, 8, 9]), Err(vec![7, 8, 9]));
-    assert_eq!(queue.try_submit_batch(vec![7, 8, 9]), Err(vec![7, 8, 9]));
+    let batch = || vec![Job(7), Job(8), Job(9)];
+    assert_eq!(queue.try_submit_batch(batch()), Err(batch()));
+    assert_eq!(queue.try_submit_batch(batch()), Err(batch()));
 }
 
 #[test]
 fn batch_larger_than_capacity_sheds_whole_and_consumes_nothing() {
-    let (queue, handle) = job_queue::<u32>(4);
+    let (queue, handle) = one_worker_queue::<Job>(4);
+    let jobs = |ids: &[usize]| ids.iter().copied().map(Job).collect::<Vec<_>>();
     // Oversized relative to total depth: can never be admitted,
     // even against an empty queue.
     assert_eq!(
-        queue.try_submit_batch(vec![1, 2, 3, 4, 5]),
-        Err(vec![1, 2, 3, 4, 5])
+        queue.try_submit_batch(jobs(&[1, 2, 3, 4, 5])),
+        Err(jobs(&[1, 2, 3, 4, 5]))
     );
     assert_eq!(queue.backlog(), 0, "shed must consume no slots");
     // Exactly-at-depth still fits — the shed above charged nothing.
     queue
-        .try_submit_batch(vec![10, 11, 12, 13])
+        .try_submit_batch(jobs(&[10, 11, 12, 13]))
         .unwrap_or_else(|_| panic!("a depth-sized batch must fit an empty queue"));
     // Now full: even a minimal batch sheds whole.
-    assert_eq!(queue.try_submit_batch(vec![99]), Err(vec![99]));
-    let drained: Vec<u32> = (0..4)
-        .map(|_| handle.next_job().expect("four jobs are buffered"))
+    assert_eq!(queue.try_submit_batch(jobs(&[99])), Err(jobs(&[99])));
+    let mut held = None;
+    let drained: Vec<Job> = (0..4)
+        .map(|_| pull(&handle, &mut held).expect("four jobs are buffered"))
         .collect();
-    let expect: HashSet<u32> = [10, 11, 12, 13].into();
-    assert_eq!(drained.iter().copied().collect::<HashSet<u32>>(), expect);
+    let expect: HashSet<Job> = jobs(&[10, 11, 12, 13]).into_iter().collect();
+    assert_eq!(drained.iter().copied().collect::<HashSet<Job>>(), expect);
 }
 
 #[test]
@@ -196,19 +221,23 @@ fn depth_one_queue_drains_batches_of_one_and_sheds_anything_larger() {
     // behaviour at size 1 and must shed any larger batch whole —
     // nothing lost, nothing duplicated.
     const JOBS: usize = 64;
-    let (queue, handle) = job_queue::<usize>(1);
+    let (queue, handle) = one_worker_queue::<Job>(1);
     let queue = Arc::new(queue);
-    let delivered: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+    let delivered: Mutex<Vec<Job>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         let consumer = scope.spawn(|| {
-            while let Some(job) = handle.next_job() {
+            let mut held = None;
+            while let Some(job) = pull(&handle, &mut held) {
                 delivered.lock().unwrap().push(job);
             }
         });
         // A batch of two can never fit depth 1, no matter how
         // drained the queue is at the instant of the check.
-        assert_eq!(queue.try_submit_batch(vec![900, 901]), Err(vec![900, 901]));
-        for job in 0..JOBS {
+        assert_eq!(
+            queue.try_submit_batch(vec![Job(900), Job(901)]),
+            Err(vec![Job(900), Job(901)])
+        );
+        for job in (0..JOBS).map(Job) {
             // Spin until the size-1 batch is admitted; every shed
             // hands the job back for the retry.
             let mut batch = vec![job];
@@ -228,20 +257,20 @@ fn depth_one_queue_drains_batches_of_one_and_sheds_anything_larger() {
     });
     let drained = delivered.into_inner().unwrap();
     assert_eq!(drained.len(), JOBS, "lost or duplicated jobs");
-    let unique: HashSet<usize> = drained.iter().copied().collect();
+    let unique: HashSet<Job> = drained.iter().copied().collect();
     assert_eq!(unique.len(), JOBS, "duplicated jobs");
 }
 
 #[test]
 fn submit_after_shutdown_returns_the_job_instead_of_panicking() {
-    let (queue, handle) = job_queue::<u32>(4);
-    queue.try_submit(1).unwrap();
+    let (queue, handle) = one_worker_queue::<Job>(4);
+    queue.try_submit(Job(1)).unwrap();
     drop(handle);
     // Both the blocking and non-blocking paths must hand the job back.
-    assert_eq!(queue.submit(2), Err(2));
-    assert_eq!(queue.try_submit(3), Err(3));
+    assert_eq!(queue.submit(Job(2)), Err(Job(2)));
+    assert_eq!(queue.try_submit(Job(3)), Err(Job(3)));
     // And stay in that state on repeated calls.
-    assert_eq!(queue.submit(2), Err(2));
+    assert_eq!(queue.submit(Job(2)), Err(Job(2)));
 }
 
 /// A queue payload carrying an absolute deadline.
@@ -289,7 +318,7 @@ fn edf_meets_strictly_more_deadlines_than_fifo_on_a_backlogged_burst() {
         .filter(|&(tick, &budget)| budget >= tick)
         .count() as u64;
 
-    let (queue, handle) = job_queue::<Timed>(BURST as usize);
+    let (queue, handle) = one_worker_queue::<Timed>(BURST as usize);
     for budget_ticks in budgets.iter().copied() {
         queue
             .try_submit(Timed {
@@ -301,7 +330,8 @@ fn edf_meets_strictly_more_deadlines_than_fifo_on_a_backlogged_burst() {
     drop(queue);
     let mut edf = 0;
     let mut tick = 0;
-    while let Some(job) = handle.next_job() {
+    let mut held = None;
+    while let Some(job) = pull(&handle, &mut held) {
         tick += 1;
         if job.budget_ticks >= tick {
             edf += 1;
@@ -347,14 +377,14 @@ fn await_idle<T, A>(handle: &WorkerHandle<T, A>, n: usize) {
 fn a_lease_is_refused_while_any_job_is_queued() {
     // One worker that reports each job it takes and holds the job's
     // accelerator until told to finish it.
-    let (queue, handle) = pooled_queue::<u32, u32>(4, [7]);
+    let (queue, handle) = pooled_queue::<Job, u32>(4, [7]);
     let (started_tx, started) = mpsc::channel();
     let (finish, finish_rx) = mpsc::channel::<()>();
     let worker = {
         let handle = handle.clone();
         std::thread::spawn(move || {
             let mut idle = None;
-            while let Some((job, accel)) = handle.next_with_accelerator(idle.take()) {
+            while let Some((Job(job), accel)) = handle.next_with_accelerator(idle.take()) {
                 started_tx.send(job).unwrap();
                 finish_rx.recv().unwrap();
                 idle = Some(accel);
@@ -366,9 +396,9 @@ fn a_lease_is_refused_while_any_job_is_queued() {
     assert_eq!(queue.try_lease().as_deref(), Some(&7));
     assert_eq!(handle.idle(), 1);
 
-    queue.submit(1).unwrap();
+    queue.submit(Job(1)).unwrap();
     assert_eq!(started.recv().unwrap(), 1);
-    queue.submit(2).unwrap();
+    queue.submit(Job(2)).unwrap();
     assert!(queue.try_lease().is_none(), "job 2 is queued");
     finish.send(()).unwrap();
     // The worker hands its accelerator back and takes job 2 with it
@@ -388,8 +418,8 @@ fn a_worker_waiting_on_a_queued_job_is_never_passed_over_by_a_lease() {
     // A job queued while the only accelerator is leased waits for it;
     // when the lease returns it, the waiting worker must get it, however
     // fast the submit side asks again.
-    const ROUNDS: u32 = 200;
-    let (queue, handle) = pooled_queue::<u32, u32>(4, [0]);
+    const ROUNDS: usize = 200;
+    let (queue, handle) = pooled_queue::<Job, u32>(4, [0]);
     let taken = Arc::new(AtomicUsize::new(0));
     let worker = {
         let handle = handle.clone();
@@ -406,7 +436,7 @@ fn a_worker_waiting_on_a_queued_job_is_never_passed_over_by_a_lease() {
     for round in 0..ROUNDS {
         await_idle(&handle, 1);
         let lease = queue.try_lease().expect("the accelerator is idle");
-        queue.submit(round).unwrap();
+        queue.submit(Job(round)).unwrap();
         drop(lease);
         let lease = loop {
             if let Some(lease) = queue.try_lease() {
@@ -416,7 +446,7 @@ fn a_worker_waiting_on_a_queued_job_is_never_passed_over_by_a_lease() {
         };
         assert_eq!(
             taken.load(Ordering::SeqCst),
-            round as usize + 1,
+            round + 1,
             "round {round}: a lease passed over the queued job"
         );
         drop(lease);
@@ -434,7 +464,7 @@ fn leases_and_workers_never_run_more_jobs_than_accelerators() {
     const WORKERS: usize = 2;
     const SUBMITTERS: usize = 3;
     const JOBS_EACH: usize = 400;
-    let (queue, handle) = pooled_queue::<usize, usize>(8, 0..WORKERS);
+    let (queue, handle) = pooled_queue::<Job, usize>(8, 0..WORKERS);
     let queue = Arc::new(queue);
     let running = AtomicUsize::new(0);
     let high = AtomicUsize::new(0);
@@ -477,7 +507,7 @@ fn leases_and_workers_never_run_more_jobs_than_accelerators() {
                                 run(*lease);
                                 leased_runs.fetch_add(1, Ordering::SeqCst);
                             }
-                            None => queue.submit(s * JOBS_EACH + i).unwrap(),
+                            None => queue.submit(Job(s * JOBS_EACH + i)).unwrap(),
                         }
                     }
                 })
@@ -510,9 +540,9 @@ fn leases_and_workers_never_run_more_jobs_than_accelerators() {
 fn close_drains_every_job_and_returns_every_accelerator() {
     const WORKERS: usize = 3;
     const JOBS: usize = 50;
-    let (queue, handle) = pooled_queue::<usize, usize>(JOBS, 0..WORKERS);
+    let (queue, handle) = pooled_queue::<Job, usize>(JOBS, 0..WORKERS);
     for job in 0..JOBS {
-        queue.submit(job).unwrap();
+        queue.submit(Job(job)).unwrap();
     }
     // A lease borrows the queue, so none can be outstanding at the
     // close: the pool and the workers hold every accelerator there is.
@@ -524,7 +554,7 @@ fn close_drains_every_job_and_returns_every_accelerator() {
                 let delivered = &delivered;
                 scope.spawn(move || {
                     let mut idle = None;
-                    while let Some((job, accel)) = handle.next_with_accelerator(idle.take()) {
+                    while let Some((Job(job), accel)) = handle.next_with_accelerator(idle.take()) {
                         delivered.lock().unwrap().push(job);
                         idle = Some(accel);
                     }

@@ -104,6 +104,18 @@ if grep -rnE 'Queue[P]olicy|job_queue_with_polic[y]|ping_queu[e]|shards_by_queu[
   exit 1
 fi
 
+echo "== one pool config =="
+# drift serve and drift gateway run one worker pool with one config,
+# drift_serve::ServeConfig, which drift_gateway re-exports as
+# GatewayConfig. A request's deadline comes only from its own line, and
+# the idle timeout is the constant drift_gateway::framing::IDLE_TIMEOUT.
+# The bracketed letters keep this lint from matching its own lines.
+if grep -rnE 'default_deadline_m[s]|idle_timeout_m[s]|idle-timeout-m[s]|struct GatewayConfi[g]' \
+  crates docs README.md scripts; then
+  echo "pool config lint: one pool config; no deadline default or idle-timeout option" >&2
+  exit 1
+fi
+
 echo "== one real-process smoke =="
 # The serving smoke below is the one test of real processes; every other
 # test runs in process (router failover: a seeded fake shard in
