@@ -491,7 +491,6 @@ pub fn loadgen(opts: &Opts) -> Result<(), String> {
         deadline_jitter_ms: (jitter_ms > 0).then_some(jitter_ms),
         open_loop_rps: (open_loop > 0.0).then_some(open_loop),
         burst_ms: (burst_ms > 0).then_some(burst_ms),
-        retry: drift_gateway::RetryPolicy::default(),
         connect_per_request: opt_parse(opts, "connect-per-request", false)?,
         batch: opt_parse::<usize>(opts, "batch", 1)?.max(1),
         schedule_only: opt_parse(opts, "schedule-only", false)?,
@@ -541,12 +540,7 @@ pub fn router(opts: &Opts) -> Result<(), String> {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .collect();
-    let config = drift_router::RouterConfig {
-        vnodes: opt_parse(opts, "vnodes", 64usize)?,
-        max_hops: opt_parse(opts, "max-hops", 3u32)?,
-        probe_interval_ms: opt_parse(opts, "probe-interval-ms", 500u64)?,
-        connect_timeout_ms: opt_parse(opts, "connect-timeout-ms", 500u64)?,
-    };
+    let config = drift_router::RouterConfig::default();
     let metrics = metrics_wiring(opts)?;
     let tracer = trace_wiring(opts, "router", &metrics.recorder)?;
 

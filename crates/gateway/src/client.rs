@@ -5,8 +5,8 @@
 //! split the two halves for pipelining (responses then arrive in any
 //! order and must be correlated by `id`). [`Client::submit_with_retry`]
 //! turns the gateway's `overloaded` shed responses into capped
-//! exponential backoff, the cooperative half of the admission-control
-//! contract (see `docs/SERVING.md`).
+//! exponential [`backoff`], the cooperative half of the
+//! admission-control contract (see `docs/SERVING.md`).
 
 use crate::protocol::{self, ControlOp, Response, ERR_OVERLOADED};
 use drift_core::schedule::{Schedule, ScheduleKey};
@@ -15,34 +15,18 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// How a client waits between retries of a shed request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = give up immediately).
-    pub max_retries: u32,
-    /// Backoff before the first retry.
-    pub base: Duration,
-    /// Upper bound on any single backoff.
-    pub cap: Duration,
-}
+/// Retries of a shed request after its first attempt.
+pub const MAX_RETRIES: u32 = 8;
+/// The wait before the first retry.
+pub const BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// Upper bound on any single wait between retries.
+pub const BACKOFF_CAP: Duration = Duration::from_millis(100);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(100),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff before retry number `attempt` (0-based): `base *
-    /// 2^attempt`, capped at [`RetryPolicy::cap`].
-    pub fn delay(&self, attempt: u32) -> Duration {
-        let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
-        self.base.saturating_mul(factor).min(self.cap)
-    }
+/// The wait before retry number `attempt` (0-based): [`BACKOFF_BASE`]
+/// doubled `attempt` times, capped at [`BACKOFF_CAP`].
+pub fn backoff(attempt: u32) -> Duration {
+    let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
+    BACKOFF_BASE.saturating_mul(factor).min(BACKOFF_CAP)
 }
 
 /// The outcome of a [`Client::submit_with_retry`] call.
@@ -51,7 +35,7 @@ pub struct Submission {
     /// The final response (a result, or the last shed if retries ran
     /// out, or another gateway error).
     pub response: Response,
-    /// Shed responses absorbed by backoff along the way.
+    /// Shed responses absorbed by [`backoff`] along the way.
     pub retries: u32,
 }
 
@@ -196,10 +180,10 @@ impl Client {
         self.recv()
     }
 
-    /// [`Client::submit_batch`], retrying whole-batch sheds with
-    /// capped exponential backoff. Batch admission is all-or-shed, so
-    /// a shed response means no item was admitted and resubmitting the
-    /// whole batch is exactly-once safe.
+    /// [`Client::submit_batch`], retrying whole-batch sheds up to
+    /// [`MAX_RETRIES`] times with capped exponential [`backoff`]. Batch
+    /// admission is all-or-shed, so a shed response means no item was
+    /// admitted and resubmitting the whole batch is exactly-once safe.
     ///
     /// # Errors
     ///
@@ -209,14 +193,13 @@ impl Client {
         id: u64,
         specs: &[JobSpec],
         deadline_ms: Option<u64>,
-        policy: &RetryPolicy,
     ) -> Result<Submission, String> {
-        with_retry(policy, || self.submit_batch(id, specs, deadline_ms))
+        with_retry(|| self.submit_batch(id, specs, deadline_ms))
     }
 
-    /// [`Client::submit`], retrying shed (`overloaded`) responses with
-    /// capped exponential backoff. Other responses — results, deadline
-    /// errors — return immediately.
+    /// [`Client::submit`], retrying shed (`overloaded`) responses up to
+    /// [`MAX_RETRIES`] times with capped exponential [`backoff`]. Other
+    /// responses — results, deadline errors — return immediately.
     ///
     /// # Errors
     ///
@@ -225,9 +208,8 @@ impl Client {
         &mut self,
         spec: &JobSpec,
         deadline_ms: Option<u64>,
-        policy: &RetryPolicy,
     ) -> Result<Submission, String> {
-        with_retry(policy, || self.submit(spec, deadline_ms))
+        with_retry(|| self.submit(spec, deadline_ms))
     }
 
     /// Probes the gateway with a `ping` control line.
@@ -280,19 +262,16 @@ impl Client {
 }
 
 /// Runs `attempt` until it answers anything but a shed, or until
-/// `policy` runs out of retries, backing off between attempts.
-fn with_retry(
-    policy: &RetryPolicy,
-    mut attempt: impl FnMut() -> Result<Response, String>,
-) -> Result<Submission, String> {
+/// [`MAX_RETRIES`] retries have run, backing off between attempts.
+fn with_retry(mut attempt: impl FnMut() -> Result<Response, String>) -> Result<Submission, String> {
     let mut retries = 0;
     loop {
         let response = attempt()?;
         let shed = matches!(&response, Response::Error { error, .. } if error == ERR_OVERLOADED);
-        if !shed || retries >= policy.max_retries {
+        if !shed || retries >= MAX_RETRIES {
             return Ok(Submission { response, retries });
         }
-        std::thread::sleep(policy.delay(retries));
+        std::thread::sleep(backoff(retries));
         retries += 1;
     }
 }
@@ -417,14 +396,6 @@ mod tests {
         }
     }
 
-    fn fast_policy(max_retries: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_retries,
-            base: Duration::from_micros(10),
-            cap: Duration::from_micros(100),
-        }
-    }
-
     #[test]
     fn submit_with_retry_absorbs_sheds_until_a_result() {
         let addr = stub_server(2, |id| {
@@ -437,9 +408,7 @@ mod tests {
             })
         });
         let mut client = Client::connect(&addr.to_string()).unwrap();
-        let sub = client
-            .submit_with_retry(&spec(), None, &fast_policy(8))
-            .unwrap();
+        let sub = client.submit_with_retry(&spec(), None).unwrap();
         assert_eq!(sub.retries, 2);
         assert!(matches!(sub.response, Response::Result(r) if r.id == 7));
     }
@@ -447,14 +416,11 @@ mod tests {
     #[test]
     fn submit_with_retry_surfaces_the_last_shed_when_retries_run_out() {
         // A server that always sheds: the caller gets the shed back
-        // after `max_retries` attempts and can fail over elsewhere —
-        // the router's shed-then-failover path builds on exactly this.
+        // after `MAX_RETRIES` retries and can fail over elsewhere.
         let addr = stub_server(usize::MAX, |_| unreachable!());
         let mut client = Client::connect(&addr.to_string()).unwrap();
-        let sub = client
-            .submit_with_retry(&spec(), None, &fast_policy(3))
-            .unwrap();
-        assert_eq!(sub.retries, 3);
+        let sub = client.submit_with_retry(&spec(), None).unwrap();
+        assert_eq!(sub.retries, MAX_RETRIES);
         assert!(
             matches!(&sub.response, Response::Error { id: Some(7), error } if error == ERR_OVERLOADED)
         );
@@ -464,27 +430,19 @@ mod tests {
     fn submit_with_retry_returns_non_shed_errors_immediately() {
         let addr = stub_server(0, |id| error_line(Some(id), ERR_DEADLINE));
         let mut client = Client::connect(&addr.to_string()).unwrap();
-        let sub = client
-            .submit_with_retry(&spec(), Some(5), &fast_policy(8))
-            .unwrap();
+        let sub = client.submit_with_retry(&spec(), Some(5)).unwrap();
         assert_eq!(sub.retries, 0);
         assert!(matches!(&sub.response, Response::Error { error, .. } if error == ERR_DEADLINE));
     }
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let policy = RetryPolicy {
-            max_retries: 10,
-            base: Duration::from_millis(2),
-            cap: Duration::from_millis(20),
-        };
-        assert_eq!(policy.delay(0), Duration::from_millis(2));
-        assert_eq!(policy.delay(1), Duration::from_millis(4));
-        assert_eq!(policy.delay(2), Duration::from_millis(8));
-        assert_eq!(policy.delay(3), Duration::from_millis(16));
-        assert_eq!(policy.delay(4), Duration::from_millis(20));
-        assert_eq!(policy.delay(31), Duration::from_millis(20));
+        let waits: Vec<u64> = (0..=MAX_RETRIES)
+            .map(|attempt| backoff(attempt).as_millis() as u64)
+            .collect();
+        assert_eq!(waits, [1, 2, 4, 8, 16, 32, 64, 100, 100]);
+        assert_eq!(backoff(31), BACKOFF_CAP);
         // Shift overflow saturates instead of wrapping.
-        assert_eq!(policy.delay(40), Duration::from_millis(20));
+        assert_eq!(backoff(40), BACKOFF_CAP);
     }
 }

@@ -11,11 +11,11 @@
 //!   connection. A request line is the `drift serve` [`JobSpec`] JSONL
 //!   format, optionally extended with a `deadline_ms` budget;
 //! * **admission control** — requests feed the bounded
-//!   [`drift_serve::queue`] via its non-blocking `try_submit`; when the
-//!   queue is full the gateway sheds the request with a structured
-//!   `{"id":N,"error":"overloaded"}` response instead of stalling the
-//!   connection, and clients retry with capped exponential backoff
-//!   ([`client::RetryPolicy`]);
+//!   [`drift_serve::queue`] via its non-blocking, all-or-shed
+//!   `try_submit_batch`; when the queue is full the gateway sheds the
+//!   request with a structured `{"id":N,"error":"overloaded"}` response
+//!   instead of stalling the connection, and clients retry with capped
+//!   exponential backoff ([`client::backoff`]);
 //! * **deadlines** — each request carries an optional budget, enforced
 //!   both when a worker dequeues the job and again before the response
 //!   is sent (`{"id":N,"error":"deadline_exceeded"}`);
@@ -70,7 +70,7 @@ pub mod loadgen;
 pub mod protocol;
 pub mod server;
 
-pub use client::{Client, RetryPolicy, Submission};
+pub use client::{Client, Submission};
 pub use loadgen::{LoadGenConfig, LoadReport};
 pub use protocol::{ControlOp, Request, Response};
 pub use server::{Gateway, GatewayConfig, GatewaySummary};

@@ -13,7 +13,7 @@
 //! responses — offered load stays fixed no matter how slow the gateway
 //! gets, which exposes the shed rate of the admission queue.
 
-use crate::client::{Client, RetryPolicy};
+use crate::client::Client;
 use crate::protocol::{Response, ERR_DEADLINE, ERR_OVERLOADED, ERR_UNMEETABLE};
 use drift_serve::job::{synthetic_jobs, synthetic_schedule_jobs, JobOutcome, JobResult, JobSpec};
 use drift_serve::stats::percentile_ns;
@@ -74,8 +74,6 @@ pub struct LoadGenConfig {
     /// dominates the measurement — the regime where batching shows
     /// its full effect (the `EXPERIMENTS.md` batch sweep).
     pub schedule_only: bool,
-    /// Backoff policy for closed-loop shed retries.
-    pub retry: RetryPolicy,
 }
 
 impl Default for LoadGenConfig {
@@ -92,7 +90,6 @@ impl Default for LoadGenConfig {
             connect_per_request: false,
             batch: 1,
             schedule_only: false,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -371,9 +368,9 @@ fn drive_client(
         };
         let (id, budget) = (chunk[0].id, config.budget_for(chunk[0].id));
         let sub = if batched {
-            client.submit_batch_with_retry(id, chunk, budget, &config.retry)?
+            client.submit_batch_with_retry(id, chunk, budget)?
         } else {
-            client.submit_with_retry(&chunk[0], budget, &config.retry)?
+            client.submit_with_retry(&chunk[0], budget)?
         };
         drop(churned);
         let latency = begin.elapsed();

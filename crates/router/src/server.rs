@@ -31,8 +31,8 @@
 //!
 //! * **shed failover** — a backend `overloaded` answer re-dispatches
 //!   the job to the next distinct shard on its ring walk, up to
-//!   [`RouterConfig::max_hops`] distinct shards; only when the walk is
-//!   exhausted does the client see `overloaded`.
+//!   [`MAX_HOPS`] distinct shards; only when the walk is exhausted does
+//!   the client see `overloaded`.
 //! * **ejection and re-admission** — a dead connection (or failed
 //!   probe) marks the shard unhealthy, force-closes its socket, and
 //!   re-dispatches every job that was in flight on it (orphan
@@ -88,31 +88,34 @@ const SEEN_KEYS_CAP: usize = 65_536;
 /// owners during one reshard. Past the cap the remaining moved keys
 /// warm up lazily: the new owner re-solves them on first miss.
 const PREWARM_KEYS_CAP: usize = 2048;
+/// Maximum distinct shards one job may be dispatched to (first attempt
+/// included) before the client sees `overloaded`.
+pub const MAX_HOPS: u32 = 3;
+/// Bound on any single backend connect attempt, and on each read and
+/// write of a health probe's ping or a reshard's prewarm push.
+pub const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Cap on virtual nodes per shard, at start and in a reshard line.
+pub const MAX_VNODES: usize = 1024;
+/// Cap on the points (shards × vnodes) of a ring a reshard builds.
+const MAX_RING_POINTS: usize = 65_536;
 
 /// Tunables for one router instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterConfig {
-    /// Virtual nodes per shard on the consistent-hash ring.
+    /// Virtual nodes per shard on the consistent-hash ring, at most
+    /// [`MAX_VNODES`].
     pub vnodes: usize,
-    /// Maximum distinct shards one job may be dispatched to (first
-    /// attempt included) before the client sees `overloaded`.
-    pub max_hops: u32,
     /// Health-probe period in milliseconds. Past half of
     /// [`IDLE_TIMEOUT`], probes still run every half of it, since they
     /// also keep idle data links open.
     pub probe_interval_ms: u64,
-    /// Bound, in milliseconds, on any single backend connect attempt,
-    /// and on each read and write of a health probe's ping.
-    pub connect_timeout_ms: u64,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             vnodes: 64,
-            max_hops: 3,
             probe_interval_ms: 500,
-            connect_timeout_ms: 500,
         }
     }
 }
@@ -546,10 +549,8 @@ impl Router {
             ));
         }
         let config = RouterConfig {
-            vnodes: config.vnodes.max(1),
-            max_hops: config.max_hops.max(1),
+            vnodes: config.vnodes.clamp(1, MAX_VNODES),
             probe_interval_ms: config.probe_interval_ms.max(10),
-            connect_timeout_ms: config.connect_timeout_ms.max(10),
         };
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -672,8 +673,7 @@ impl Drop for Router {
 /// write half, and spawns the reader thread. On success the shard is
 /// healthy.
 fn connect_shard(shared: &Arc<Shared>, link: &Arc<ShardLink>) -> Result<(), String> {
-    let timeout = Duration::from_millis(shared.config.connect_timeout_ms);
-    let client = Client::connect_with_timeout(&link.addr, timeout)
+    let client = Client::connect_with_timeout(&link.addr, CONNECT_TIMEOUT)
         .map_err(|e| format!("connect {}: {e}", link.addr))?;
     let raw = client
         .try_clone_stream()
@@ -894,7 +894,7 @@ fn route(shared: &Arc<Shared>, request: &Arc<ClientRequest>, items: Routing) {
             request.settle_all(shared, &items, ERR_DEADLINE, ERR_DEADLINE);
             continue;
         }
-        if items.hops >= shared.config.max_hops {
+        if items.hops >= MAX_HOPS {
             shared.tally.unrouted.fetch_add(n, Ordering::Relaxed);
             request.settle_all(shared, &items, ERR_OVERLOADED, "unrouted");
             continue;
@@ -1111,8 +1111,8 @@ fn admit(shared: &Arc<Shared>, job: JobLine, reply: &Outbox) {
 /// swap the ring (reusing live connections to retained shards), and
 /// report how many tracked keys changed owner. Returns the ack line.
 fn reshard(shared: &Arc<Shared>, value: &Value) -> String {
-    // Every nack reason below is a fixed ASCII literal, so plain
-    // quoting is valid JSON.
+    // Every nack reason below is ASCII with no quote or backslash, so
+    // plain quoting is valid JSON.
     let nack =
         |reason: &str| format!("{{\"control\":\"reshard\",\"ok\":false,\"error\":\"{reason}\"}}");
     let Some(shards) = value.get("shards").and_then(Value::as_seq) else {
@@ -1138,10 +1138,21 @@ fn reshard(shared: &Arc<Shared>, value: &Value) -> String {
         return nack("router is stopping");
     }
     let vnodes = match value.get("vnodes") {
-        Some(Value::U64(v)) => (*v as usize).max(1),
-        Some(Value::I64(v)) if *v > 0 => *v as usize,
+        Some(Value::U64(v)) => usize::try_from(*v).unwrap_or(usize::MAX).max(1),
+        Some(Value::I64(v)) if *v > 0 => usize::try_from(*v).unwrap_or(usize::MAX),
         _ => shared.config.vnodes,
     };
+    // Checked before the quiesce: the ring is built under the table's
+    // write lock, where a failed allocation would poison the lock and
+    // leave admissions held for good.
+    if vnodes > MAX_VNODES {
+        return nack(&format!("vnodes must be at most {MAX_VNODES}"));
+    }
+    if unique.len() * vnodes > MAX_RING_POINTS {
+        return nack(&format!(
+            "the ring may hold at most {MAX_RING_POINTS} points"
+        ));
+    }
 
     // Quiesce: block new admissions, then wait for in-flight work to
     // drain through the shard readers.
@@ -1261,10 +1272,9 @@ fn prewarm_moved_keys(shared: &Shared, moving: Vec<(ScheduleKey, String)>) -> u6
             by_shard.entry(addr).or_default().push((key, schedule));
         }
     }
-    let timeout = Duration::from_millis(shared.config.connect_timeout_ms);
     let mut prewarmed = 0u64;
     for (addr, entries) in by_shard {
-        let pushed = Client::connect_with_timeout(&addr, timeout)
+        let pushed = control_connection(&addr)
             .ok()
             .and_then(|mut client| client.prewarm(&entries).ok());
         if pushed == Some(true) {
@@ -1279,16 +1289,24 @@ fn prewarm_moved_keys(shared: &Shared, moving: Vec<(ScheduleKey, String)>) -> u6
     prewarmed
 }
 
+/// Opens a short-lived connection to `addr` for a health probe's ping or
+/// a prewarm push: the connect, and each later read and write, are
+/// bounded by [`CONNECT_TIMEOUT`], so a shard that accepts and never
+/// answers fails the call instead of blocking it for good.
+fn control_connection(addr: &str) -> io::Result<Client> {
+    let client = Client::connect_with_timeout(addr, CONNECT_TIMEOUT)?;
+    client.set_timeout(CONNECT_TIMEOUT)?;
+    Ok(client)
+}
+
 /// The health-probe thread. Each pass pings every shard over a fresh
-/// short-lived connection, each read and write bounded by
-/// `connect_timeout_ms` (catching processes that hang, or accept and
+/// [`control_connection`] (catching processes that hang, or accept and
 /// never answer, without closing the data socket), and re-connects
 /// unhealthy shards, re-admitting them once they answer again. It also
 /// writes a ping on each healthy data link ([`keepalive`]). A pass runs
 /// every `probe_interval_ms`, and at least every half [`IDLE_TIMEOUT`].
 fn probe_loop(shared: &Arc<Shared>) {
     let interval = Duration::from_millis(shared.config.probe_interval_ms).min(IDLE_TIMEOUT / 2);
-    let timeout = Duration::from_millis(shared.config.connect_timeout_ms);
     let mut last = Instant::now();
     while !shared.stop.load(Ordering::Relaxed) {
         if last.elapsed() < interval {
@@ -1306,8 +1324,7 @@ fn probe_loop(shared: &Arc<Shared>) {
             }
             // Health and readmission both take a ping: a shard that
             // accepts connections and then drops them stays out.
-            let acked = Client::connect_with_timeout(&link.addr, timeout)
-                .and_then(|c| c.set_timeout(timeout).map(|()| c))
+            let acked = control_connection(&link.addr)
                 .ok()
                 .and_then(|mut c| c.ping().ok())
                 .unwrap_or(false);

@@ -1,19 +1,27 @@
 //! Hostile input at the router edge: a malformed line is answered with
 //! `bad_request` and never takes the router (or the connection) down.
 //! Control lines the router does not serve are refused the same way.
+//! A reshard line asking for more vnodes than the router allows is
+//! refused before it quiesces anything.
 //! Hostile shards: one that accepts and closes is never readmitted, one
-//! that accepts and never answers is ejected, and a shard stopped after
-//! its router's drain is no ejection. An idle data link is kept open.
+//! that accepts and never answers is ejected or, as a reshard's new
+//! owner, costs the reshard no more than a bounded prewarm push, and a
+//! shard stopped after its router's drain is no ejection. An idle data
+//! link is kept open. A job every shard sheds is tried on at most
+//! `MAX_HOPS` shards.
 
 use drift_core::arch::paper_fabric;
 use drift_gateway::client::Client;
 use drift_gateway::protocol::{
-    parse_response, request_line, Response, ERR_BAD_REQUEST, ERR_OVERLOADED,
+    error_line, parse_request, parse_response, request_line, Request, Response, ERR_BAD_REQUEST,
+    ERR_OVERLOADED,
 };
 use drift_gateway::{Gateway, GatewayConfig};
 use drift_obs::Recorder;
+use drift_router::server::MAX_HOPS;
 use drift_router::{route_key, HashRing, Router, RouterConfig};
 use drift_serve::job::{JobKind, JobOutcome, JobResult, JobSpec};
+use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::mem::ManuallyDrop;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -310,17 +318,44 @@ fn shutdown_within_guard(router: Router) -> drift_router::RouterSummary {
         .expect("the router's shutdown returns")
 }
 
+/// Schedule jobs of distinct keys that `ring` places on shard `shard`,
+/// with ids counting from 0.
+fn jobs_owned_by(ring: &HashRing, shard: usize) -> impl Iterator<Item = JobSpec> + '_ {
+    (0..)
+        .map(|i| JobSpec {
+            kind: JobKind::Schedule {
+                m: 64 + 16 * i,
+                k: 128,
+                n: 64,
+                fa: 0.25,
+                fw: 0.5,
+            },
+            ..schedule_job(i as u64)
+        })
+        .filter(move |spec| ring.primary(route_key(spec, paper_fabric())) == Some(shard))
+}
+
+/// A shard that accepts every connection and then neither reads nor
+/// writes, and a channel that reports each accept.
+fn silent_shard() -> (String, mpsc::Receiver<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (accepted_tx, accepted) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut held = Vec::new();
+        for stream in listener.incoming() {
+            held.push(stream);
+            let _ = accepted_tx.send(());
+        }
+    });
+    (addr, accepted)
+}
+
 #[test]
 fn a_shard_that_accepts_and_never_answers_is_ejected() {
-    // A shard that accepts every connection and then neither reads nor
-    // writes, as a stopped or deadlocked gateway does: the kernel still
-    // completes each handshake and buffers what the router sends.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let silent = listener.local_addr().unwrap().to_string();
-    std::thread::spawn(move || {
-        let held: Vec<_> = listener.incoming().collect();
-        drop(held);
-    });
+    // A silent shard, as a stopped or deadlocked gateway is: the kernel
+    // still completes each handshake and buffers what the router sends.
+    let (silent, _accepts) = silent_shard();
     let gw = Gateway::start(
         "127.0.0.1:0",
         GatewayConfig::with_workers(1),
@@ -334,19 +369,7 @@ fn a_shard_that_accepts_and_never_answers_is_ejected() {
     };
     // A job the silent shard owns.
     let ring = HashRing::new(&shards, config.vnodes);
-    let spec = (0..)
-        .map(|i| JobSpec {
-            kind: JobKind::Schedule {
-                m: 64 + 16 * i,
-                k: 128,
-                n: 64,
-                fa: 0.25,
-                fw: 0.5,
-            },
-            ..schedule_job(9)
-        })
-        .find(|spec| ring.primary(route_key(spec, paper_fabric())) == Some(1))
-        .unwrap();
+    let spec = jobs_owned_by(&ring, 1).next().unwrap();
     // Leaked if an answer never comes: dropping it would wait for one.
     let router = ManuallyDrop::new(
         Router::start("127.0.0.1:0", &shards, config, Recorder::disabled()).unwrap(),
@@ -440,4 +463,186 @@ fn an_idle_data_link_carries_pings_and_stays_up() {
     assert_eq!(jobs, 1);
     assert_eq!(router.shutdown().ejections, 0);
     gw.shutdown();
+}
+
+#[test]
+fn a_reshard_onto_a_shard_that_never_answers_is_acked_and_admits_again() {
+    let (silent, accepts) = silent_shard();
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        GatewayConfig::with_workers(1),
+        Recorder::disabled(),
+    )
+    .unwrap();
+    let gateway = gw.local_addr().to_string();
+    // No health probe runs during the test: the silent shard's only
+    // connections are the reshard's.
+    let config = RouterConfig {
+        probe_interval_ms: 600_000,
+        ..RouterConfig::default()
+    };
+    // Keys the grown ring gives the silent shard, which all move, and
+    // one it leaves on the gateway.
+    let grown = HashRing::new(&[gateway.clone(), silent.clone()], config.vnodes);
+    let moving: Vec<JobSpec> = jobs_owned_by(&grown, 1).take(8).collect();
+    let staying = jobs_owned_by(&grown, 0).next().unwrap();
+    // Leaked if an answer never comes: dropping it would wait for one.
+    let router = ManuallyDrop::new(
+        Router::start(
+            "127.0.0.1:0",
+            std::slice::from_ref(&gateway),
+            config,
+            Recorder::disabled(),
+        )
+        .unwrap(),
+    );
+    for spec in &moving {
+        assert!(matches!(
+            submit_within_guard(router.local_addr(), spec),
+            Response::Result(_)
+        ));
+    }
+    let control = TcpStream::connect(router.local_addr()).unwrap();
+    control.set_read_timeout(Some(HANG_GUARD)).unwrap();
+    writeln!(
+        &control,
+        "{{\"control\":\"reshard\",\"shards\":[\"{gateway}\",\"{silent}\"]}}"
+    )
+    .unwrap();
+    // The silent shard's first accept is its data link, the second the
+    // prewarm push, made while the reshard holds admissions.
+    for _ in 0..2 {
+        accepts
+            .recv_timeout(HANG_GUARD)
+            .expect("the reshard connects to its new shard");
+    }
+    match submit_within_guard(router.local_addr(), &staying) {
+        Response::Result(r) => assert!(matches!(r.outcome, JobOutcome::Schedule { .. })),
+        other => panic!("unexpected response {other:?}"),
+    }
+    let mut ack = String::new();
+    BufReader::new(&control)
+        .read_line(&mut ack)
+        .expect("a reshard ack within the guard");
+    let ack: Value = serde_json::from_str(ack.trim_end()).unwrap();
+    assert!(matches!(ack.get("ok"), Some(Value::Bool(true))), "{ack:?}");
+    let count =
+        |name| -> u64 { serde::from_field(ack.as_map().unwrap(), name, "reshard ack").unwrap() };
+    assert_eq!((count("moved_keys"), count("prewarmed_keys")), (8, 0));
+    let summary = shutdown_within_guard(ManuallyDrop::into_inner(router));
+    assert_eq!(summary.reshards, 1);
+    gw.shutdown();
+}
+
+#[test]
+fn a_reshard_asking_for_too_large_a_ring_is_refused_and_the_router_answers() {
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        GatewayConfig::with_workers(1),
+        Recorder::disabled(),
+    )
+    .unwrap();
+    let gateway = gw.local_addr().to_string();
+    // Leaked if an answer never comes: dropping it would wait for one.
+    let router = ManuallyDrop::new(
+        Router::start(
+            "127.0.0.1:0",
+            std::slice::from_ref(&gateway),
+            RouterConfig::default(),
+            Recorder::disabled(),
+        )
+        .unwrap(),
+    );
+    let stream = TcpStream::connect(router.local_addr()).unwrap();
+    stream.set_read_timeout(Some(HANG_GUARD)).unwrap();
+    let mut lines = BufReader::new(stream.try_clone().unwrap()).lines();
+    let mut exchange = |line: &str| {
+        writeln!(&stream, "{line}").unwrap();
+        lines
+            .next()
+            .expect("the connection stays open")
+            .expect("an answer within the guard")
+    };
+    // 2^63 vnodes overflow the ring's capacity; 1025 is one past the
+    // vnodes cap; 65 shards of 1024 vnodes are past the ring's 65,536
+    // points. None of the 65 addresses is ever dialled.
+    let many: Vec<String> = (1..=65)
+        .map(|port| format!("\"127.0.0.1:{port}\""))
+        .collect();
+    for (shards, vnodes) in [
+        (format!("\"{gateway}\""), "9223372036854775808"),
+        (format!("\"{gateway}\""), "1025"),
+        (many.join(","), "1024"),
+    ] {
+        let line = format!("{{\"control\":\"reshard\",\"shards\":[{shards}],\"vnodes\":{vnodes}}}");
+        let ack: Value = serde_json::from_str(&exchange(&line)).unwrap();
+        assert!(
+            matches!(ack.get("ok"), Some(Value::Bool(false))),
+            "vnodes {vnodes}: {ack:?}"
+        );
+    }
+    match parse_response(&exchange(&request_line(&schedule_job(3), None))).unwrap() {
+        Response::Result(r) => assert_eq!(r.id, 3),
+        other => panic!("unexpected response {other:?}"),
+    }
+    assert_eq!(router.summary().reshards, 0);
+    shutdown_within_guard(ManuallyDrop::into_inner(router));
+    gw.shutdown();
+}
+
+/// A shard that answers each job line on any connection with
+/// `overloaded` for that line's id, and the job lines it answered. The
+/// acceptor never exits.
+fn shedding_shard() -> (String, Arc<Mutex<Vec<String>>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let lines: Arc<Mutex<Vec<String>>> = Arc::default();
+    let log = Arc::clone(&lines);
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                let out = stream.try_clone().unwrap();
+                for line in BufReader::new(stream).lines().map_while(Result::ok) {
+                    let Ok(Request::Job(job)) = parse_request(&line) else {
+                        continue;
+                    };
+                    log.lock().unwrap().push(line);
+                    if writeln!(&out, "{}", error_line(Some(job.id), ERR_OVERLOADED)).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    (addr, lines)
+}
+
+#[test]
+fn a_job_every_shard_sheds_is_tried_up_to_the_hop_limit_then_answered_overloaded() {
+    let shards: Vec<_> = (0..4).map(|_| shedding_shard()).collect();
+    let addrs: Vec<String> = shards.iter().map(|(addr, _)| addr.clone()).collect();
+    // No health probe runs during the test: only the data links carry
+    // lines.
+    let config = RouterConfig {
+        probe_interval_ms: 600_000,
+        ..RouterConfig::default()
+    };
+    let router = Router::start("127.0.0.1:0", &addrs, config, Recorder::disabled()).unwrap();
+    let spec = schedule_job(8);
+    match submit_within_guard(router.local_addr(), &spec) {
+        Response::Error { id: Some(8), error } => assert_eq!(error, ERR_OVERLOADED),
+        other => panic!("unexpected response {other:?}"),
+    }
+    // The job walked its ring chain: the first MAX_HOPS shards of it saw
+    // the job once each, the last never.
+    let chain = HashRing::new(&addrs, config.vnodes).owners(route_key(&spec, paper_fabric()));
+    let seen: Vec<usize> = chain
+        .iter()
+        .map(|&shard| shards[shard].1.lock().unwrap().len())
+        .collect();
+    assert_eq!(seen, [1, 1, 1, 0]);
+    assert_eq!(seen.iter().sum::<usize>(), MAX_HOPS as usize);
+    let summary = router.shutdown();
+    assert_eq!((summary.routed, summary.unrouted), (u64::from(MAX_HOPS), 1));
 }

@@ -116,6 +116,19 @@ if grep -rnE 'default_deadline_m[s]|idle_timeout_m[s]|idle-timeout-m[s]|struct G
   exit 1
 fi
 
+echo "== one router config =="
+# drift_router::RouterConfig holds the ring's vnodes and the probe
+# period, which tests set; drift router builds its default. The hop
+# limit and connect timeout are the constants drift_router::server::
+# MAX_HOPS and CONNECT_TIMEOUT, and clients retry sheds on one fixed
+# schedule, drift_gateway::client::backoff. The bracketed letters keep
+# this lint from matching its own lines.
+if grep -rnE 'max_hop[s]|max-hop[s]|connect_timeout_m[s]|connect-timeout-m[s]|probe-interval-m[s]|--vnode[s]|RetryPolic[y]' \
+  crates docs README.md scripts; then
+  echo "router config lint: one router config and one retry schedule; no hop, timeout, probe or vnodes option" >&2
+  exit 1
+fi
+
 echo "== one real-process smoke =="
 # The serving smoke below is the one test of real processes; every other
 # test runs in process (router failover: a seeded fake shard in
