@@ -481,7 +481,6 @@ pub fn loadgen(opts: &Opts) -> Result<(), String> {
     let deadline_ms: u64 = opt_parse(opts, "deadline-ms", 0u64)?;
     let jitter_ms: u64 = opt_parse(opts, "deadline-jitter-ms", 0u64)?;
     let open_loop: f64 = opt_parse(opts, "open-loop", 0.0f64)?;
-    let burst_ms: u64 = opt_parse(opts, "burst-ms", 0u64)?;
     let config = drift_gateway::LoadGenConfig {
         clients: opt_parse(opts, "clients", 4)?,
         jobs: opt_parse(opts, "jobs", 200)?,
@@ -490,8 +489,6 @@ pub fn loadgen(opts: &Opts) -> Result<(), String> {
         deadline_ms: (deadline_ms > 0).then_some(deadline_ms),
         deadline_jitter_ms: (jitter_ms > 0).then_some(jitter_ms),
         open_loop_rps: (open_loop > 0.0).then_some(open_loop),
-        burst_ms: (burst_ms > 0).then_some(burst_ms),
-        connect_per_request: opt_parse(opts, "connect-per-request", false)?,
         batch: opt_parse::<usize>(opts, "batch", 1)?.max(1),
         schedule_only: opt_parse(opts, "schedule-only", false)?,
     };

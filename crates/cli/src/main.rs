@@ -10,7 +10,7 @@
 //! drift gateway  [--addr 127.0.0.1:7077] [--workers 8] [--queue-depth 256]
 //! drift router   --shards addr1,addr2,... [--addr 127.0.0.1:7177]
 //! drift loadgen  [--addr 127.0.0.1:7077] [--clients 4] [--jobs 200] [--open-loop 500]
-//!                [--deadline-ms 50] [--deadline-jitter-ms 50]
+//!                [--deadline-ms 50] [--deadline-jitter-ms 50] [--batch 8] [--schedule-only]
 //! drift gateway-stop [--addr 127.0.0.1:7077]
 //! drift router-stop  [--addr 127.0.0.1:7177]
 //! drift store    inspect|verify|compact sched.drift | merge out.drift in1 in2...
@@ -118,7 +118,7 @@ fn usage() -> String {
      \x20                                 live on {\"control\":\"reshard\",...} (docs/SERVING.md)\n\
      \x20 loadgen  [--addr A] [--clients C] [--jobs N] [--shapes S] [--seed S]\n\
      \x20          [--deadline-ms D] [--deadline-jitter-ms J] [--open-loop RPS]\n\
-     \x20          [--burst-ms W] [--connect-per-request] [--batch B]\n\
+     \x20          [--batch B]\n\
      \x20          [--schedule-only]      small-job stream (cache-hit Schedule jobs)\n\
      \x20                                 drive a gateway; throughput + p50/p99 +\n\
      \x20                                 deadline-met rate on stderr\n\
@@ -167,8 +167,8 @@ fn options_of(command: &str) -> Option<&'static str> {
             "shards addr port-file metrics-addr metrics-out trace-out trace-sample trace-seed"
         }
         "loadgen" => {
-            "addr clients jobs shapes seed deadline-ms deadline-jitter-ms open-loop burst-ms \
-             connect-per-request batch schedule-only json"
+            "addr clients jobs shapes seed deadline-ms deadline-jitter-ms open-loop batch \
+             schedule-only json"
         }
         "gateway-stop" | "router-stop" => "addr",
         _ => return None,
@@ -269,8 +269,10 @@ mod tests {
         // Retired serving options: a request's own `deadline_ms` is its
         // only deadline, and the idle timeout, the router's ring size,
         // hop limit, probe period and connect timeout are constants.
+        // Loadgen sends a steady stream on one connection per client.
         // (Options are spelled in two pieces where whole they would match
-        // the one-pool-config or one-router-config lint in scripts/ci.sh.)
+        // the one-pool-config, one-router-config or one-load-shape lint
+        // in scripts/ci.sh.)
         for (command, option) in [
             ("gateway", "--deadline-ms"),
             ("gateway", concat!("--idle-timeout", "-ms")),
@@ -279,6 +281,8 @@ mod tests {
             ("router", concat!("--max-hop", "s")),
             ("router", concat!("--probe-interval", "-ms")),
             ("router", concat!("--connect-timeout", "-ms")),
+            ("loadgen", concat!("--burst", "-ms")),
+            ("loadgen", concat!("--connect-per", "-request")),
         ] {
             let err = parse(command, &[option, "250"]).unwrap_err();
             assert_eq!(err, format!("unknown option {option}"));

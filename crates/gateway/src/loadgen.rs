@@ -36,27 +36,11 @@ pub struct LoadGenConfig {
     pub deadline_ms: Option<u64>,
     /// Adds a deterministic uniform jitter in `[0, J]` ms to each job's
     /// deadline budget (derived from `seed` and the job id), so budgets
-    /// span `[D, D+J]` — the spread EDF exploits and FIFO cannot.
-    /// Ignored without `deadline_ms`.
+    /// span `[D, D+J]`. Ignored without `deadline_ms`.
     pub deadline_jitter_ms: Option<u64>,
     /// Open-loop mode: pace request starts at this aggregate rate and
     /// do not retry sheds. `None` = closed loop with retry.
     pub open_loop_rps: Option<f64>,
-    /// Open-loop only: send in on/off bursts instead of a steady
-    /// stream. Requests are offered at `open_loop_rps` for the first
-    /// half of every window of this many milliseconds and not at all
-    /// for the second half (average rate = `open_loop_rps / 2`). This
-    /// is the regime where queue ordering matters: a steady stream
-    /// above capacity saturates the queue permanently, making the
-    /// deadline-met count capacity-bound under *any* discipline, while
-    /// bursts leave drain slack that EDF can exploit and FIFO cannot
-    /// (docs/SCHEDULING.md). Ignored in closed-loop mode.
-    pub burst_ms: Option<u64>,
-    /// Closed-loop only: open a fresh TCP connection for every request
-    /// and tear it down after the response, instead of holding one
-    /// persistent connection per client. Measures connection-churn cost
-    /// (see the connection-reuse guidance in `docs/SERVING.md`).
-    pub connect_per_request: bool,
     /// Jobs per wire request. `1` (or `0`) submits singleton lines;
     /// above `1` each client chunks its job stream and submits whole
     /// chunks with the batch wire protocol (`docs/SERVING.md`) — one
@@ -86,8 +70,6 @@ impl Default for LoadGenConfig {
             deadline_ms: None,
             deadline_jitter_ms: None,
             open_loop_rps: None,
-            burst_ms: None,
-            connect_per_request: false,
             batch: 1,
             schedule_only: false,
         }
@@ -236,22 +218,6 @@ impl LoadGenConfig {
         };
         Some(base.saturating_add(jitter))
     }
-
-    /// When (relative to the pacer's start) this client's `index`-th
-    /// open-loop send should happen. Steady pacing spaces sends by
-    /// `interval`; with `burst_ms` set, sends keep that spacing but
-    /// come in windows — the first half of every `burst_ms` window
-    /// offers load, the second half is silent.
-    fn send_offset(&self, index: u64, interval: Duration) -> Duration {
-        let Some(window_ms) = self.burst_ms.filter(|&w| w > 0) else {
-            return interval.mul_f64(index as f64);
-        };
-        let window = Duration::from_millis(window_ms);
-        let per_window = ((window.as_secs_f64() / 2.0) / interval.as_secs_f64())
-            .floor()
-            .max(1.0) as u64;
-        window.mul_f64((index / per_window) as f64) + interval.mul_f64((index % per_window) as f64)
-    }
 }
 
 /// Runs one load-generation pass against the gateway at `addr`.
@@ -335,44 +301,30 @@ pub fn run(addr: &str, config: &LoadGenConfig) -> Result<LoadReport, String> {
     })
 }
 
-/// Drives one client's slice as lines of `config.batch` jobs.
+/// Drives one client's slice as lines of `config.batch` jobs on one
+/// connection.
 fn drive_client(
     addr: &str,
     slice: &[JobSpec],
     config: &LoadGenConfig,
     pace: Option<Duration>,
 ) -> Result<ClientTally, String> {
-    let connect =
-        || Client::connect(addr).map_err(|e| format!("cannot connect to gateway at {addr}: {e}"));
+    let mut client =
+        Client::connect(addr).map_err(|e| format!("cannot connect to gateway at {addr}: {e}"))?;
     if let Some(interval) = pace {
-        return drive_open_loop(connect()?, slice, config, interval);
+        return drive_open_loop(client, slice, config, interval);
     }
-    // Closed loop: one line in flight. With `connect_per_request` each
-    // line gets a short-lived connection (connect, submit with the
-    // standard shed retries, read the response, drop the socket), so its
-    // latency includes the TCP setup and teardown — exactly the cost the
-    // persistent-connection default amortises away.
-    let mut persistent = if config.connect_per_request {
-        None
-    } else {
-        Some(connect()?)
-    };
+    // Closed loop: one line in flight.
     let batched = config.batch > 1;
     let mut tally = ClientTally::default();
     for chunk in slice.chunks(config.batch) {
         let begin = Instant::now();
-        let mut churned = None;
-        let client = match persistent.as_mut() {
-            Some(client) => client,
-            None => churned.insert(connect()?),
-        };
         let (id, budget) = (chunk[0].id, config.budget_for(chunk[0].id));
         let sub = if batched {
             client.submit_batch_with_retry(id, chunk, budget)?
         } else {
             client.submit_with_retry(&chunk[0], budget)?
         };
-        drop(churned);
         let latency = begin.elapsed();
         tally.retries += u64::from(sub.retries);
         tally.account_line(sub.response, batched, chunk.len(), latency)?;
@@ -406,8 +358,7 @@ fn drive_open_loop(
         let pacer = scope.spawn(|| -> Result<(), String> {
             let start = Instant::now();
             for (index, chunk) in chunks.iter().enumerate() {
-                let next_start =
-                    start + config.send_offset((index * config.batch) as u64, interval);
+                let next_start = start + interval.mul_f64((index * config.batch) as f64);
                 let now = Instant::now();
                 if next_start > now {
                     std::thread::sleep(next_start - now);

@@ -1,16 +1,27 @@
 //! The gateway is a transport, not a transform: the same job stream
 //! must yield byte-identical results whether it arrives over TCP
-//! through eight concurrent clients, in batch request lines, or
-//! through the offline `drift serve` batch path.
+//! through eight concurrent clients, paced open loop, in batch request
+//! lines, or through the offline `drift serve` batch path, and so must
+//! the schedule-only stream.
 
-use drift_gateway::loadgen::{self, LoadGenConfig};
+use drift_gateway::loadgen::{self, LoadGenConfig, LoadReport};
 use drift_gateway::protocol::{batch_request_line, batch_response_line, request_line};
 use drift_gateway::server::{Gateway, GatewayConfig};
 use drift_obs::Recorder;
-use drift_serve::job::{result_line, synthetic_jobs, JobSpec};
+use drift_serve::job::{result_line, synthetic_jobs, synthetic_schedule_jobs, JobSpec};
 use drift_serve::runtime::{serve, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+
+/// Asserts `report` holds, byte for byte, the results offline `serve`
+/// gives for `jobs`.
+fn assert_matches_offline_serve(report: &LoadReport, jobs: Vec<JobSpec>) {
+    let mut offline = serve(jobs, &ServeConfig::with_workers(8)).results;
+    offline.sort_by_key(|r| r.id);
+    let online_lines: Vec<String> = report.results.iter().map(result_line).collect();
+    let offline_lines: Vec<String> = offline.iter().map(result_line).collect();
+    assert_eq!(online_lines, offline_lines);
+}
 
 #[test]
 fn gateway_results_match_offline_serve_byte_for_byte() {
@@ -41,16 +52,7 @@ fn gateway_results_match_offline_serve_byte_for_byte() {
     assert_eq!(summary.accepted, JOBS as u64);
     assert_eq!(summary.dropped, 0);
 
-    let offline = serve(
-        synthetic_jobs(JOBS, SHAPES, SEED),
-        &ServeConfig::with_workers(8),
-    );
-    let mut offline_results = offline.results;
-    offline_results.sort_by_key(|r| r.id);
-
-    let online_lines: Vec<String> = report.results.iter().map(result_line).collect();
-    let offline_lines: Vec<String> = offline_results.iter().map(result_line).collect();
-    assert_eq!(online_lines, offline_lines);
+    assert_matches_offline_serve(&report, synthetic_jobs(JOBS, SHAPES, SEED));
 }
 
 #[test]
@@ -81,16 +83,64 @@ fn batched_loadgen_matches_offline_serve_byte_for_byte() {
     let summary = gw.shutdown();
     assert_eq!(summary.accepted, JOBS as u64);
 
-    let offline = serve(
-        synthetic_jobs(JOBS, SHAPES, SEED),
-        &ServeConfig::with_workers(8),
-    );
-    let mut offline_results = offline.results;
-    offline_results.sort_by_key(|r| r.id);
+    assert_matches_offline_serve(&report, synthetic_jobs(JOBS, SHAPES, SEED));
+}
 
-    let online_lines: Vec<String> = report.results.iter().map(result_line).collect();
-    let offline_lines: Vec<String> = offline_results.iter().map(result_line).collect();
-    assert_eq!(online_lines, offline_lines);
+#[test]
+fn open_loop_loadgen_matches_offline_serve_byte_for_byte() {
+    // Paced sends pipelined into each connection while a reaper drains
+    // the answers. 200 jobs cannot fill the default 256-slot queue, so
+    // none sheds whatever the pace.
+    const JOBS: usize = 200;
+    const SHAPES: usize = 4;
+    const SEED: u64 = 42;
+
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        GatewayConfig::with_workers(2),
+        Recorder::disabled(),
+    )
+    .unwrap();
+    let load = LoadGenConfig {
+        jobs: JOBS,
+        shapes: SHAPES,
+        seed: SEED,
+        open_loop_rps: Some(2_000.0),
+        ..LoadGenConfig::default()
+    };
+    let report = loadgen::run(&gw.local_addr().to_string(), &load).unwrap();
+    report.verify_complete().unwrap();
+    assert_eq!(report.ok, JOBS as u64, "{}", report.render());
+    assert_eq!(gw.shutdown().accepted, JOBS as u64);
+
+    assert_matches_offline_serve(&report, synthetic_jobs(JOBS, SHAPES, SEED));
+}
+
+#[test]
+fn schedule_only_loadgen_matches_offline_serve_byte_for_byte() {
+    const JOBS: usize = 200;
+    const SHAPES: usize = 4;
+    const SEED: u64 = 42;
+
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        GatewayConfig::with_workers(2),
+        Recorder::disabled(),
+    )
+    .unwrap();
+    let load = LoadGenConfig {
+        jobs: JOBS,
+        shapes: SHAPES,
+        seed: SEED,
+        schedule_only: true,
+        ..LoadGenConfig::default()
+    };
+    let report = loadgen::run(&gw.local_addr().to_string(), &load).unwrap();
+    report.verify_complete().unwrap();
+    assert_eq!(report.ok, JOBS as u64, "{}", report.render());
+    gw.shutdown();
+
+    assert_matches_offline_serve(&report, synthetic_schedule_jobs(JOBS, SHAPES, SEED));
 }
 
 /// Submits `jobs` one per request line over raw TCP and returns the

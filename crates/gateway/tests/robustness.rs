@@ -271,16 +271,21 @@ fn a_line_sent_while_its_reader_runs_a_job_is_admitted_after_it() {
 #[test]
 fn a_line_sent_while_its_connection_awaits_a_reply_is_queued() {
     let recorder = Recorder::enabled();
-    let mut config = GatewayConfig::with_workers(2);
-    config.queue_depth = 8;
-    let gw = Gateway::start("127.0.0.1:0", config, recorder.clone()).unwrap();
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        GatewayConfig::with_workers(2),
+        recorder.clone(),
+    )
+    .unwrap();
     let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
 
     // A ping behind the first long job leaves input behind it, so a
     // worker runs that job. The second long job then finds the heap
     // empty and an accelerator idle, but its connection awaits a reply,
-    // so it is queued too and the reader goes on reading: the 1 ms line
-    // is admitted on arrival, waits for an accelerator and expires.
+    // so it is queued too and the reader goes on reading: a ping sent
+    // once a worker has taken the job is acked before the job's result.
+    // A reader running the job itself would write the result first, as
+    // it reads nothing more until the job has run.
     let lines = [job_ahead(), control_line(ControlOp::Ping)];
     client.send_raw(&lines.join("\n")).unwrap();
     assert!(matches!(
@@ -292,24 +297,25 @@ fn a_line_sent_while_its_connection_awaits_a_reply_is_queued() {
         .send_raw(&request_line(&select_spec(1, 4096, 2048), None))
         .unwrap();
     await_dequeues(&recorder, 2);
-    client
-        .send_raw(&request_line(&quick_spec(99), Some(1)))
-        .unwrap();
+    client.send_raw(&control_line(ControlOp::Ping)).unwrap();
 
-    let mut results = Vec::new();
-    for _ in 0..3 {
-        match client.recv().unwrap() {
-            Response::Result(r) => results.push(r.id),
-            Response::Error { id, error } => {
-                assert_eq!((id, error.as_str()), (Some(99), ERR_DEADLINE));
-            }
+    // Each answer in arrival order: a result's id, or `None` for the ack.
+    let answers: Vec<Option<u64>> = (0..3)
+        .map(|_| match client.recv().unwrap() {
+            Response::Result(r) => Some(r.id),
+            Response::Control { ok: true, .. } => None,
             other => panic!("unexpected response {other:?}"),
-        }
-    }
-    results.sort_unstable();
-    assert_eq!(results, vec![0, 1]);
-    let summary = gw.shutdown();
-    assert_eq!((summary.unmeetable, summary.expired), (0, 1));
+        })
+        .collect();
+    let mut sorted = answers.clone();
+    sorted.sort_unstable();
+    assert_eq!(sorted, [None, Some(0), Some(1)]);
+    let at = |answer: Option<u64>| answers.iter().position(|&a| a == answer);
+    assert!(
+        at(None) < at(Some(1)),
+        "the second job ran on the reader: {answers:?}"
+    );
+    gw.shutdown();
 }
 
 #[test]

@@ -61,7 +61,7 @@ use drift_core::arch::paper_fabric;
 use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_gateway::client::{Client, ClientReader, ClientWriter};
 use drift_gateway::framing::{
-    DrainSignal, LineHandler, LineServer, Outbox, Reply, IDLE_TIMEOUT, READ_TICK,
+    DrainSignal, LineHandler, LineServer, Outbox, Reply, IDLE_TIMEOUT, MAX_LINE_BYTES, READ_TICK,
 };
 use drift_gateway::protocol::{
     self, ControlOp, JobLine, Request, ResponseAssembler, ERR_BAD_REQUEST, ERR_DEADLINE,
@@ -874,7 +874,8 @@ fn remaining_budget_ms(deadline: Instant, now: Instant) -> u64 {
 
 /// Routes items of `request`: each item walks its own ring chain to
 /// the first healthy shard not in `tried`, items sharing a target
-/// travel together as one sub-batch under one internal batch id, and
+/// travel together as one sub-batch under one internal batch id (split
+/// while its line exceeds [`MAX_LINE_BYTES`]), and
 /// items with no reachable shard settle `overloaded` in their slots;
 /// exhausting the deadline or the hop budget answers the client
 /// directly. Failover re-enters this function with the grown `tried`
@@ -953,7 +954,9 @@ fn route(shared: &Arc<Shared>, request: &Arc<ClientRequest>, items: Routing) {
         // One budget computation for this hop: every sub-batch of the
         // split forwards the same remainder.
         let remaining_ms = batch_remaining_budget_ms(request.deadline, now);
-        for (link, items) in groups {
+        // A sub-batch whose forwarded line would exceed the shard's line
+        // limit goes back onto `groups` in halves (`split_oversized`).
+        while let Some((link, items)) = groups.pop() {
             let internal_id = shared.next_internal_id.fetch_add(1, Ordering::Relaxed);
             // Each sub-batch dispatch is its own hop span under the
             // request's root span; the fresh id is forwarded so the
@@ -976,6 +979,10 @@ fn route(shared: &Arc<Shared>, request: &Arc<ClientRequest>, items: Routing) {
                 remaining_ms,
                 &decision,
             );
+            if line.len() > MAX_LINE_BYTES {
+                split_oversized(shared, request, link, items, &mut groups);
+                continue;
+            }
             // Insert before sending: the response must never race an
             // absent entry.
             shared.pending.lock().expect("pending table").insert(
@@ -1022,6 +1029,34 @@ fn route(shared: &Arc<Shared>, request: &Arc<ClientRequest>, items: Routing) {
             work.push(reclaimed.items);
         }
     }
+}
+
+/// Handles a sub-batch whose forwarded line exceeds [`MAX_LINE_BYTES`],
+/// as a client's line within the limit can when re-rendering lengthens
+/// its numbers (`"fa":0` forwards as `"fa":0.0`). Its two halves go
+/// back onto `groups` for the same shard with the same walk, counting
+/// no hop, failover or ejection; a lone item settles `bad_request`.
+fn split_oversized(
+    shared: &Shared,
+    request: &ClientRequest,
+    link: Arc<ShardLink>,
+    mut items: Routing,
+    groups: &mut Vec<(Arc<ShardLink>, Routing)>,
+) {
+    if items.specs.len() < 2 {
+        request.settle_all(shared, &items, ERR_BAD_REQUEST, ERR_BAD_REQUEST);
+        return;
+    }
+    let at = items.specs.len() / 2;
+    let back = Routing {
+        positions: items.positions.split_off(at),
+        keys: items.keys.split_off(at),
+        specs: items.specs.split_off(at),
+        tried: items.tried.clone(),
+        hops: items.hops,
+    };
+    groups.push((Arc::clone(&link), back));
+    groups.push((link, items));
 }
 
 /// The single forwarded budget for one batch hop, shared by every item

@@ -8,10 +8,12 @@
 //! owner, costs the reshard no more than a bounded prewarm push, and a
 //! shard stopped after its router's drain is no ejection. An idle data
 //! link is kept open. A job every shard sheds is tried on at most
-//! `MAX_HOPS` shards.
+//! `MAX_HOPS` shards. A client line that fits the line limit is served
+//! even when the router's re-rendered sub-batch would not.
 
 use drift_core::arch::paper_fabric;
 use drift_gateway::client::Client;
+use drift_gateway::framing::MAX_LINE_BYTES;
 use drift_gateway::protocol::{
     error_line, parse_request, parse_response, request_line, Request, Response, ERR_BAD_REQUEST,
     ERR_OVERLOADED,
@@ -645,4 +647,63 @@ fn a_job_every_shard_sheds_is_tried_up_to_the_hop_limit_then_answered_overloaded
     assert_eq!(seen.iter().sum::<usize>(), MAX_HOPS as usize);
     let summary = router.shutdown();
     assert_eq!((summary.routed, summary.unrouted), (u64::from(MAX_HOPS), 1));
+}
+
+/// Sends `line` on a fresh connection to `addr` and returns the answer
+/// line, failing after [`HANG_GUARD`] without one.
+fn exchange_within_guard(addr: SocketAddr, line: &str) -> String {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(HANG_GUARD)).unwrap();
+    writeln!(&stream, "{line}").unwrap();
+    let mut answer = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut answer)
+        .expect("an answer within the guard");
+    answer.trim_end().to_string()
+}
+
+#[test]
+fn a_line_that_outgrows_the_limit_when_forwarded_is_split_not_failed_over() {
+    // Same-key Schedule jobs whose fractions are written as integers:
+    // the router re-renders each as `"fa":0.0,"fw":1.0`, four bytes
+    // longer, so the forwarded sub-batch would exceed the line limit the
+    // client's line keeps.
+    let items: Vec<String> = (0..13_300)
+        .map(|id| {
+            format!(
+                "{{\"id\":{id},\"seed\":4,\"kind\":{{\"Schedule\":\
+                 {{\"m\":16,\"k\":16,\"n\":16,\"fa\":0,\"fw\":1}}}}}}"
+            )
+        })
+        .collect();
+    let line = format!("{{\"id\":7,\"batch\":[{}]}}", items.join(","));
+    assert!(line.len() <= MAX_LINE_BYTES, "{}", line.len());
+    assert!(line.len() + 4 * items.len() > MAX_LINE_BYTES);
+
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        GatewayConfig::with_workers(2),
+        Recorder::disabled(),
+    )
+    .unwrap();
+    let direct = exchange_within_guard(gw.local_addr(), &line);
+    let Ok(Response::Batch { items: answers, .. }) = parse_response(&direct) else {
+        panic!("the gateway did not serve the line: {direct:.200}");
+    };
+    assert_eq!(answers.len(), items.len());
+    assert!(answers.iter().all(|a| matches!(a, Response::Result(_))));
+
+    let router = Router::start(
+        "127.0.0.1:0",
+        &[gw.local_addr().to_string()],
+        RouterConfig::default(),
+        Recorder::disabled(),
+    )
+    .unwrap();
+    let routed = exchange_within_guard(router.local_addr(), &line);
+    assert!(routed == direct, "routed answer differs: {routed:.200}");
+    let summary = shutdown_within_guard(router);
+    assert_eq!((summary.ejections, summary.failovers), (0, 0));
+    assert_eq!(summary.unrouted, 0);
+    gw.shutdown();
 }

@@ -129,6 +129,18 @@ if grep -rnE 'max_hop[s]|max-hop[s]|connect_timeout_m[s]|connect-timeout-m[s]|pr
   exit 1
 fi
 
+echo "== one load shape =="
+# drift loadgen sends a steady stream, closed loop or open loop at a
+# fixed rate, on one connection per client. The bursty regime where
+# deadline order pays is pinned in crates/serve/tests/queue_edges.rs.
+# EXPERIMENTS.md holds records and stays out of scope. The bracketed
+# letters keep this lint from matching its own lines.
+if grep -rnE 'burst_m[s]|burst-m[s]|connect_per_reques[t]|connect-per-reques[t]' \
+  crates docs README.md scripts; then
+  echo "load shape lint: one steady stream on one connection per client; no burst or per-request connect option" >&2
+  exit 1
+fi
+
 echo "== one real-process smoke =="
 # The serving smoke below is the one test of real processes; every other
 # test runs in process (router failover: a seeded fake shard in
